@@ -25,13 +25,7 @@ from .estimators import (
     powerlaw_fit,
     sample_ccf,
 )
-from .filters import (
-    WeightVector,
-    ar1_weights,
-    causal_filter,
-    ma_weights,
-    white_weights,
-)
+from .filters import ar1_weights, causal_filter, ma_weights
 from .innovations import CovarianceSpec, InnovationBlock, cholesky_factor, sample
 from .models import (
     BivariateSeries,
@@ -72,11 +66,9 @@ __all__ = [
     "hxa",
     "powerlaw_fit",
     "sample_ccf",
-    "WeightVector",
     "ar1_weights",
     "causal_filter",
     "ma_weights",
-    "white_weights",
     "CovarianceSpec",
     "InnovationBlock",
     "cholesky_factor",

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ExperimentConfig, parse_config
+from .config import ESTIMATOR_NAMES, SETTINGS, ExperimentConfig, parse_config
 from .errors import ConfigError, CrossArfimaError
 from .estimators import dcca, dfa, fit_hurst, hxa, sample_ccf
 from .models import cross_spectrum, simulate, theoretical_ccf, theoretical_exponents
@@ -71,51 +71,28 @@ def _fit_row(estimator: str, target: str, make_fluct) -> EstimateRow:
     return EstimateRow(estimator, target, True, fit.exponent, fit.stderr, fit.n_points, notes)
 
 
+# One row per Hurst estimate: (estimator, target, theory attribute, fluctuation
+# call).  The calls look dfa/dcca/hxa up in this module's globals when they
+# run, so a rebinding of those names (a tracer, say) is seen.
+ESTIMATES = (
+    ("dfa", "hx", "H_x", lambda x, y, c: dfa(x, c.dfa_s_min, c.dfa_s_max, c.dfa_step, c.detrend_order)),
+    ("dfa", "hy", "H_y", lambda x, y, c: dfa(y, c.dfa_s_min, c.dfa_s_max, c.dfa_step, c.detrend_order)),
+    (
+        "dcca", "hxy", "H_xy",
+        lambda x, y, c: dcca(x, y, c.dcca_s_min, c.dcca_s_max, c.dcca_step, c.detrend_order),
+    ),
+    ("hxa", "hxy", "H_xy", lambda x, y, c: hxa(x, y, c.hxa_tau_min, c.hxa_tau_max)),
+)
+
+
 def _estimate_pair(x, y, cfg: ExperimentConfig):
     """All configured Hurst estimates for one (x, y) pair, plus the CCF."""
-    rows: list[EstimateRow] = []
-    ccf_values = None
-    for name in cfg.estimators:
-        if name == "dfa":
-            for target, z in (("hx", x), ("hy", y)):
-                rows.append(
-                    _fit_row(
-                        "dfa",
-                        target,
-                        lambda z=z: dfa(
-                            z,
-                            s_min=cfg.dfa_s_min,
-                            s_max=cfg.dfa_s_max,
-                            step=cfg.dfa_step,
-                            detrend_order=cfg.detrend_order,
-                        ),
-                    )
-                )
-        elif name == "dcca":
-            rows.append(
-                _fit_row(
-                    "dcca",
-                    "hxy",
-                    lambda: dcca(
-                        x,
-                        y,
-                        s_min=cfg.dcca_s_min,
-                        s_max=cfg.dcca_s_max,
-                        step=cfg.dcca_step,
-                        detrend_order=cfg.detrend_order,
-                    ),
-                )
-            )
-        elif name == "hxa":
-            rows.append(
-                _fit_row(
-                    "hxa",
-                    "hxy",
-                    lambda: hxa(x, y, tau_min=cfg.hxa_tau_min, tau_max=cfg.hxa_tau_max),
-                )
-            )
-        elif name == "ccf":
-            ccf_values = sample_ccf(x, y, cfg.ccf_max_lag).values
+    rows = [
+        _fit_row(name, target, lambda: call(x, y, cfg))
+        for name, target, _, call in ESTIMATES
+        if name in cfg.estimators
+    ]
+    ccf_values = sample_ccf(x, y, cfg.ccf_max_lag).values if "ccf" in cfg.estimators else None
     return rows, ccf_values
 
 
@@ -153,7 +130,11 @@ def _load_series_file(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Read a two- or three-column delimited file, tolerating a header row."""
     with open(path) as f:
         first = f.readline()
-    skip = 1 if any(c.isalpha() for c in first) else 0
+    try:
+        [float(v) for v in first.split(",")]
+        skip = 0
+    except ValueError:
+        skip = 1
     data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
     if data.shape[1] == 3:
         return data[:, 1], data[:, 2]
@@ -246,6 +227,10 @@ def _replication_worker(args: tuple[ExperimentConfig, int]):
 
 
 def cmd_experiment(cfg: ExperimentConfig, workers: int) -> int:
+    if workers < 1:
+        raise ConfigError(f"workers: must be >= 1, got {workers}")
+    # a fork pool starts all max_workers processes at the first submit
+    workers = min(workers, cfg.replications, os.cpu_count() or 1)
     outdir = _ensure_outdir(cfg)
     jobs = [(cfg, rep) for rep in range(cfg.replications)]
     if workers > 1:
@@ -278,34 +263,25 @@ def cmd_experiment(cfg: ExperimentConfig, workers: int) -> int:
     )
 
     theory = theoretical_exponents(cfg.model, truncation=cfg.sim_truncation)
-    theory_for = {
-        ("dfa", "hx"): theory.H_x,
-        ("dfa", "hy"): theory.H_y,
-        ("dcca", "hxy"): theory.H_xy,
-        ("hxa", "hxy"): theory.H_xy,
-    }
     groups: dict[tuple[str, str], list[float]] = {}
-    n_failed = 0
     for _, row in rep_table:
         if row.ok:
             groups.setdefault((row.estimator, row.target), []).append(row.exponent)
-        else:
-            n_failed += 1
     summary_rows = []
-    for key in theory_for:
-        if key not in groups:
+    for name, target, attr, _ in ESTIMATES:
+        if (name, target) not in groups:
             continue
-        vals = np.array(groups[key])
+        vals = np.array(groups[name, target])
         summary_rows.append(
             [
-                key[0],
-                key[1],
+                name,
+                target,
                 str(vals.size),
                 _fmt(vals.mean()),
                 _fmt(vals.std(ddof=1) if vals.size > 1 else 0.0),
                 _fmt(vals.min()),
                 _fmt(vals.max()),
-                _fmt(theory_for[key]),
+                _fmt(getattr(theory, attr)),
             ]
         )
     _write_csv(
@@ -347,28 +323,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common(p: _Parser, *, reps: bool = True) -> None:
-    p.add_argument("--config", help="INI config file; flags override its values")
-    p.add_argument("--model", help="preset name (model1/model2/model3) or 'inline'")
-    p.add_argument("--T", type=int, help="series length")
-    if reps:
-        p.add_argument("--reps", type=int, help="number of replications")
-    p.add_argument("--seed", type=int, help="base seed; replication r uses seed+r")
-    p.add_argument("--output", help="output directory")
-
-
-def _add_estimator_flags(p: _Parser) -> None:
-    p.add_argument("--estimators", help="comma list from dfa,dcca,hxa,ccf")
-    p.add_argument("--s-min", type=int, help="smallest DCCA box size")
-    p.add_argument("--s-max", type=int, help="largest DCCA box size")
-    p.add_argument("--step", type=int, help="DCCA box size step")
-    p.add_argument("--dfa-s-min", type=int, help="smallest DFA box size")
-    p.add_argument("--dfa-s-max", type=int, help="largest DFA box size")
-    p.add_argument("--dfa-step", type=int, help="DFA box size step")
-    p.add_argument("--detrend-order", type=int, help="polynomial detrend order")
-    p.add_argument("--tau-min", type=int, help="smallest HXA lag")
-    p.add_argument("--tau-max", type=int, help="largest HXA lag")
-    p.add_argument("--max-lag", type=int, help="CCF maximum lag")
+_RUN = ("model_name", "T", "base_seed", "output_dir")
+_WINDOWS = ("estimators", *(n for n, s in SETTINGS.items() if s.section in ESTIMATOR_NAMES))
+# which settings each subcommand takes as flags; flags keep the table's order
+COMMAND_SETTINGS = {
+    "simulate": {*_RUN, "replications", "sim_truncation"},
+    "estimate": {*_RUN, *_WINDOWS},
+    "theory": {*_RUN, "ccf_max_lag", "ccf_truncation", "sim_truncation"},
+    "experiment": {*_RUN, "replications", *_WINDOWS},
+}
+_COMMAND_HELP = {
+    "simulate": "write simulated series files",
+    "estimate": "estimate exponents from series files",
+    "theory": "write theoretical exponents, CCF, spectrum",
+    "experiment": "replicated simulate+estimate with summary",
+}
 
 
 def build_parser() -> _Parser:
@@ -377,59 +346,29 @@ def build_parser() -> _Parser:
         description="Simulate correlated long-memory pairs and estimate Hurst exponents.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parsers = {}
+    for command, text in _COMMAND_HELP.items():
+        parsers[command] = p = sub.add_parser(command, help=text)
+        p.add_argument("--config", help="INI config file; flags override its values")
+        for name, s in SETTINGS.items():
+            if name in COMMAND_SETTINGS[command]:
+                p.add_argument(s.flag, type=int if s.cast is int else None, help=s.help)
 
-    p_sim = sub.add_parser("simulate", help="write simulated series files")
-    _add_common(p_sim)
-    p_sim.add_argument("--truncation", type=int, help="MA truncation horizon M")
-
-    p_est = sub.add_parser("estimate", help="estimate exponents from series files")
-    _add_common(p_est, reps=False)
-    _add_estimator_flags(p_est)
-    p_est.add_argument("inputs", nargs="+", help="series files (columns x,y or t,x,y)")
-
-    p_theory = sub.add_parser("theory", help="write theoretical exponents, CCF, spectrum")
-    _add_common(p_theory, reps=False)
-    p_theory.add_argument("--max-lag", type=int, help="CCF table maximum lag")
-    p_theory.add_argument("--ccf-truncation", type=int, help="CCF weight-sum truncation K")
-    p_theory.add_argument("--truncation", type=int, help="variance truncation horizon")
-    p_theory.add_argument(
+    parsers["estimate"].add_argument("inputs", nargs="+", help="series files (columns x,y or t,x,y)")
+    parsers["theory"].add_argument(
         "--spectrum",
         choices=("auto", "always", "never"),
         default="auto",
         help="spectrum table policy for non-fractional models (default auto: skip)",
     )
-    p_theory.add_argument(
+    parsers["theory"].add_argument(
         "--spectrum-points", type=int, default=SPECTRUM_GRID[2], help="spectrum grid size"
     )
-
-    p_exp = sub.add_parser("experiment", help="replicated simulate+estimate with summary")
-    _add_common(p_exp)
-    _add_estimator_flags(p_exp)
-    p_exp.add_argument("--workers", type=int, default=1, help="parallel replication workers")
-
+    parsers["experiment"].add_argument(
+        "--workers", type=int, default=1,
+        help="parallel replication workers, >= 1; at most one per replication and CPU core",
+    )
     return parser
-
-
-_FLAG_TO_KEY = {
-    "model": ("experiment", "model"),
-    "T": ("experiment", "t"),
-    "reps": ("experiment", "replications"),
-    "seed": ("experiment", "base_seed"),
-    "output": ("experiment", "output_dir"),
-    "estimators": ("experiment", "estimators"),
-    "s_min": ("dcca", "s_min"),
-    "s_max": ("dcca", "s_max"),
-    "step": ("dcca", "step"),
-    "dfa_s_min": ("dfa", "s_min"),
-    "dfa_s_max": ("dfa", "s_max"),
-    "dfa_step": ("dfa", "step"),
-    "detrend_order": ("dcca", "detrend_order"),
-    "tau_min": ("hxa", "tau_min"),
-    "tau_max": ("hxa", "tau_max"),
-    "max_lag": ("ccf", "max_lag"),
-    "truncation": ("simulation", "truncation"),
-    "ccf_truncation": ("theory", "ccf_truncation"),
-}
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -439,10 +378,11 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     else:
         text = "[experiment]\n"
     overrides = {}
-    for flag, key in _FLAG_TO_KEY.items():
-        value = getattr(args, flag, None)
+    for s in SETTINGS.values():
+        # argparse stores --dfa-s-min as dfa_s_min
+        value = getattr(args, s.flag[2:].replace("-", "_"), None)
         if value is not None:
-            overrides[key] = str(value)
+            overrides[s.section, s.key] = str(value)
     return parse_config(text, overrides=overrides)
 
 

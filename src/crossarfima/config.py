@@ -1,21 +1,24 @@
 """Experiment configuration: INI parsing, validation, serialization.
 
-One [experiment] section carries the run-level fields; per-estimator
-sections ([dcca], [hxa], [ccf]) and [simulation]/[theory] carry the
-remaining knobs.  A custom model uses ``model = inline`` together with
-four [component.*] sections and an optional [covariance] section;
-otherwise ``model`` names a preset.  parse_config(serialize_config(cfg))
-reproduces cfg field by field.
+Each run setting is one field of ExperimentConfig, declared with
+``_setting``: its INI section and key, its CLI flag and help text, how
+its text is read and its default.  parse_config, serialize_config, the
+known sections and the CLI's flags all derive from those declarations.
+A custom model uses ``model = inline`` together with four [component.*]
+sections and an optional [covariance] section; otherwise ``model``
+names a preset.  parse_config(serialize_config(cfg)) reproduces cfg
+field by field.
 """
 
 from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Mapping
 
 from .errors import ConfigError
+from .estimators import check_max_lag, check_scales, check_taus
 from .filters import AR1, FRACTIONAL, WHITE
 from .innovations import N_STREAMS, CovarianceSpec
 from .models import (
@@ -36,81 +39,148 @@ _COMPONENT_SECTIONS = (
     ("component.y1", 3),
     ("component.y2", 4),
 )
-_KNOWN_SECTIONS = {
-    "experiment",
-    "simulation",
-    "theory",
-    "dfa",
-    "dcca",
-    "hxa",
-    "ccf",
-    "covariance",
-} | {name for name, _ in _COMPONENT_SECTIONS}
+
+
+@dataclass(frozen=True)
+class Setting:
+    """How one ExperimentConfig field is read from INI, written back and set by flag.
+
+    ``default`` is a constant or a function of the resolved settings (a
+    mapping by field name), which lets the estimator windows scale with T.
+    """
+
+    section: str
+    key: str
+    flag: str
+    help: str
+    default: Any
+    cast: Callable[[str], Any] = int
+    render: Callable[[Any], str] = str
+
+
+def _setting(section, key, flag, help, default, cast=int, render=str):
+    return field(metadata={"setting": Setting(section, key, flag, help, default, cast, render)})
+
+
+def _estimator_list(text: str) -> tuple[str, ...]:
+    requested = [e.strip().lower() for e in text.split(",") if e.strip()]
+    unknown = [e for e in requested if e not in ESTIMATOR_NAMES]
+    if unknown:
+        raise ConfigError(
+            f"[experiment] estimators: unknown name(s) {unknown}; "
+            f"choose from {', '.join(ESTIMATOR_NAMES)}"
+        )
+    if not requested:
+        raise ConfigError("[experiment] estimators: at least one estimator is required")
+    return tuple(e for e in ESTIMATOR_NAMES if e in requested)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved run description; every field is concrete."""
+    """Fully resolved run description; every field is concrete.
 
-    model_name: str
+    Fields are declared in the order the CLI lists their flags.  Every
+    field but ``model`` is a setting; ``model`` is built from
+    ``model_name`` and, for an inline model, the [component.*] and
+    [covariance] sections.
+    """
+
+    model_name: str = _setting(
+        "experiment", "model", "--model", "preset name (model1/model2/model3) or 'inline'",
+        "model1", cast=str.lower,
+    )
     model: ModelSpec
-    T: int
-    replications: int
-    base_seed: int
-    estimators: tuple[str, ...]
-    dfa_s_min: int
-    dfa_s_max: int
-    dfa_step: int
-    dcca_s_min: int
-    dcca_s_max: int
-    dcca_step: int
-    detrend_order: int
-    hxa_tau_min: int
-    hxa_tau_max: int
-    ccf_max_lag: int
-    sim_truncation: int
-    ccf_truncation: int
-    output_dir: str
+    T: int = _setting("experiment", "t", "--T", "series length", 10_000)
+    replications: int = _setting("experiment", "replications", "--reps", "number of replications", 100)
+    base_seed: int = _setting(
+        "experiment", "base_seed", "--seed", "base seed; replication r uses seed+r", 42
+    )
+    output_dir: str = _setting("experiment", "output_dir", "--output", "output directory", "out", cast=str)
+    estimators: tuple[str, ...] = _setting(
+        "experiment", "estimators", "--estimators", "comma list from dfa,dcca,hxa,ccf",
+        ("dfa", "dcca", "hxa"), cast=_estimator_list, render=", ".join,
+    )
+    dcca_s_min: int = _setting("dcca", "s_min", "--s-min", "smallest DCCA box size", 10)
+    dcca_s_max: int = _setting(
+        "dcca", "s_max", "--s-max", "largest DCCA box size", lambda v: max(v["T"] // 5, 1)
+    )
+    dcca_step: int = _setting("dcca", "step", "--step", "DCCA box size step", 10)
+    dfa_s_min: int = _setting("dfa", "s_min", "--dfa-s-min", "smallest DFA box size", 10)
+    # DFA fits only scales with >= 20 boxes by default; larger boxes sit in
+    # the finite-size saturation regime and drag the slope down.
+    dfa_s_max: int = _setting(
+        "dfa", "s_max", "--dfa-s-max", "largest DFA box size",
+        lambda v: max(v["T"] // 20, v["dfa_s_min"] + 3 * v["dfa_step"]),
+    )
+    dfa_step: int = _setting("dfa", "step", "--dfa-step", "DFA box size step", 10)
+    detrend_order: int = _setting(
+        "dcca", "detrend_order", "--detrend-order",
+        "polynomial detrend order of DCCA boxes, used by DFA as well", 1,
+    )
+    # scale-dependent defaults stay valid down to T = MIN_T
+    hxa_tau_min: int = _setting("hxa", "tau_min", "--tau-min", "smallest HXA lag", 1)
+    hxa_tau_max: int = _setting(
+        "hxa", "tau_max", "--tau-max", "largest HXA lag", lambda v: min(100, v["T"] // 10)
+    )
+    ccf_max_lag: int = _setting(
+        "ccf", "max_lag", "--max-lag", "CCF maximum lag, sample and theoretical",
+        lambda v: min(100, (v["T"] - 1) // 2),
+    )
+    ccf_truncation: int = _setting(
+        "theory", "ccf_truncation", "--ccf-truncation", "CCF weight-sum truncation K",
+        DEFAULT_CCF_TRUNCATION,
+    )
+    sim_truncation: int = _setting(
+        "simulation", "truncation", "--truncation",
+        "MA truncation horizon M of simulation and of the theoretical variances",
+        lambda v: max(v["T"], DEFAULT_EXPONENT_TRUNCATION),
+    )
 
     def seeds(self) -> list[int]:
         """Replication seed schedule: base_seed, base_seed+1, ..."""
         return [self.base_seed + r for r in range(self.replications)]
 
 
-class _Reader:
-    """Typed configparser access that reports section.key on bad values."""
+SETTINGS: dict[str, Setting] = {
+    f.name: f.metadata["setting"] for f in fields(ExperimentConfig) if "setting" in f.metadata
+}
+_KNOWN_SECTIONS = (
+    {s.section for s in SETTINGS.values()}
+    | {"covariance"}
+    | {name for name, _ in _COMPONENT_SECTIONS}
+)
+
+
+def _read(parser: configparser.ConfigParser, section: str, key: str, cast):
+    """One typed value; a missing or unreadable key is a ConfigError naming it."""
+    if not parser.has_option(section, key):
+        raise ConfigError(f"[{section}] missing required key {key!r}")
+    text = parser.get(section, key).strip()
+    try:
+        return cast(text)
+    except ValueError:
+        what = {int: "an integer", float: "a number"}.get(cast, "a string")
+        raise ConfigError(f"[{section}] {key}: expected {what}, got {text!r}") from None
+
+
+class _Resolved(dict):
+    """Setting values by field name, each read or defaulted on first lookup."""
 
     def __init__(self, parser: configparser.ConfigParser):
+        super().__init__()
         self.parser = parser
 
-    def has(self, section: str, key: str) -> bool:
-        return self.parser.has_option(section, key)
-
-    def raw(self, section: str, key: str) -> str:
-        return self.parser.get(section, key)
-
-    def _typed(self, section, key, default, required, cast, what):
-        if not self.has(section, key):
-            if required:
-                raise ConfigError(f"[{section}] missing required key {key!r}")
-            return default
-        text = self.parser.get(section, key).strip()
-        try:
-            return cast(text)
-        except ValueError:
-            raise ConfigError(f"[{section}] {key}: expected {what}, got {text!r}") from None
-
-    def integer(self, section, key, default=None, required=False):
-        return self._typed(section, key, default, required, int, "an integer")
-
-    def real(self, section, key, default=None, required=False):
-        return self._typed(section, key, default, required, float, "a number")
-
-    def text(self, section, key, default=None, required=False):
-        return self._typed(section, key, default, required, str, "a string")
+    def __missing__(self, name):
+        s = SETTINGS[name]
+        if self.parser.has_option(s.section, s.key):
+            value = _read(self.parser, s.section, s.key, s.cast)
+        else:
+            value = s.default(self) if callable(s.default) else s.default
+        self[name] = value
+        return value
 
 
-def _parse_model(reader: _Reader, model_name: str) -> ModelSpec:
+def _parse_model(parser: configparser.ConfigParser, model_name: str) -> ModelSpec:
     if model_name in PRESETS:
         return PRESETS[model_name]()
     if model_name != INLINE:
@@ -120,18 +190,15 @@ def _parse_model(reader: _Reader, model_name: str) -> ModelSpec:
         )
     comps = []
     for section, slot in _COMPONENT_SECTIONS:
-        if not reader.parser.has_section(section):
+        if not parser.has_section(section):
             raise ConfigError(f"inline model needs a [{section}] section")
-        kind = reader.text(section, "kind", required=True).strip().lower()
+        kind = _read(parser, section, "kind", str.lower)
         if kind not in (FRACTIONAL, AR1, WHITE):
             raise ConfigError(
                 f"[{section}] kind: expected one of {FRACTIONAL}/{AR1}/{WHITE}, got {kind!r}"
             )
-        weight = reader.real(section, "weight", required=True)
-        if kind == WHITE:
-            param = 0.0
-        else:
-            param = reader.real(section, "param", required=True)
+        weight = _read(parser, section, "weight", float)
+        param = 0.0 if kind == WHITE else _read(parser, section, "param", float)
         try:
             comps.append(ComponentSpec(kind=kind, weight=weight, slot=slot, param=param))
         except ValueError as e:
@@ -139,8 +206,8 @@ def _parse_model(reader: _Reader, model_name: str) -> ModelSpec:
 
     variances = [1.0, 1.0, 1.0, 1.0]
     covariances = {}
-    if reader.parser.has_section("covariance"):
-        for key in reader.parser.options("covariance"):
+    if parser.has_section("covariance"):
+        for key in parser.options("covariance"):
             if key.startswith("var_"):
                 try:
                     i = int(key[4:])
@@ -148,7 +215,7 @@ def _parse_model(reader: _Reader, model_name: str) -> ModelSpec:
                     i = -1
                 if not 1 <= i <= N_STREAMS:
                     raise ConfigError(f"[covariance] unknown key {key!r}")
-                variances[i - 1] = reader.real("covariance", key, required=True)
+                variances[i - 1] = _read(parser, "covariance", key, float)
             elif key.startswith("sigma_") and len(key) == 8:
                 try:
                     i, j = int(key[6]), int(key[7])
@@ -158,7 +225,7 @@ def _parse_model(reader: _Reader, model_name: str) -> ModelSpec:
                     raise ConfigError(
                         f"[covariance] {key}: stream indices must satisfy 1 <= i < j <= 4"
                     )
-                covariances[(i, j)] = reader.real("covariance", key, required=True)
+                covariances[(i, j)] = _read(parser, "covariance", key, float)
             else:
                 raise ConfigError(f"[covariance] unknown key {key!r}")
     try:
@@ -199,57 +266,9 @@ def parse_config(
     if not parser.has_section("experiment"):
         raise ConfigError("missing [experiment] section")
 
-    r = _Reader(parser)
-    model_name = r.text("experiment", "model", default="model1").strip().lower()
-    model = _parse_model(r, model_name)
-
-    T = r.integer("experiment", "t", default=10_000)
-    replications = r.integer("experiment", "replications", default=100)
-    base_seed = r.integer("experiment", "base_seed", default=42)
-    output_dir = r.text("experiment", "output_dir", default="out").strip()
-
-    est_text = r.text("experiment", "estimators", default="dfa, dcca, hxa")
-    requested = [e.strip().lower() for e in est_text.split(",") if e.strip()]
-    unknown = [e for e in requested if e not in ESTIMATOR_NAMES]
-    if unknown:
-        raise ConfigError(
-            f"[experiment] estimators: unknown name(s) {unknown}; "
-            f"choose from {', '.join(ESTIMATOR_NAMES)}"
-        )
-    if not requested:
-        raise ConfigError("[experiment] estimators: at least one estimator is required")
-    estimators = tuple(e for e in ESTIMATOR_NAMES if e in requested)
-
-    # DFA fits only scales with >= 20 boxes by default; larger boxes sit in
-    # the finite-size saturation regime and drag the slope down.
-    dfa_s_min = r.integer("dfa", "s_min", default=10)
-    dfa_step = r.integer("dfa", "step", default=10)
-    dfa_s_max = r.integer("dfa", "s_max", default=max(T // 20, dfa_s_min + 3 * dfa_step))
-
-    cfg = ExperimentConfig(
-        model_name=model_name,
-        model=model,
-        T=T,
-        replications=replications,
-        base_seed=base_seed,
-        estimators=estimators,
-        dfa_s_min=dfa_s_min,
-        dfa_s_max=dfa_s_max,
-        dfa_step=dfa_step,
-        dcca_s_min=r.integer("dcca", "s_min", default=10),
-        dcca_s_max=r.integer("dcca", "s_max", default=max(T // 5, 1)),
-        dcca_step=r.integer("dcca", "step", default=10),
-        detrend_order=r.integer("dcca", "detrend_order", default=1),
-        # scale-dependent defaults stay valid down to T = MIN_T
-        hxa_tau_min=r.integer("hxa", "tau_min", default=1),
-        hxa_tau_max=r.integer("hxa", "tau_max", default=min(100, T // 10)),
-        ccf_max_lag=r.integer("ccf", "max_lag", default=min(100, (T - 1) // 2)),
-        sim_truncation=r.integer(
-            "simulation", "truncation", default=max(T, DEFAULT_EXPONENT_TRUNCATION)
-        ),
-        ccf_truncation=r.integer("theory", "ccf_truncation", default=DEFAULT_CCF_TRUNCATION),
-        output_dir=output_dir,
-    )
+    values = _Resolved(parser)
+    model = _parse_model(parser, values["model_name"])
+    cfg = ExperimentConfig(model=model, **{name: values[name] for name in SETTINGS})
     validate_config(cfg)
     return cfg
 
@@ -268,38 +287,18 @@ def validate_config(cfg: ExperimentConfig) -> None:
         bad("base_seed", f"must be >= 0, got {cfg.base_seed}")
     if not cfg.estimators:
         bad("estimators", "at least one estimator is required")
-    if cfg.detrend_order < 0:
-        bad("dcca.detrend_order", f"must be >= 0, got {cfg.detrend_order}")
-    if cfg.dfa_s_min < cfg.detrend_order + 2:
-        bad(
-            "dfa.s_min",
-            f"must be >= detrend_order + 2 = {cfg.detrend_order + 2}, got {cfg.dfa_s_min}",
-        )
-    if cfg.dfa_s_max > cfg.T // 2:
-        bad("dfa.s_max", f"must be <= T/2 = {cfg.T // 2}, got {cfg.dfa_s_max}")
-    if cfg.dfa_s_max < cfg.dfa_s_min:
-        bad("dfa.s_max", f"scale range [{cfg.dfa_s_min}, {cfg.dfa_s_max}] is empty")
-    if cfg.dfa_step < 1:
-        bad("dfa.step", f"must be >= 1, got {cfg.dfa_step}")
-    if cfg.dcca_s_min < cfg.detrend_order + 2:
-        bad(
-            "dcca.s_min",
-            f"must be >= detrend_order + 2 = {cfg.detrend_order + 2}, got {cfg.dcca_s_min}",
-        )
-    if cfg.dcca_s_max > cfg.T // 2:
-        bad("dcca.s_max", f"must be <= T/2 = {cfg.T // 2}, got {cfg.dcca_s_max}")
-    if cfg.dcca_s_max < cfg.dcca_s_min:
-        bad("dcca.s_max", f"scale range [{cfg.dcca_s_min}, {cfg.dcca_s_max}] is empty")
-    if cfg.dcca_step < 1:
-        bad("dcca.step", f"must be >= 1, got {cfg.dcca_step}")
-    if not 1 <= cfg.hxa_tau_min < cfg.hxa_tau_max:
-        bad("hxa.tau_min", f"need 1 <= tau_min < tau_max, got [{cfg.hxa_tau_min}, {cfg.hxa_tau_max}]")
-    if cfg.hxa_tau_max > cfg.T // 10:
-        bad("hxa.tau_max", f"must be <= T/10 = {cfg.T // 10}, got {cfg.hxa_tau_max}")
-    if cfg.ccf_max_lag < 0:
-        bad("ccf.max_lag", f"must be >= 0, got {cfg.ccf_max_lag}")
-    if "ccf" in cfg.estimators and cfg.T <= 2 * cfg.ccf_max_lag:
-        bad("ccf.max_lag", f"need T > 2*max_lag, got T={cfg.T}, max_lag={cfg.ccf_max_lag}")
+    # dcca first: it holds detrend_order, which dfa shares
+    for section, check, *args in (
+        ("dcca", check_scales, cfg.dcca_s_min, cfg.dcca_s_max, cfg.dcca_step, cfg.detrend_order, cfg.T),
+        ("dfa", check_scales, cfg.dfa_s_min, cfg.dfa_s_max, cfg.dfa_step, cfg.detrend_order, cfg.T),
+        ("hxa", check_taus, cfg.hxa_tau_min, cfg.hxa_tau_max, cfg.T),
+        # the length check applies only where the sample CCF is computed
+        ("ccf", check_max_lag, cfg.ccf_max_lag, cfg.T if "ccf" in cfg.estimators else None),
+    ):
+        try:
+            check(*args)
+        except ValueError as e:
+            raise ConfigError(f"{section}.{e}") from None
     if cfg.sim_truncation < 0:
         bad("simulation.truncation", f"must be >= 0, got {cfg.sim_truncation}")
     if cfg.ccf_truncation < cfg.ccf_max_lag + 100:
@@ -319,43 +318,21 @@ def default_config(model_name: str = "model1", **overrides: str) -> ExperimentCo
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Render a config back to INI text; inverse of parse_config."""
-    parser = configparser.ConfigParser(interpolation=None)
-    parser["experiment"] = {
-        "model": cfg.model_name,
-        "t": str(cfg.T),
-        "replications": str(cfg.replications),
-        "base_seed": str(cfg.base_seed),
-        "estimators": ", ".join(cfg.estimators),
-        "output_dir": cfg.output_dir,
-    }
-    parser["simulation"] = {"truncation": str(cfg.sim_truncation)}
-    parser["theory"] = {"ccf_truncation": str(cfg.ccf_truncation)}
-    parser["dfa"] = {
-        "s_min": str(cfg.dfa_s_min),
-        "s_max": str(cfg.dfa_s_max),
-        "step": str(cfg.dfa_step),
-    }
-    parser["dcca"] = {
-        "s_min": str(cfg.dcca_s_min),
-        "s_max": str(cfg.dcca_s_max),
-        "step": str(cfg.dcca_step),
-        "detrend_order": str(cfg.detrend_order),
-    }
-    parser["hxa"] = {"tau_min": str(cfg.hxa_tau_min), "tau_max": str(cfg.hxa_tau_max)}
-    parser["ccf"] = {"max_lag": str(cfg.ccf_max_lag)}
-
+    body: dict[str, dict[str, str]] = {}
+    for name, s in SETTINGS.items():
+        body.setdefault(s.section, {})[s.key] = s.render(getattr(cfg, name))
     if cfg.model_name == INLINE:
-        for (section, slot), comp in zip(_COMPONENT_SECTIONS, cfg.model.components):
-            body = {"kind": comp.kind, "weight": repr(comp.weight)}
+        for (section, _), comp in zip(_COMPONENT_SECTIONS, cfg.model.components):
+            body[section] = {"kind": comp.kind, "weight": repr(comp.weight)}
             if comp.kind != WHITE:
-                body["param"] = repr(comp.param)
-            parser[section] = body
+                body[section]["param"] = repr(comp.param)
         cov = cfg.model.covariance
-        body = {f"var_{i + 1}": repr(v) for i, v in enumerate(cov.variances)}
+        body["covariance"] = {f"var_{i + 1}": repr(v) for i, v in enumerate(cov.variances)}
         for (i, j), s in sorted(cov.covariances.items()):
-            body[f"sigma_{i}{j}"] = repr(s)
-        parser["covariance"] = body
+            body["covariance"][f"sigma_{i}{j}"] = repr(s)
 
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_dict(body)
     out = io.StringIO()
     parser.write(out)
     return out.getvalue()

@@ -106,6 +106,41 @@ def _demean(z: np.ndarray, name: str) -> np.ndarray:
     return z - z.mean()
 
 
+# Window preconditions, shared with config validation.  Each message
+# starts with the offending parameter's name, so that a caller can put
+# its config section in front.
+
+
+def check_scales(s_min: int, s_max: int, step: int, detrend_order: int, T: int) -> None:
+    """DFA/DCCA box sizes s_min, s_min + step, ..., s_max for a series of length T."""
+    if detrend_order < 0:
+        raise ValueError(f"detrend_order: must be >= 0, got {detrend_order}")
+    if s_min < detrend_order + 2:
+        raise ValueError(f"s_min: must be >= detrend_order + 2 = {detrend_order + 2}, got {s_min}")
+    if step < 1:
+        raise ValueError(f"step: must be >= 1, got {step}")
+    if s_max > T // 2:
+        raise ValueError(f"s_max = {s_max} exceeds T/2 = {T // 2}")
+    if s_max < s_min:
+        raise ValueError(f"s_max: scale range [{s_min}, {s_max}] is empty")
+
+
+def check_taus(tau_min: int, tau_max: int, T: int) -> None:
+    """HXA lags: 1 <= tau_min < tau_max <= T/10."""
+    if not 1 <= tau_min < tau_max:
+        raise ValueError(f"tau_min: need 1 <= tau_min < tau_max, got [{tau_min}, {tau_max}]")
+    if tau_max > T // 10:
+        raise ValueError(f"tau_max = {tau_max} exceeds T/10 = {T // 10}")
+
+
+def check_max_lag(max_lag: int, T: int | None = None) -> None:
+    """CCF lags: max_lag >= 0 and, where the length T is given, T > 2*max_lag."""
+    if max_lag < 0:
+        raise ValueError(f"max_lag: must be >= 0, got {max_lag}")
+    if T is not None and T <= 2 * max_lag:
+        raise ValueError(f"max_lag: need T > 2*max_lag, got T={T}, max_lag={max_lag}")
+
+
 def sample_ccf(x, y, max_lag: int) -> CcfSeries:
     """Sample cross-correlation rho(k) = corr(x_{t+k}, y_t) for k = -L..L.
 
@@ -114,15 +149,12 @@ def sample_ccf(x, y, max_lag: int) -> CcfSeries:
     T > 2L.
     """
     L = int(max_lag)
-    if L < 0:
-        raise ValueError(f"max_lag must be >= 0, got {L}")
     xc = _demean(x, "x")
     yc = _demean(y, "y")
     if xc.size != yc.size:
         raise ValueError("x and y must have equal length")
     T = xc.size
-    if T <= 2 * L:
-        raise ValueError(f"need T > 2*max_lag, got T={T}, max_lag={L}")
+    check_max_lag(L, T)
     sx = np.sqrt(np.mean(xc**2))
     sy = np.sqrt(np.mean(yc**2))
     if sx == 0.0 or sy == 0.0:
@@ -181,16 +213,7 @@ def dcca(
     if s_max is None:
         s_max = T // 5
     s_min, s_max, step, order = int(s_min), int(s_max), int(step), int(detrend_order)
-    if order < 0:
-        raise ValueError(f"detrend_order must be >= 0, got {order}")
-    if s_min < order + 2:
-        raise ValueError(f"s_min must be >= detrend_order + 2 = {order + 2}, got {s_min}")
-    if step < 1:
-        raise ValueError(f"step must be >= 1, got {step}")
-    if s_max > T // 2:
-        raise ValueError(f"s_max = {s_max} exceeds T/2 = {T // 2}")
-    if s_max < s_min:
-        raise ValueError(f"empty scale range [{s_min}, {s_max}]")
+    check_scales(s_min, s_max, step, order, T)
 
     X = _profile(xc)
     Y = _profile(yc)
@@ -237,10 +260,7 @@ def hxa(x, y, tau_min: int = 1, tau_max: int = 100) -> FluctuationSeries:
         raise ValueError("x and y must have equal length")
     T = xc.size
     tau_min, tau_max = int(tau_min), int(tau_max)
-    if not 1 <= tau_min < tau_max:
-        raise ValueError(f"need 1 <= tau_min < tau_max, got [{tau_min}, {tau_max}]")
-    if tau_max > T // 10:
-        raise ValueError(f"tau_max = {tau_max} exceeds T/10 = {T // 10}")
+    check_taus(tau_min, tau_max, T)
 
     X = _profile(xc)
     Y = _profile(yc)

@@ -9,8 +9,6 @@ and an FFT-based implementation that are interchangeable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 from scipy.signal import fftconvolve
 
@@ -18,44 +16,11 @@ FRACTIONAL = "fractional"
 AR1 = "ar1"
 WHITE = "white"
 
-_KINDS = (FRACTIONAL, AR1, WHITE)
-
 # Above this operation count the FFT path wins on constant factors.
 _FFT_CROSSOVER_OPS = 10_000_000
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Truncated MA(inf) coefficients a_0..a_M of one component.
-
-    ``param`` is the memory parameter d (fractional), the AR coefficient
-    theta (ar1), or 0.0 (white).  ``weights[0]`` is always 1.
-    """
-
-    kind: str
-    param: float
-    weights: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown component kind {self.kind!r}")
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or w.size < 1:
-            raise ValueError("weights must be a non-empty 1-d sequence")
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def truncation(self) -> int:
-        """Truncation horizon M (weights run a_0..a_M)."""
-        return self.weights.size - 1
-
-    def __len__(self) -> int:
-        return self.weights.size
-
-
-def ma_weights(d: float, M: int) -> WeightVector:
+def ma_weights(d: float, M: int) -> np.ndarray:
     """Fractional-integration MA weights a_0..a_M for memory parameter d.
 
     Uses the multiplicative recursion a_0 = 1, a_n = a_{n-1} * (n-1+d)/n,
@@ -71,7 +36,8 @@ def ma_weights(d: float, M: int) -> WeightVector:
 
     Returns
     -------
-    WeightVector
+    numpy.ndarray
+        The M + 1 weights, read-only.
     """
     if not np.isfinite(d):
         raise ValueError(f"memory parameter d must be finite, got {d!r}")
@@ -85,11 +51,12 @@ def ma_weights(d: float, M: int) -> WeightVector:
     # a_n = prod_{k=1..n} (k-1+d)/k; for d = 0 the first factor is 0, which
     # zeroes the whole tail and leaves the exact identity filter.
     np.cumprod((n - 1.0 + d) / n, out=w[1:])
-    return WeightVector(FRACTIONAL, d, w)
+    w.setflags(write=False)
+    return w
 
 
-def ar1_weights(theta: float, M: int) -> WeightVector:
-    """AR(1) impulse-response weights theta^n for n = 0..M.
+def ar1_weights(theta: float, M: int) -> np.ndarray:
+    """AR(1) impulse-response weights theta^n for n = 0..M, read-only.
 
     Requires |theta| < 1 (stationary AR(1)); theta = 0 degenerates to the
     white-noise identity filter.
@@ -101,17 +68,13 @@ def ar1_weights(theta: float, M: int) -> WeightVector:
     if M < 0:
         raise ValueError(f"truncation M must be >= 0, got {M}")
     w = theta ** np.arange(M + 1, dtype=float)
-    return WeightVector(AR1, theta, w)
-
-
-def white_weights() -> WeightVector:
-    """The trivial one-tap filter of a white-noise component (M = 0)."""
-    return WeightVector(WHITE, 0.0, np.array([1.0]))
+    w.setflags(write=False)
+    return w
 
 
 def causal_filter(
     innovations: np.ndarray,
-    weights: WeightVector | np.ndarray,
+    weights: np.ndarray,
     method: str = "auto",
 ) -> np.ndarray:
     """Apply a causal FIR filter to an innovation stream.
@@ -127,7 +90,7 @@ def causal_filter(
     implementations agree to within 1e-8 absolute.
     """
     x = np.asarray(innovations, dtype=float)
-    w = weights.weights if isinstance(weights, WeightVector) else np.asarray(weights, dtype=float)
+    w = np.asarray(weights, dtype=float)
     if x.ndim != 1 or w.ndim != 1:
         raise ValueError("innovations and weights must be 1-d")
     M = w.size - 1

@@ -18,16 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .filters import (
-    AR1,
-    FRACTIONAL,
-    WHITE,
-    WeightVector,
-    ar1_weights,
-    causal_filter,
-    ma_weights,
-    white_weights,
-)
+from .filters import AR1, FRACTIONAL, WHITE, ar1_weights, causal_filter, ma_weights
 from .innovations import CovarianceSpec, sample
 
 DEFAULT_EXPONENT_TRUNCATION = 10_000
@@ -69,19 +60,14 @@ class ComponentSpec:
         """Component Hurst exponent: 0.5 + d for fractional, 0.5 otherwise."""
         return 0.5 + self.param if self.kind == FRACTIONAL else 0.5
 
-    def weight_vector(self, truncation: int) -> WeightVector:
-        """MA weights of this component truncated at the given horizon."""
+    def ma_coefficients(self, truncation: int) -> np.ndarray:
+        """MA weights a_0..a_M at M = truncation; a white component's are [1, 0, ..., 0]."""
         if self.kind == FRACTIONAL:
             return ma_weights(self.param, truncation)
         if self.kind == AR1:
             return ar1_weights(self.param, truncation)
-        return white_weights()
-
-    def ma_coefficients(self, truncation: int) -> np.ndarray:
-        """Weights a_0..a_M as a plain array, zero-padded for white components."""
-        w = self.weight_vector(truncation)
         out = np.zeros(truncation + 1)
-        out[: len(w)] = w.weights
+        out[0] = 1.0
         return out
 
 
@@ -290,9 +276,11 @@ def simulate(
         for c in comps:
             if c.weight == 0.0:
                 continue
-            w = c.weight_vector(M)
+            # white noise filters through its one tap: M zero taps would only
+            # add work, and could switch causal_filter to its FFT path
+            w = np.ones(1) if c.kind == WHITE else c.ma_coefficients(M)
             stream = block.streams[c.slot - 1]
-            out += c.weight * causal_filter(stream[M - w.truncation :], w, method=method)
+            out += c.weight * causal_filter(stream[M + 1 - w.size :], w, method=method)
         return out
 
     return BivariateSeries(

@@ -2,8 +2,8 @@
 
 These functions produce the numbers behind the usual plots (lagged
 scatter clouds with least-squares lines, sample versus theoretical
-cross-correlation functions) without rendering anything; the CLI writes
-them out as delimited text.
+cross-correlation functions) without rendering anything.  They are
+library functions: the CLI does not write these tables.
 """
 
 from __future__ import annotations
@@ -16,7 +16,12 @@ from scipy.stats import linregress
 
 from .estimators import sample_ccf
 from .filters import AR1, FRACTIONAL
-from .models import BivariateSeries, theoretical_ccf, theoretical_exponents
+from .models import (
+    DEFAULT_CCF_TRUNCATION,
+    BivariateSeries,
+    theoretical_ccf,
+    theoretical_exponents,
+)
 
 MAX_SCATTER_POINTS = 5_000
 
@@ -149,7 +154,7 @@ def truncation_bound(model, truncation: int) -> float:
 
 
 def ccf_comparison(
-    series: BivariateSeries, max_lag: int, truncation: int = 100_000
+    series: BivariateSeries, max_lag: int, truncation: int = DEFAULT_CCF_TRUNCATION
 ) -> CcfComparison:
     """Join the sample CCF of a realization with the model's theoretical CCF."""
     sample = sample_ccf(series.x, series.y, max_lag)

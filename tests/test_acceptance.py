@@ -52,7 +52,7 @@ def test_criterion_1_weight_correctness():
     worst_rel = 0.0
     worst_slope = 0.0
     for d in (0.1, 0.3, 0.4, 0.45):
-        w = ma_weights(d, 10_000).weights
+        w = ma_weights(d, 10_000)
         ref = gamma_ratio_weights(d, 10_000)
         worst_rel = max(worst_rel, float(np.max(np.abs(w[:1001] - ref[:1001]) / ref[:1001])))
         n = np.arange(1000, 10_001)

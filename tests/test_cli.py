@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import crossarfima
+from crossarfima import cli
 from crossarfima.cli import main
 from crossarfima.models import model1, simulate, theoretical_ccf
 
@@ -124,6 +125,23 @@ def test_estimate_headerless_two_column_input(tmp_path):
     assert rc == 0
     _, rows = read_csv(tmp_path / "o" / "estimates.csv")
     assert all(r[3] == "ok" for r in rows)
+    # every row is data, although each holds an exponent letter ('e')
+    x, y = cli._load_series_file(str(path))
+    assert x.size == y.size == 1200
+
+
+def test_detrend_order_also_sets_dfa(tmp_path):
+    # [dcca] detrend_order is shared with DFA: order 2 must change the dfa rows
+    files = simulate_files(tmp_path)
+    args = ["estimate", "--T", "2000", "--estimators", "dfa", *files]
+    assert main(args + ["--output", str(tmp_path / "o1")]) == 0
+    assert main(args + ["--detrend-order", "2", "--output", str(tmp_path / "o2")]) == 0
+    _, rows1 = read_csv(tmp_path / "o1" / "estimates.csv")
+    _, rows2 = read_csv(tmp_path / "o2" / "estimates.csv")
+    assert [r[1:3] for r in rows1] == [r[1:3] for r in rows2] == [["dfa", "hx"], ["dfa", "hy"]]
+    for a, b in zip(rows1, rows2):
+        assert a[3] == b[3] == "ok"
+        assert float(a[4]) != float(b[4])
 
 
 def test_estimate_degenerate_input_fails_cleanly(tmp_path, capsys):
@@ -238,6 +256,39 @@ def test_experiment_worker_count_does_not_change_results(tmp_path):
     assert run_experiment(b, workers=2) == 0
     for name in ("replications.csv", "summary.csv", "ccf_mean.csv"):
         assert read_bytes(a / name) == read_bytes(b / name)
+
+
+def test_experiment_workers_validated_and_clamped(tmp_path, monkeypatch, capsys):
+    base = ["experiment", "--model", "model3", "--T", "300", "--seed", "1", "--estimators", "hxa"]
+    for bad in ("0", "-3"):
+        out = tmp_path / f"bad{bad}"
+        assert main(base + ["--reps", "2", "--workers", bad, "--output", str(out)]) == 1
+        assert "workers" in capsys.readouterr().err
+        assert not out.exists()
+
+    # a pool is never asked for more processes than replications or cores
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    for i, (workers, reps) in enumerate((("500", "3"), ("500", "10"), ("2", "10"), ("8", "1"))):
+        out = tmp_path / f"w{i}"
+        assert main(base + ["--reps", reps, "--workers", workers, "--output", str(out)]) == 0
+        assert (out / "summary.csv").exists()
+    assert started == [3, 8, 2]  # one replication runs without a pool
 
 
 def test_experiment_rejects_empty_estimators(tmp_path, capsys):

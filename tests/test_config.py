@@ -2,7 +2,9 @@
 
 import pytest
 
+from crossarfima.cli import COMMAND_SETTINGS, _config_from_args, build_parser
 from crossarfima.config import (
+    SETTINGS,
     ExperimentConfig,
     default_config,
     parse_config,
@@ -225,3 +227,63 @@ def test_roundtrip_preserves_float_params_exactly():
     cfg = parse_config(odd)
     again = parse_config(serialize_config(cfg))
     assert again.model.components[0].param == 0.123456789012345
+
+
+# ----------------------------------------------------------------------
+# the settings table
+# ----------------------------------------------------------------------
+
+# one valid value per setting, each different from its default
+NON_DEFAULT = {
+    "model_name": "model2",
+    "T": "4000",
+    "replications": "7",
+    "base_seed": "9",
+    "output_dir": "elsewhere",
+    "estimators": "hxa, ccf",
+    "dcca_s_min": "12",
+    "dcca_s_max": "700",
+    "dcca_step": "6",
+    "dfa_s_min": "8",
+    "dfa_s_max": "150",
+    "dfa_step": "5",
+    "detrend_order": "2",
+    "hxa_tau_min": "2",
+    "hxa_tau_max": "50",
+    "ccf_max_lag": "30",
+    "ccf_truncation": "5000",
+    "sim_truncation": "12000",
+}
+
+
+def ini_text(names):
+    sections = {}
+    for name in names:
+        s = SETTINGS[name]
+        sections.setdefault(s.section, []).append(f"{s.key} = {NON_DEFAULT[name]}")
+    sections.setdefault("experiment", [])
+    return "".join(f"[{sec}]\n" + "".join(f"{line}\n" for line in lines)
+                   for sec, lines in sections.items())
+
+
+def test_every_flag_matches_its_ini_key():
+    assert set(NON_DEFAULT) == set(SETTINGS)
+    default = parse_config(MINIMAL)
+    for name, s in SETTINGS.items():
+        from_ini = parse_config(ini_text([name]))
+        assert getattr(from_ini, name) != getattr(default, name), name
+        commands = [c for c, names in COMMAND_SETTINGS.items() if name in names]
+        assert commands, name
+        for command in commands:
+            argv = [command, s.flag, NON_DEFAULT[name]]
+            if command == "estimate":
+                argv.append("series.csv")
+            assert _config_from_args(build_parser().parse_args(argv)) == from_ini, (name, command)
+
+
+def test_roundtrip_with_every_setting_changed():
+    cfg = parse_config(ini_text(SETTINGS))
+    default = parse_config(MINIMAL)
+    for name in SETTINGS:
+        assert getattr(cfg, name) != getattr(default, name), name
+    assert parse_config(serialize_config(cfg)) == cfg

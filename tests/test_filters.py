@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from crossarfima.filters import (
-    WeightVector,
-    ar1_weights,
-    causal_filter,
-    ma_weights,
-    white_weights,
-)
+from crossarfima.filters import ar1_weights, causal_filter, ma_weights
 
 
 def gamma_ratio_weights(d, M):
@@ -34,7 +28,7 @@ def gamma_ratio_weights(d, M):
 @pytest.mark.parametrize("d", [0.05, 0.1, 0.25, 0.3, 0.4, 0.45, 0.499])
 def test_ma_weights_match_gamma_ratio(d):
     # recursion vs log-gamma closed form, relative error < 1e-10 up to n=1000
-    w = ma_weights(d, 1000).weights
+    w = ma_weights(d, 1000)
     ref = gamma_ratio_weights(d, 1000)
     rel = np.abs(w - ref) / ref
     assert rel.max() < 1e-10
@@ -43,20 +37,20 @@ def test_ma_weights_match_gamma_ratio(d):
 def test_ma_weights_hand_values():
     # a_0 = 1, a_1 = d, a_2 = d(1+d)/2 from the recursion a_n = a_{n-1}(n-1+d)/n
     for d in (0.1, 0.3, 0.4):
-        w = ma_weights(d, 2).weights
+        w = ma_weights(d, 2)
         assert w[0] == 1.0
         assert np.isclose(w[1], d, rtol=0, atol=1e-15)
         assert np.isclose(w[2], d * (1.0 + d) / 2.0, rtol=0, atol=1e-15)
 
 
 def test_ma_weights_d_zero_is_identity():
-    w = ma_weights(0.0, 50).weights
+    w = ma_weights(0.0, 50)
     assert w[0] == 1.0
     assert np.all(w[1:] == 0.0)
 
 
 def test_ma_weights_are_positive_and_decreasing():
-    w = ma_weights(0.4, 5000).weights
+    w = ma_weights(0.4, 5000)
     assert np.all(w > 0.0)
     assert np.all(np.diff(w[1:]) < 0.0)  # a_1 > a_2 > ... for 0 < d < 1
 
@@ -72,7 +66,7 @@ def test_squared_weight_sum_approaches_gamma_form(d):
 
     limit = math.gamma(1.0 - 2.0 * d) / math.gamma(1.0 - d) ** 2
     for K in (1000, 10_000, 100_000):
-        partial = float(np.sum(ma_weights(d, K).weights ** 2))
+        partial = float(np.sum(ma_weights(d, K) ** 2))
         tail = K ** (2.0 * d - 1.0) / ((1.0 - 2.0 * d) * math.gamma(d) ** 2)
         assert partial < limit
         assert limit - partial < 2.0 * tail
@@ -81,7 +75,7 @@ def test_squared_weight_sum_approaches_gamma_form(d):
 def test_ma_weight_tail_slope():
     # log a_n vs log n slope approaches d - 1 over n in [100, 1000]
     for d in (0.1, 0.3, 0.4):
-        w = ma_weights(d, 1000).weights
+        w = ma_weights(d, 1000)
         n = np.arange(100, 1001)
         slope = np.polyfit(np.log(n), np.log(w[100:1001]), 1)[0]
         assert abs(slope - (d - 1.0)) < 0.01
@@ -96,13 +90,13 @@ def test_ma_weights_rejects_bad_d():
 
 
 # ----------------------------------------------------------------------
-# ar1 / white weights
+# ar1 weights
 # ----------------------------------------------------------------------
 
 
 def test_ar1_weights_are_powers():
     for theta in (0.8, -0.5, 0.0):
-        w = ar1_weights(theta, 20).weights
+        w = ar1_weights(theta, 20)
         assert np.array_equal(w, theta ** np.arange(21.0))
 
 
@@ -112,19 +106,11 @@ def test_ar1_weights_rejects_unit_root():
             ar1_weights(theta, 10)
 
 
-def test_white_weights():
-    w = white_weights()
-    assert np.array_equal(w.weights, [1.0])
-    assert w.truncation == 0
-    assert len(w) == 1
-
-
 def test_weight_vector_is_read_only():
-    w = ma_weights(0.3, 10)
-    assert w.truncation == 10
-    assert len(w) == 11
-    with pytest.raises(ValueError):
-        w.weights[0] = 2.0
+    for w in (ma_weights(0.3, 10), ar1_weights(0.5, 10)):
+        assert w.shape == (11,)
+        with pytest.raises(ValueError):
+            w[0] = 2.0
 
 
 # ----------------------------------------------------------------------
@@ -142,7 +128,7 @@ def test_impulse_response_recovers_weights():
     x = np.zeros(M + T)
     x[M] = 1.0
     out = causal_filter(x, w)
-    assert np.allclose(out, w.weights[:T], rtol=0, atol=1e-14)
+    assert np.allclose(out, w[:T], rtol=0, atol=1e-14)
 
 
 def test_filter_matches_double_loop():
@@ -155,7 +141,7 @@ def test_filter_matches_double_loop():
         w = ma_weights(0.35, M) if kind == "frac" else ar1_weights(0.6, M)
         x = rng.standard_normal(M + T)
         expected = np.array(
-            [sum(w.weights[n] * x[t + M - n] for n in range(M + 1)) for t in range(T)]
+            [sum(w[n] * x[t + M - n] for n in range(M + 1)) for t in range(T)]
         )
         for method in ("direct", "fft", "auto"):
             out = causal_filter(x, w, method=method)
@@ -185,7 +171,7 @@ def test_filter_is_linear():
 def test_white_filter_is_identity():
     rng = np.random.default_rng(5)
     x = rng.standard_normal(64)
-    assert np.array_equal(causal_filter(x, white_weights()), x)
+    assert np.array_equal(causal_filter(x, [1.0]), x)
 
 
 def test_filter_rejects_short_stream():
@@ -196,4 +182,4 @@ def test_filter_rejects_short_stream():
 
 def test_filter_rejects_unknown_method():
     with pytest.raises(ValueError, match="method"):
-        causal_filter(np.zeros(5), white_weights(), method="wavelet")
+        causal_filter(np.zeros(5), [1.0], method="wavelet")
