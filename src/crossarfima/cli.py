@@ -86,13 +86,22 @@ ESTIMATES = (
 
 
 def _estimate_pair(x, y, cfg: ExperimentConfig):
-    """All configured Hurst estimates for one (x, y) pair, plus the CCF."""
+    """All configured Hurst estimates for one (x, y) pair, plus the CCF.
+
+    A CCF that cannot be computed adds a failed ("ccf", "rho") row and
+    gives None for the values, as when the CCF is not configured.
+    """
     rows = [
         _fit_row(name, target, lambda: call(x, y, cfg))
         for name, target, _, call in ESTIMATES
         if name in cfg.estimators
     ]
-    ccf_values = sample_ccf(x, y, cfg.ccf_max_lag).values if "ccf" in cfg.estimators else None
+    ccf_values = None
+    if "ccf" in cfg.estimators:
+        try:
+            ccf_values = sample_ccf(x, y, cfg.ccf_max_lag).values
+        except (CrossArfimaError, ValueError) as e:
+            rows.append(EstimateRow("ccf", "rho", False, np.nan, np.nan, 0, str(e)))
     return rows, ccf_values
 
 
@@ -143,21 +152,31 @@ def _load_series_file(path: str) -> tuple[np.ndarray, np.ndarray]:
     raise ValueError(f"{path}: expected 2 columns (x,y) or 3 (t,x,y), got {data.shape[1]}")
 
 
+def _ccf_table_name(path: str) -> str:
+    return f"ccf_{os.path.splitext(os.path.basename(path))[0]}.csv"
+
+
 def cmd_estimate(cfg: ExperimentConfig, inputs: list[str]) -> int:
+    if "ccf" in cfg.estimators:
+        # one CCF table per file stem: two inputs must not share a stem
+        owners: dict[str, str] = {}
+        for path in inputs:
+            name = _ccf_table_name(path)
+            if owners.setdefault(name, path) != path:
+                raise ConfigError(f"inputs {owners[name]} and {path} would both write {name}")
     outdir = _ensure_outdir(cfg)
     table: list[tuple] = []
     any_ok = False
     for path in inputs:
         x, y = _load_series_file(path)
         rows, ccf_values = _estimate_pair(x, y, cfg)
-        stem = os.path.splitext(os.path.basename(path))[0]
         table.extend(([path], row) for row in rows)
         any_ok = any_ok or any(r.ok for r in rows)
         if ccf_values is not None:
             any_ok = True
             lags = np.arange(-cfg.ccf_max_lag, cfg.ccf_max_lag + 1)
             _write_csv(
-                os.path.join(outdir, f"ccf_{stem}.csv"),
+                os.path.join(outdir, _ccf_table_name(path)),
                 ["lag", "rho"],
                 ([str(k), _fmt(v)] for k, v in zip(lags, ccf_values)),
             )

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import linregress
 
 from .errors import DegenerateSeriesError, InsufficientDataError
 
@@ -273,6 +272,37 @@ def hxa(x, y, tau_min: int = 1, tau_max: int = 100) -> FluctuationSeries:
     return FluctuationSeries(scales=taus, values=values, method=HXA)
 
 
+def ols(x, y) -> tuple[float, float, float]:
+    """Least-squares line y = intercept + slope*x: (slope, intercept, stderr).
+
+    The arithmetic of scipy.stats.linregress, step for step, so the three
+    values are bit-identical to it: moments from np.cov with bias=1, the
+    correlation clamped to [-1, 1], and the slope's standard error on
+    n - 2 degrees of freedom.  Two points give stderr 0, one point gives
+    NaN for all three, and identical x values raise ValueError.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape or x.size == 0:
+        raise ValueError("x and y must be non-empty 1-d arrays of equal length")
+    n = x.size
+    if n == 1:
+        return np.nan, np.nan, np.nan
+    if np.amax(x) == np.amin(x):
+        raise ValueError("Cannot calculate a linear regression if all x values are identical")
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    slope = ssxym / ssxm
+    intercept = np.mean(y) - slope * np.mean(x)
+    if n == 2:
+        return float(slope), float(intercept), 0.0
+    if ssxm == 0.0 or ssym == 0.0:
+        r = np.nan if ssxym == 0 else 0.0
+    else:
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+    stderr = np.sqrt((1 - r**2) * ssym / ssxm / (n - 2))
+    return float(slope), float(intercept), float(stderr)
+
+
 def powerlaw_fit(scales, values) -> ScalingFit:
     """OLS of log(value) on log(scale); exponent field holds the raw slope.
 
@@ -291,11 +321,11 @@ def powerlaw_fit(scales, values) -> ScalingFit:
         raise ValueError("scales must be positive")
     if np.any(values <= 0.0):
         raise ValueError("values must be positive; filter non-positive entries first")
-    res = linregress(np.log(scales), np.log(values))
+    slope, intercept, stderr = ols(np.log(scales), np.log(values))
     return ScalingFit(
-        exponent=float(res.slope),
-        intercept=float(res.intercept),
-        stderr=float(res.stderr),
+        exponent=slope,
+        intercept=intercept,
+        stderr=stderr,
         n_points=scales.size,
         range=(int(scales.min()), int(scales.max())),
     )

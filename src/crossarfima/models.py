@@ -16,9 +16,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
 
-from .filters import AR1, FRACTIONAL, WHITE, ar1_weights, causal_filter, ma_weights
+from .filters import AR1, FRACTIONAL, WHITE, ar1_weights, causal_filter, fft_convolve, ma_weights
 from .innovations import CovarianceSpec, sample
 
 DEFAULT_EXPONENT_TRUNCATION = 10_000
@@ -301,8 +300,8 @@ def _pair_lag_sums(ax: np.ndarray, ay: np.ndarray, max_lag: int, truncation: int
     """
     K, L = truncation, max_lag
     # Positive lags: conv[m] = sum_j ax[j + m - K] * ay[j] over j = 0..K.
-    pos = fftconvolve(ax, ay[: K + 1][::-1], mode="full")[K : K + L + 1]
-    neg = fftconvolve(ay, ax[: K + 1][::-1], mode="full")[K + 1 : K + L + 1]
+    pos = fft_convolve(ax, ay[: K + 1][::-1])[K : K + L + 1]
+    neg = fft_convolve(ay, ax[: K + 1][::-1])[K + 1 : K + L + 1]
     return np.concatenate([neg[::-1], pos])
 
 

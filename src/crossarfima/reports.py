@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import linregress
 
-from .estimators import sample_ccf
+from .estimators import ols, sample_ccf
 from .filters import AR1, FRACTIONAL
 from .models import (
     DEFAULT_CCF_TRUNCATION,
@@ -66,16 +65,16 @@ def lag_scatter(series: BivariateSeries, lag: int) -> LagScatter:
         xs, ys = series.x[k:], series.y[: T - k]
     else:
         xs, ys = series.x[: T - k], series.y[k:]
-    res = linregress(ys, xs)
+    slope, intercept, stderr = ols(ys, xs)
     stride = max(1, math.ceil(xs.size / MAX_SCATTER_POINTS))
     pairs = np.column_stack([xs[::stride], ys[::stride]])
     return LagScatter(
         lag=lag,
         pairs=pairs,
         n_pairs=xs.size,
-        ls_slope=float(res.slope),
-        ls_intercept=float(res.intercept),
-        ls_stderr=float(res.stderr),
+        ls_slope=slope,
+        ls_intercept=intercept,
+        ls_stderr=stderr,
     )
 
 

@@ -144,6 +144,45 @@ def test_detrend_order_also_sets_dfa(tmp_path):
         assert float(a[4]) != float(b[4])
 
 
+def test_estimate_short_input_fails_alone(tmp_path, capsys):
+    # a file too short for the CCF's max_lag fails its own rows; the good
+    # file's tables are still written
+    good = simulate_files(tmp_path, T=3000)[0]
+    rng = np.random.default_rng(8)
+    short = tmp_path / "short.csv"
+    np.savetxt(short, rng.standard_normal((150, 2)), delimiter=",")
+    out = tmp_path / "o"
+    rc = main(["estimate", "--T", "3000", "--estimators", "hxa,ccf", "--output", str(out),
+               good, str(short)])
+    assert rc == 0
+    _, rows = read_csv(out / "estimates.csv")
+    assert [(r[0], r[1], r[3]) for r in rows] == [
+        (good, "hxa", "ok"), (str(short), "hxa", "failed"), (str(short), "ccf", "failed"),
+    ]
+    assert rows[-1][1:] == ["ccf", "rho", "failed", "", "", "0",
+                            "max_lag: need T > 2*max_lag, got T=150, max_lag=100"]
+    assert sorted(os.listdir(out)) == ["ccf_series_r0000.csv", "estimates.csv"]
+    # the short file alone: every estimate failed
+    rc = main(["estimate", "--T", "3000", "--estimators", "hxa,ccf", "--output",
+               str(tmp_path / "o2"), str(short)])
+    assert rc == 2
+    assert "all estimations failed" in capsys.readouterr().err
+
+
+def test_estimate_rejects_inputs_sharing_a_ccf_table(tmp_path, capsys):
+    a = simulate_files(tmp_path / "a")[0]
+    b = simulate_files(tmp_path / "b", seed=4)[0]
+    out = tmp_path / "o"
+    rc = main(["estimate", "--T", "2000", "--estimators", "ccf", "--output", str(out), a, b])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and a in err and b in err and "ccf_series_r0000.csv" in err
+    assert not out.exists()
+    # without the CCF nothing is named after the file, so the two may share a name
+    rc = main(["estimate", "--T", "2000", "--estimators", "hxa", "--output", str(out), a, b])
+    assert rc == 0
+
+
 def test_estimate_degenerate_input_fails_cleanly(tmp_path, capsys):
     path = tmp_path / "flat.csv"
     with open(path, "w") as f:
@@ -347,8 +386,10 @@ def test_console_script_smoke(tmp_path):
         assert proc.returncode == 0, proc.stderr
         assert (out / "exponents.csv").exists()
 
-    # the console script is registered
+    # the console script is registered, with numpy the only runtime dependency
     tomllib = pytest.importorskip("tomllib")
     with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
-        scripts = tomllib.load(f)["project"]["scripts"]
-    assert scripts["crossarfima"] == "crossarfima.cli:entry_point"
+        project = tomllib.load(f)["project"]
+    assert project["scripts"]["crossarfima"] == "crossarfima.cli:entry_point"
+    assert project["dependencies"] == ["numpy>=1.24"]
+    assert project["optional-dependencies"]["test"] == ["pytest>=7", "scipy>=1.10", "hypothesis"]

@@ -1,0 +1,56 @@
+"""numpy is the package's only runtime dependency: no scipy import anywhere.
+
+scipy's stats and signal imports cost over a second per CLI start, far
+more than the work of a short run, so they must not come back, not even
+as an import deferred into a function body.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import crossarfima
+
+PACKAGE_DIR = Path(crossarfima.__file__).resolve().parent
+
+
+def test_cli_import_loads_no_scipy_module():
+    env = dict(os.environ)
+    src = str(PACKAGE_DIR.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, crossarfima, crossarfima.cli\n"
+        "assert crossarfima.__file__.startswith(sys.argv[1]), crossarfima.__file__\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def scipy_imports(path: Path) -> list[str]:
+    """Every `import scipy...` or `from scipy... import` in a file, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] == "scipy"]
+    return found
+
+
+def test_no_source_file_imports_scipy(tmp_path):
+    sources = sorted(PACKAGE_DIR.glob("*.py"))
+    assert len(sources) >= 9
+    assert [hit for path in sources for hit in scipy_imports(path)] == []
+    # the scan sees an import hidden in a function body
+    probe = tmp_path / "probe.py"
+    probe.write_text("def f():\n    from scipy import stats\n    import scipy.signal as sg\n")
+    assert scipy_imports(probe) == ["probe.py:2 scipy", "probe.py:3 scipy.signal"]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import linregress
 
 from crossarfima.errors import DegenerateSeriesError, InsufficientDataError
 from crossarfima.estimators import (
@@ -11,6 +12,7 @@ from crossarfima.estimators import (
     dfa,
     fit_hurst,
     hxa,
+    ols,
     powerlaw_fit,
     sample_ccf,
 )
@@ -329,6 +331,42 @@ def test_hxa_preconditions():
 # ----------------------------------------------------------------------
 # power-law fitting
 # ----------------------------------------------------------------------
+
+
+def test_ols_is_bit_identical_to_linregress():
+    # same moments, same order of operations: exact equality, not a tolerance
+    rng = np.random.default_rng(2024)
+    for trial in range(300):
+        n = int(rng.integers(4, 501))
+        if trial % 2:
+            x = np.log(np.arange(10, 10 + 10 * n, 10, dtype=float))  # fit_hurst's scales
+        else:
+            x = rng.standard_normal(n)
+        y = rng.normal(0.0, 3.0) * x + rng.uniform(0.0, 2.0) * rng.standard_normal(n)
+        ref = linregress(x, y)
+        assert ols(x, y) == (ref.slope, ref.intercept, ref.stderr), n
+
+
+def test_ols_edge_cases_follow_linregress():
+    # two points: the line is exact and stderr has no degrees of freedom
+    slope, intercept, stderr = ols([1.0, 3.0], [2.0, 6.0])
+    assert (slope, intercept, stderr) == (2.0, 0.0, 0.0)
+    ref = linregress([1.0, 3.0], [2.0, 6.0])
+    assert (ref.slope, ref.intercept, ref.stderr) == (slope, intercept, stderr)
+    # one point: nothing to fit
+    assert all(np.isnan(v) for v in ols([1.0], [2.0]))
+    # a vertical line has no slope
+    with pytest.raises(ValueError, match="identical"):
+        ols([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="identical"):
+        linregress([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
+    # a flat y: slope 0 and, as in linregress, a NaN stderr
+    ref = linregress([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
+    got = ols([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
+    assert got[:2] == (ref.slope, ref.intercept) == (0.0, 5.0)
+    assert np.isnan(got[2]) and np.isnan(ref.stderr)
+    with pytest.raises(ValueError, match="equal length"):
+        ols([1.0, 2.0, 3.0], [1.0, 2.0])
 
 
 def test_powerlaw_fit_exact():

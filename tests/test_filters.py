@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.fft import next_fast_len
+from scipy.signal import fftconvolve
 from scipy.special import gammaln
 
-from crossarfima.filters import ar1_weights, causal_filter, ma_weights
+from crossarfima.filters import _smooth_length, ar1_weights, causal_filter, fft_convolve, ma_weights
 
 
 def gamma_ratio_weights(d, M):
@@ -171,7 +176,9 @@ def test_filter_is_linear():
 def test_white_filter_is_identity():
     rng = np.random.default_rng(5)
     x = rng.standard_normal(64)
-    assert np.array_equal(causal_filter(x, [1.0]), x)
+    # the FFT path too: a one-tap filter is applied exactly, as in fftconvolve
+    for method in ("direct", "fft", "auto"):
+        assert np.array_equal(causal_filter(x, [1.0], method=method), x)
 
 
 def test_filter_rejects_short_stream():
@@ -183,3 +190,62 @@ def test_filter_rejects_short_stream():
 def test_filter_rejects_unknown_method():
     with pytest.raises(ValueError, match="method"):
         causal_filter(np.zeros(5), [1.0], method="wavelet")
+
+
+# ----------------------------------------------------------------------
+# FFT convolution
+# ----------------------------------------------------------------------
+
+
+def test_smooth_length_is_scipys_real_fast_length():
+    # the padded length decides the transform's rounding, so it must be
+    # the one fftconvolve pads to
+    for n in range(1, 5000):
+        assert _smooth_length(n) == next_fast_len(n, real=True), n
+    for n in (10_007, 20_000, 30_001, 200_000, 200_001, 100_101 + 100_000, 201_000):
+        assert _smooth_length(n) == next_fast_len(n, real=True), n
+
+
+@pytest.mark.parametrize(
+    "n1, n2",
+    [
+        (1, 1), (1, 7), (2, 3), (7, 13), (97, 89), (101, 1),
+        # the output length n1 + n2 - 1 lands on and just past 2-3-5-smooth sizes
+        (257, 256), (258, 256), (500, 501), (501, 501), (7_919, 7_907),
+        # causal_filter at T = M = 1e4 and 1e5: T + M innovations, M + 1 weights
+        (20_000, 10_001), (200_000, 100_001),
+        # theoretical_ccf at K = 1e5: K + L + 1 weights against K + 1, L = 100 and 1000
+        (100_101, 100_001), (101_001, 100_001),
+    ],
+)  # fmt: skip
+def test_fft_convolve_matches_scipy_fftconvolve(n1, n2):
+    rng = np.random.default_rng(n1 + 7 * n2)
+    a = rng.standard_normal(n1)
+    b = ma_weights(0.4, n2 - 1) if n2 > 1000 else rng.standard_normal(n2)
+    got = fft_convolve(a, b)
+    ref = fftconvolve(a, b, mode="full")
+    assert got.shape == (n1 + n2 - 1,)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_fft_convolve_rejects_bad_input():
+    with pytest.raises(ValueError, match="1-d"):
+        fft_convolve(np.zeros(0), np.ones(3))
+    with pytest.raises(ValueError, match="1-d"):
+        fft_convolve(np.ones((2, 2)), np.ones(3))
+
+
+_signals = arrays(
+    np.float64,
+    st.integers(1, 300),
+    elements=st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_signals, b=_signals)
+def test_fft_convolve_is_symmetric_and_matches_np_convolve(a, b):
+    ab = fft_convolve(a, b)
+    scale = max(1.0, np.max(np.abs(a)) * np.max(np.abs(b)) * min(a.size, b.size))
+    assert np.max(np.abs(ab - fft_convolve(b, a))) <= 1e-12 * scale
+    assert np.max(np.abs(ab - np.convolve(a, b))) <= 1e-12 * scale

@@ -37,13 +37,16 @@ def test_identical_series_scatter_is_the_diagonal():
 def test_scatter_pair_count_tracks_the_lag():
     z = np.random.default_rng(1).standard_normal(300)
     w = np.random.default_rng(2).standard_normal(300)
-    for lag in (0, 1, 7, -7, 299, -299):
+    for lag in (0, 1, 7, -7, 298, 299, -299):
         with warnings.catch_warnings():
-            # |lag| = T - 1 leaves one pair; scipy flags the dof-free stderr
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             sc = lag_scatter(toy_series(z, w), lag)
         assert sc.lag == lag
         assert sc.n_pairs == 300 - abs(lag)
+        # |lag| = T - 1 leaves one pair: no line, NaN fit, and no warning
+        assert np.isnan(sc.ls_slope) == (abs(lag) == 299)
+    # two pairs fix the line exactly, with a zero stderr
+    assert lag_scatter(toy_series(z, w), 298).ls_stderr == 0.0
 
 
 def test_scatter_alignment_matches_ccf_convention():
