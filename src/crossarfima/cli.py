@@ -105,6 +105,15 @@ def _estimate_pair(x, y, cfg: ExperimentConfig):
     return rows, ccf_values
 
 
+def _failed_rows(cfg: ExperimentConfig, message: str) -> list[EstimateRow]:
+    """The rows of _estimate_pair for a pair that could not be made: every
+    configured estimate, the CCF included, failed with the one message."""
+    targets = [(name, target) for name, target, _, _ in ESTIMATES if name in cfg.estimators]
+    if "ccf" in cfg.estimators:
+        targets.append(("ccf", "rho"))
+    return [EstimateRow(name, target, False, np.nan, np.nan, 0, message) for name, target in targets]
+
+
 def _estimate_rows_to_csv(rows: list[tuple]) -> list[list[str]]:
     out = []
     for prefix, row in rows:
@@ -168,8 +177,14 @@ def cmd_estimate(cfg: ExperimentConfig, inputs: list[str]) -> int:
     table: list[tuple] = []
     any_ok = False
     for path in inputs:
-        x, y = _load_series_file(path)
-        rows, ccf_values = _estimate_pair(x, y, cfg)
+        # a missing file stays a config error; one that cannot be parsed
+        # fails its own rows
+        try:
+            x, y = _load_series_file(path)
+        except ValueError as e:
+            rows, ccf_values = _failed_rows(cfg, str(e)), None
+        else:
+            rows, ccf_values = _estimate_pair(x, y, cfg)
         table.extend(([path], row) for row in rows)
         any_ok = any_ok or any(r.ok for r in rows)
         if ccf_values is not None:
@@ -240,7 +255,10 @@ def cmd_theory(cfg: ExperimentConfig, spectrum_mode: str, spectrum_points: int) 
 def _replication_worker(args: tuple[ExperimentConfig, int]):
     cfg, rep = args
     seed = cfg.base_seed + rep
-    series = simulate(cfg.model, cfg.T, seed, truncation=cfg.sim_truncation)
+    try:
+        series = simulate(cfg.model, cfg.T, seed, truncation=cfg.sim_truncation)
+    except (CrossArfimaError, ValueError) as e:
+        return rep, seed, _failed_rows(cfg, str(e)), None
     rows, ccf_values = _estimate_pair(series.x, series.y, cfg)
     return rep, seed, rows, ccf_values
 

@@ -11,6 +11,7 @@ values.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -172,18 +173,43 @@ def _profile(z: np.ndarray) -> np.ndarray:
     return np.cumsum(z)
 
 
-def _box_residuals(boxes: np.ndarray, order: int) -> np.ndarray:
-    """Residuals of per-box polynomial fits against in-box time.
+def _box_vander(s: int, order: int) -> np.ndarray:
+    """Powers 0..order of in-box time, rescaled to u in [-1, 1]."""
+    return np.vander(np.linspace(-1.0, 1.0, s), order + 1, increasing=True)
 
-    ``boxes`` has shape (n_boxes, s).  One thin-QR of the shared
-    Vandermonde detrends every box at once; equivalent to an
-    independent least-squares fit per box.
+
+# One small entry per (s, order): a default DCCA window at T = 1e6 has
+# 20,000 box sizes, well inside the bound.
+@functools.lru_cache(maxsize=1 << 16)
+def _basis_factor(s: int, order: int) -> np.ndarray:
+    """Coefficients, in powers of u, of the orthonormal in-box polynomials.
+
+    Column k is the degree-k polynomial orthonormal over the s points of
+    _box_vander (a discrete Chebyshev polynomial), so
+    ``_box_vander(s, order) @ factor`` is an orthonormal basis of the
+    polynomials of degree <= order: R^-1 of its thin QR, up to signs.
+    The monic polynomials follow p_{k+1} = u p_k - beta_k p_{k-1} with
+    beta_k = k^2 (s^2 - k^2) / ((s - 1)^2 (4k^2 - 1)), and
+    |p_k|^2 = s beta_1 ... beta_k.  Only this (order+1)^2 factor is
+    cached, never the s x (order+1) basis, whose size summed over a
+    window's scales grows as T^2.
     """
-    s = boxes.shape[1]
-    t = np.arange(s, dtype=float)
-    V = np.vander(t, order + 1, increasing=True)
-    Q, _ = np.linalg.qr(V)
-    return boxes - (boxes @ Q) @ Q.T
+    beta = [k * k * (s * s - k * k) / ((s - 1) ** 2 * (4 * k * k - 1)) for k in range(order + 1)]
+    monic = np.zeros((order + 1, order + 1))
+    monic[0, 0] = 1.0
+    for k in range(order):
+        monic[1:, k + 1] = monic[:-1, k]
+        if k:
+            monic[:, k + 1] -= beta[k] * monic[:, k - 1]
+    factor = monic / np.sqrt(s * np.cumprod([1.0, *beta[1:]]))
+    factor.setflags(write=False)
+    return factor
+
+
+def _anchored_boxes(profile: np.ndarray, n_boxes: int, s: int) -> np.ndarray:
+    """The profile's complete boxes of size s, each minus its middle value."""
+    boxes = profile[: n_boxes * s].reshape(n_boxes, s)
+    return boxes - boxes[:, s // 2, None]
 
 
 def dcca(
@@ -203,6 +229,13 @@ def dcca(
     of the product of the two residual profiles.  Values may be
     negative for anti-correlated inputs.  s_max defaults to T//5 and
     must not exceed T//2.
+
+    The residuals are never formed.  Each box is first anchored at its
+    middle point (b - b[s//2]), which the detrend removes anyway but
+    which keeps the box values near s^H instead of T^H.  With Q an
+    orthonormal basis of the in-box polynomials of the given order,
+    the residual product sums in closed form per box:
+    sum r_x r_y = sum X'Y' - (Q^T X') . (Q^T Y').
     """
     xc = _demean(x, "x")
     yc = _demean(y, "y")
@@ -224,11 +257,14 @@ def dcca(
         if n_boxes < 1:
             warnings.warn(f"scale {s} skipped: no complete box in T={T}")
             continue
-        used = n_boxes * s
-        rx = _box_residuals(X[:used].reshape(n_boxes, s), order)
-        ry = rx if same else _box_residuals(Y[:used].reshape(n_boxes, s), order)
+        Q = _box_vander(s, order) @ _basis_factor(s, order)
+        bx = _anchored_boxes(X, n_boxes, s)
+        by = bx if same else _anchored_boxes(Y, n_boxes, s)
+        px = bx @ Q
+        py = px if same else by @ Q
+        cov = np.einsum("ij,ij->", bx, by) - np.einsum("ij,ij->", px, py)
         scales.append(s)
-        values.append(float(np.mean(rx * ry)))
+        values.append(float(cov / (n_boxes * s)))
     if not scales:
         raise InsufficientDataError("all scales skipped, nothing to estimate")
     return FluctuationSeries(scales=np.array(scales), values=np.array(values), method=DCCA)

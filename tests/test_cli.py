@@ -13,6 +13,7 @@ import pytest
 import crossarfima
 from crossarfima import cli
 from crossarfima.cli import main
+from crossarfima.estimators import sample_ccf
 from crossarfima.models import model1, simulate, theoretical_ccf
 
 
@@ -169,6 +170,41 @@ def test_estimate_short_input_fails_alone(tmp_path, capsys):
     assert "all estimations failed" in capsys.readouterr().err
 
 
+def test_estimate_unreadable_input_fails_alone(tmp_path, capsys):
+    # a file that exists but does not parse fails every requested row with
+    # the load message; the other files are still estimated
+    good = simulate_files(tmp_path, T=3000)[0]
+    bad = tmp_path / "bad.csv"
+    np.savetxt(bad, np.ones((3000, 4)), delimiter=",")
+    message = f"{bad}: expected 2 columns (x,y) or 3 (t,x,y), got 4"
+    out = tmp_path / "o"
+    rc = main(["estimate", "--T", "3000", "--estimators", "hxa", "--output", str(out),
+               good, str(bad)])
+    assert rc == 0
+    _, rows = read_csv(out / "estimates.csv")
+    assert [(r[0], r[1], r[3]) for r in rows] == [(good, "hxa", "ok"), (str(bad), "hxa", "failed")]
+    assert rows[1][1:] == ["hxa", "hxy", "failed", "", "", "0", message]
+    # every estimator and the CCF get their own failed row
+    text = tmp_path / "text.csv"
+    text.write_text("t,x,y\n0,1.5,oops\n")
+    rc = main(["estimate", "--T", "3000", "--estimators", "dfa,dcca,hxa,ccf", "--output",
+               str(tmp_path / "o2"), str(bad), str(text)])
+    assert rc == 2
+    assert "all estimations failed" in capsys.readouterr().err
+    _, rows = read_csv(tmp_path / "o2" / "estimates.csv")
+    targets = [("dfa", "hx"), ("dfa", "hy"), ("dcca", "hxy"), ("hxa", "hxy"), ("ccf", "rho")]
+    assert [(r[0], r[1], r[2], r[3]) for r in rows] == [
+        (path, *t, "failed") for path in (str(bad), str(text)) for t in targets
+    ]
+    assert {r[7] for r in rows[:5]} == {message}
+    assert all("oops" in r[7] for r in rows[5:])
+    # a path that does not exist is still a config error
+    rc = main(["estimate", "--T", "3000", "--estimators", "hxa", "--output",
+               str(tmp_path / "o3"), good, str(tmp_path / "missing.csv")])
+    assert rc == 1
+    assert "missing.csv" in capsys.readouterr().err
+
+
 def test_estimate_rejects_inputs_sharing_a_ccf_table(tmp_path, capsys):
     a = simulate_files(tmp_path / "a")[0]
     b = simulate_files(tmp_path / "b", seed=4)[0]
@@ -295,6 +331,37 @@ def test_experiment_worker_count_does_not_change_results(tmp_path):
     assert run_experiment(b, workers=2) == 0
     for name in ("replications.csv", "summary.csv", "ccf_mean.csv"):
         assert read_bytes(a / name) == read_bytes(b / name)
+
+
+def test_experiment_failed_simulation_becomes_failed_rows(tmp_path, monkeypatch):
+    # one replication's simulate raises: its rows fail, the rest are kept,
+    # and a forked pool sees the same patched simulate as the serial run
+    real = cli.simulate
+
+    def flaky(model, T, seed, truncation=None):
+        if seed == 43:
+            raise ValueError("simulation blew up")
+        return real(model, T, seed, truncation=truncation)
+
+    monkeypatch.setattr(cli, "simulate", flaky)
+    for workers in (1, 2):
+        assert run_experiment(tmp_path / f"w{workers}", workers) == 0
+    for name in ("replications.csv", "summary.csv", "ccf_mean.csv"):
+        assert read_bytes(tmp_path / "w1" / name) == read_bytes(tmp_path / "w2" / name)
+    _, reps = read_csv(tmp_path / "w1" / "replications.csv")
+    failed = [r for r in reps if r[0] == "1"]
+    assert [(r[2], r[3]) for r in failed] == [
+        ("dfa", "hx"), ("dfa", "hy"), ("dcca", "hxy"), ("hxa", "hxy"), ("ccf", "rho"),
+    ]
+    assert all(r[1] == "43" and r[4:] == ["failed", "", "", "0", "simulation blew up"]
+               for r in failed)
+    assert {r[0] for r in reps if r[4] == "ok"} == {"0", "2"}
+    _, summary = read_csv(tmp_path / "w1" / "summary.csv")
+    assert len(summary) == 4 and all(row[2] == "2" for row in summary)
+    # the CCF mean is over the two replications that ran
+    _, ccf = read_csv(tmp_path / "w1" / "ccf_mean.csv")
+    lag0 = [sample_ccf(s.x, s.y, 100).at(0) for s in (real(model1(), 2000, seed) for seed in (42, 44))]
+    assert float(ccf[100][1]) == pytest.approx(np.mean(lag0), rel=1e-11)
 
 
 def test_experiment_workers_validated_and_clamped(tmp_path, monkeypatch, capsys):

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import linregress
 
+from crossarfima import estimators
 from crossarfima.errors import DegenerateSeriesError, InsufficientDataError
 from crossarfima.estimators import (
     CcfSeries,
@@ -17,6 +21,7 @@ from crossarfima.estimators import (
     sample_ccf,
 )
 from crossarfima.filters import causal_filter, ma_weights
+from crossarfima.models import PRESETS, simulate
 
 
 def brute_dcca(x, y, scales, order):
@@ -37,6 +42,38 @@ def brute_dcca(x, y, scales, order):
             prods.append(rx * ry)
         out.append(float(np.mean(np.concatenate(prods))))
     return np.array(out)
+
+
+def _longdouble_basis(s, order):
+    """Orthonormal in-box polynomials in long double, Gram-Schmidt twice."""
+    t = np.arange(s, dtype=np.longdouble) - np.longdouble(s - 1) / 2
+    Q = np.empty((s, order + 1), dtype=np.longdouble)
+    for k in range(order + 1):
+        v = t**k
+        for _ in range(2):
+            for j in range(k):
+                v = v - (Q[:, j] @ v) * Q[:, j]
+        Q[:, k] = v / np.sqrt(v @ v)
+    return Q
+
+
+def longdouble_dcca(x, y, scales, order):
+    """F^2_xy, F^2_xx and F^2_yy from each box's residuals, all in long double."""
+    x = np.asarray(x, np.longdouble)
+    y = np.asarray(y, np.longdouble)
+    X, Y = np.cumsum(x - x.mean()), np.cumsum(y - y.mean())
+    T = x.size
+    out = np.empty((3, len(scales)), dtype=np.longdouble)
+    for i, s in enumerate(scales):
+        n = T // s
+        Q = _longdouble_basis(s, order)
+        bx = X[: n * s].reshape(n, s)
+        by = Y[: n * s].reshape(n, s)
+        rx = bx - (bx @ Q) @ Q.T
+        ry = by - (by @ Q) @ Q.T
+        out[:, i] = np.sum(rx * ry), np.sum(rx * rx), np.sum(ry * ry)
+        out[:, i] /= n * s
+    return out
 
 
 def brute_hxa(x, y, taus):
@@ -248,6 +285,116 @@ def test_dcca_recovers_shared_long_memory():
     y = common + 0.1 * rng.standard_normal(10_000)
     h = fit_hurst(dcca(x, y, s_min=10, s_max=500, step=10)).exponent
     assert 0.80 < h < 0.95
+
+
+# The reference costs about 10 ms per scale at T = 1e5, so there it takes
+# every 20th scale of the default window; each scale's F^2 is computed on
+# its own, so a sparser window gives the same values at the scales it has.
+@pytest.mark.parametrize("T, step", [(10_000, 10), (100_000, 200)])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_dcca_matches_longdouble_reference(preset, T, step):
+    """Deviation from long-double residuals, in units of sqrt(F^2_xx F^2_yy).
+
+    A plain relative deviation is undefined where F^2_xy crosses zero,
+    which model3's DCCA does at many scales.
+    """
+    series = simulate(PRESETS[preset](), T, seed=42)
+    for order in (0, 1, 2):
+        got = dcca(series.x, series.y, s_min=10, s_max=T // 5, step=step, detrend_order=order)
+        xy, xx, yy = longdouble_dcca(series.x, series.y, got.scales, order)
+        deviation = np.max(np.abs(got.values - xy) / np.sqrt(xx * yy))
+        assert deviation <= 1e-12, (order, float(deviation))
+
+
+def test_dcca_factors_each_box_size_once(monkeypatch):
+    # no QR per scale: a repeated call, and dfa on the same boxes, reuse the
+    # cached (order+1)^2 factor of each (s, order)
+    calls = []
+    qr = np.linalg.qr
+
+    def counting_qr(*args, **kwargs):
+        calls.append(args[0].shape)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(estimators.np.linalg, "qr", counting_qr)
+    estimators._basis_factor.cache_clear()
+    x, y = np.random.default_rng(3).standard_normal((2, 2000))
+    for order in (1, 2):
+        for _ in range(2):
+            dcca(x, y, s_min=10, s_max=400, step=10, detrend_order=order)
+            dfa(x, s_min=10, s_max=100, step=10, detrend_order=order)
+    distinct = {(s, order) for order in (1, 2) for s in range(10, 401, 10)}
+    assert len(calls) <= len(distinct)
+    info = estimators._basis_factor.cache_info()
+    assert info.misses == info.currsize == len(distinct)
+    assert estimators._basis_factor(400, 2).shape == (3, 3)
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 7, 10, 57, 1000, 20_000, 200_000])
+def test_basis_factor_is_the_inverse_qr_factor(s):
+    # the closed-form factor is R^-1 of the box Vandermonde's thin QR, up
+    # to column signs, and makes an orthonormal basis
+    for order in range(min(s - 1, 5)):
+        V = estimators._box_vander(s, order)
+        inv_r = np.linalg.inv(np.linalg.qr(V, mode="r"))
+        factor = estimators._basis_factor(s, order)
+        assert np.allclose(factor, inv_r * np.sign(np.diag(inv_r)), rtol=0,
+                           atol=1e-14 * np.max(np.abs(inv_r)))
+        Q = V @ factor
+        assert np.max(np.abs(Q.T @ Q - np.eye(order + 1))) <= 1e-13
+
+
+_values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+_pairs = st.integers(40, 300).flatmap(
+    lambda n: st.tuples(arrays(np.float64, n, elements=_values), arrays(np.float64, n, elements=_values))
+)
+_orders = st.integers(0, 2)
+
+
+def _window(T, order):
+    return dict(s_min=order + 2, s_max=T // 4, step=3, detrend_order=order)
+
+
+def _tolerance(x, y):
+    # rounding in the profiles grows as T * max|x| and box values reach
+    # s * max|x|; the floor of 1 covers draws near the subnormal range,
+    # whose products lose their relative precision
+    T = len(x)
+    return 1e-12 * T * (T // 4) * max(1.0, np.max(np.abs(x))) * max(1.0, np.max(np.abs(y)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=_pairs, order=_orders, c=st.floats(1e-3, 1e3))
+def test_dcca_scales_with_the_input(pair, order, c):
+    x, y = pair
+    w = _window(len(x), order)
+    assert np.max(np.abs(dfa(c * x, **w).values - c**2 * dfa(x, **w).values)) <= (
+        c**2 * _tolerance(x, x)
+    )
+    assert np.max(np.abs(dcca(c * x, y, **w).values - c * dcca(x, y, **w).values)) <= (
+        c * _tolerance(x, y)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=_pairs, order=_orders, a=_values, b=_values)
+def test_fluctuations_ignore_an_added_constant(pair, order, a, b):
+    x, y = pair
+    w = _window(len(x), order)
+    tol = _tolerance(np.abs(x) + abs(a), np.abs(y) + abs(b))
+    assert np.max(np.abs(dcca(x + a, y + b, **w).values - dcca(x, y, **w).values)) <= tol
+    tau_max = len(x) // 10
+    assert np.max(np.abs(hxa(x + a, y + b, 1, tau_max).values - hxa(x, y, 1, tau_max).values)) <= tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=_pairs, order=_orders)
+def test_dcca_and_hxa_are_symmetric(pair, order):
+    x, y = pair
+    w = _window(len(x), order)
+    assert np.array_equal(dcca(x, y, **w).values, dcca(y, x, **w).values)
+    tau_max = len(x) // 10
+    assert np.array_equal(hxa(x, y, 1, tau_max).values, hxa(y, x, 1, tau_max).values)
 
 
 def test_dcca_preconditions():
