@@ -43,7 +43,7 @@ from .models import (
     theoretical_exponents,
     white,
 )
-from .reports import CcfComparison, LagScatter, ccf_comparison, lag_scatter, truncation_bound
+from .reports import CcfComparison, LagScatter, ccf_comparison, lag_scatter
 
 __version__ = "0.1.0"
 
@@ -91,6 +91,5 @@ __all__ = [
     "LagScatter",
     "ccf_comparison",
     "lag_scatter",
-    "truncation_bound",
     "__version__",
 ]

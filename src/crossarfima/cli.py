@@ -177,11 +177,13 @@ def cmd_estimate(cfg: ExperimentConfig, inputs: list[str]) -> int:
     table: list[tuple] = []
     any_ok = False
     for path in inputs:
-        # a missing file stays a config error; one that cannot be parsed
-        # fails its own rows
+        # a missing file stays a config error; one that cannot be opened or
+        # parsed (a directory, say) fails its own rows
         try:
             x, y = _load_series_file(path)
-        except ValueError as e:
+        except FileNotFoundError:
+            raise
+        except (ValueError, OSError) as e:
             rows, ccf_values = _failed_rows(cfg, str(e)), None
         else:
             rows, ccf_values = _estimate_pair(x, y, cfg)
@@ -206,9 +208,9 @@ def cmd_estimate(cfg: ExperimentConfig, inputs: list[str]) -> int:
     return 0
 
 
-def cmd_theory(cfg: ExperimentConfig, spectrum_mode: str, spectrum_points: int) -> int:
+def cmd_theory(cfg: ExperimentConfig, spectrum_points: int) -> int:
     outdir = _ensure_outdir(cfg)
-    rep = theoretical_exponents(cfg.model, truncation=cfg.sim_truncation)
+    rep = theoretical_exponents(cfg.model)
     pair = "" if rep.dominating_pair is None else f"{rep.dominating_pair[0]}-{rep.dominating_pair[1]}"
     _write_csv(
         os.path.join(outdir, "exponents.csv"),
@@ -224,20 +226,13 @@ def cmd_theory(cfg: ExperimentConfig, spectrum_mode: str, spectrum_points: int) 
     )
 
     L = cfg.ccf_max_lag
-    values = theoretical_ccf(cfg.model, max_lag=L, truncation=cfg.ccf_truncation)
+    values = theoretical_ccf(cfg.model, max_lag=L)
     _write_csv(
         os.path.join(outdir, "theoretical_ccf.csv"),
         ["lag", "rho"],
         ([str(k), _fmt(v)] for k, v in zip(range(-L, L + 1), values)),
     )
 
-    if spectrum_mode == "never":
-        return 0
-    if not cfg.model.all_fractional:
-        if spectrum_mode == "always":
-            raise ConfigError("spectrum requires a model with only fractional components")
-        print("spectrum skipped: model has non-fractional components", file=sys.stderr)
-        return 0
     lo, hi, _ = SPECTRUM_GRID
     grid = np.geomspace(lo, hi, spectrum_points)
     f = cross_spectrum(cfg.model, grid)
@@ -299,7 +294,7 @@ def cmd_experiment(cfg: ExperimentConfig, workers: int) -> int:
         _estimate_rows_to_csv(rep_table),
     )
 
-    theory = theoretical_exponents(cfg.model, truncation=cfg.sim_truncation)
+    theory = theoretical_exponents(cfg.model)
     groups: dict[tuple[str, str], list[float]] = {}
     for _, row in rep_table:
         if row.ok:
@@ -335,7 +330,7 @@ def cmd_experiment(cfg: ExperimentConfig, workers: int) -> int:
     if ccf_stack:
         mean_ccf = np.mean(np.stack(ccf_stack), axis=0)
         L = cfg.ccf_max_lag
-        theory_ccf = theoretical_ccf(cfg.model, max_lag=L, truncation=cfg.ccf_truncation)
+        theory_ccf = theoretical_ccf(cfg.model, max_lag=L)
         _write_csv(
             os.path.join(outdir, "ccf_mean.csv"),
             ["lag", "mean_sample_rho", "theory_rho", "abs_diff"],
@@ -366,7 +361,7 @@ _WINDOWS = ("estimators", *(n for n, s in SETTINGS.items() if s.section in ESTIM
 COMMAND_SETTINGS = {
     "simulate": {*_RUN, "replications", "sim_truncation"},
     "estimate": {*_RUN, *_WINDOWS},
-    "theory": {*_RUN, "ccf_max_lag", "ccf_truncation", "sim_truncation"},
+    "theory": {*_RUN, "ccf_max_lag"},
     "experiment": {*_RUN, "replications", *_WINDOWS},
 }
 _COMMAND_HELP = {
@@ -392,12 +387,6 @@ def build_parser() -> _Parser:
                 p.add_argument(s.flag, type=int if s.cast is int else None, help=s.help)
 
     parsers["estimate"].add_argument("inputs", nargs="+", help="series files (columns x,y or t,x,y)")
-    parsers["theory"].add_argument(
-        "--spectrum",
-        choices=("auto", "always", "never"),
-        default="auto",
-        help="spectrum table policy for non-fractional models (default auto: skip)",
-    )
     parsers["theory"].add_argument(
         "--spectrum-points", type=int, default=SPECTRUM_GRID[2], help="spectrum grid size"
     )
@@ -432,7 +421,7 @@ def main(argv=None) -> int:
         if args.command == "estimate":
             return cmd_estimate(cfg, args.inputs)
         if args.command == "theory":
-            return cmd_theory(cfg, args.spectrum, args.spectrum_points)
+            return cmd_theory(cfg, args.spectrum_points)
         if args.command == "experiment":
             return cmd_experiment(cfg, args.workers)
         raise ConfigError(f"unknown command {args.command!r}")

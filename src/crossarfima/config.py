@@ -21,13 +21,7 @@ from .errors import ConfigError
 from .estimators import check_max_lag, check_scales, check_taus
 from .filters import AR1, FRACTIONAL, WHITE
 from .innovations import N_STREAMS, CovarianceSpec
-from .models import (
-    DEFAULT_CCF_TRUNCATION,
-    DEFAULT_EXPONENT_TRUNCATION,
-    PRESETS,
-    ComponentSpec,
-    ModelSpec,
-)
+from .models import DEFAULT_SIM_TRUNCATION, PRESETS, ComponentSpec, ModelSpec
 
 ESTIMATOR_NAMES = ("dfa", "dcca", "hxa", "ccf")
 INLINE = "inline"
@@ -126,14 +120,10 @@ class ExperimentConfig:
         "ccf", "max_lag", "--max-lag", "CCF maximum lag, sample and theoretical",
         lambda v: min(100, (v["T"] - 1) // 2),
     )
-    ccf_truncation: int = _setting(
-        "theory", "ccf_truncation", "--ccf-truncation", "CCF weight-sum truncation K",
-        DEFAULT_CCF_TRUNCATION,
-    )
     sim_truncation: int = _setting(
         "simulation", "truncation", "--truncation",
-        "MA truncation horizon M of simulation and of the theoretical variances",
-        lambda v: max(v["T"], DEFAULT_EXPONENT_TRUNCATION),
+        "MA truncation horizon M of simulation (theory is exact and does not use it)",
+        lambda v: max(v["T"], DEFAULT_SIM_TRUNCATION),
     )
 
     def seeds(self) -> list[int]:
@@ -301,11 +291,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"{section}.{e}") from None
     if cfg.sim_truncation < 0:
         bad("simulation.truncation", f"must be >= 0, got {cfg.sim_truncation}")
-    if cfg.ccf_truncation < cfg.ccf_max_lag + 100:
-        bad(
-            "theory.ccf_truncation",
-            f"must be >= ccf.max_lag + 100 = {cfg.ccf_max_lag + 100}, got {cfg.ccf_truncation}",
-        )
     if not cfg.output_dir:
         bad("output_dir", "must be non-empty")
 

@@ -17,11 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filters import AR1, FRACTIONAL, WHITE, ar1_weights, causal_filter, fft_convolve, ma_weights
+from .filters import AR1, FRACTIONAL, WHITE, ar1_weights, causal_filter, ma_weights
 from .innovations import CovarianceSpec, sample
 
-DEFAULT_EXPONENT_TRUNCATION = 10_000
-DEFAULT_CCF_TRUNCATION = 100_000
+DEFAULT_SIM_TRUNCATION = 10_000
 
 X_SLOTS = (1, 2)
 Y_SLOTS = (3, 4)
@@ -55,9 +54,20 @@ class ComponentSpec:
             raise ValueError(f"ar1 component needs |theta| < 1, got {self.param}")
 
     @property
+    def memory(self) -> float:
+        """Memory parameter d: param for fractional, 0 for ar1 and white."""
+        return self.param if self.kind == FRACTIONAL else 0.0
+
+    @property
     def hurst(self) -> float:
         """Component Hurst exponent: 0.5 + d for fractional, 0.5 otherwise."""
-        return 0.5 + self.param if self.kind == FRACTIONAL else 0.5
+        return 0.5 + self.memory
+
+    def transfer(self, z):
+        """Transfer function at z: (1 - z)^(-d), 1/(1 - theta z), or 1 for white."""
+        if self.kind == AR1:
+            return 1.0 / (1.0 - self.param * z)
+        return (1.0 - z) ** (-self.memory)
 
     def ma_coefficients(self, truncation: int) -> np.ndarray:
         """MA weights a_0..a_M at M = truncation; a white component's are [1, 0, ..., 0]."""
@@ -105,9 +115,13 @@ class ModelSpec:
     def components(self) -> tuple[ComponentSpec, ...]:
         return self.x_components + self.y_components
 
-    @property
-    def all_fractional(self) -> bool:
-        return all(c.kind == FRACTIONAL for c in self.components)
+    def coupled_pairs(self, left, right):
+        """(w_i w_j sigma_ij, c_i, c_j) for every pair with a nonzero factor."""
+        for ci in left:
+            for cj in right:
+                w = ci.weight * cj.weight * self.covariance.sigma(ci.slot, cj.slot)
+                if w != 0.0:
+                    yield w, ci, cj
 
 
 @dataclass(frozen=True)
@@ -194,56 +208,83 @@ def model3() -> ModelSpec:
 PRESETS = {"model1": model1, "model2": model2, "model3": model3}
 
 
-def theoretical_exponents(
-    model: ModelSpec, truncation: int = DEFAULT_EXPONENT_TRUNCATION
-) -> ExponentReport:
+def lead_lag_sums(lead: ComponentSpec, lag: ComponentSpec, max_lag: int) -> np.ndarray:
+    """Exact sum_{m>=0} a^lead_{m+k} a^lag_m of the untruncated MA weights, k = 0..L.
+
+    Closed forms per pair of kinds, with white noise as fractional d = 0:
+    fractional leading fractional,
+        G(1-d_i-d_j) G(k+d_i) / (G(d_i) G(1-d_i) G(k+1-d_j)),
+    by the recurrence g(k+1) = g(k) (k+d_i)/(k+1-d_j) from one log-gamma
+    value at k = 0; fractional leading ar1, a_k(d) 2F1(1, k+d; k+1; theta)
+    with 2F1 summed as its power series; ar1 leading fractional,
+    theta^k (1-theta)^(-d); ar1 leading ar1, theta_i^k / (1 - theta_i theta_j).
+    """
+    L = int(max_lag)
+    if lead.kind == AR1:
+        if lag.kind == AR1:
+            return ar1_weights(lead.param, L) / (1.0 - lead.param * lag.param)
+        return ar1_weights(lead.param, L) * (1.0 - lead.param) ** (-lag.memory)
+    d = lead.memory
+    k = np.arange(L + 1, dtype=float)
+    if lag.kind == AR1:
+        theta = lag.param
+        term = np.ones(L + 1)
+        series = term.copy()
+        # terms shrink by at least |theta| each step: stop once the tail is below rounding
+        tol = np.finfo(float).eps * (1.0 - abs(theta))
+        m = 0
+        while np.any(np.abs(term) > tol * np.abs(series)):
+            term *= theta * (k + d + m) / (k + 1.0 + m)
+            series += term
+            m += 1
+        return ma_weights(d, L) * series
+    e = lag.memory
+    g0 = math.exp(math.lgamma(1.0 - d - e) - math.lgamma(1.0 - d) - math.lgamma(1.0 - e))
+    return np.cumprod(np.concatenate(([g0], (k[:-1] + d) / (k[:-1] + 1.0 - e))))
+
+
+def _cross_covariance(model: ModelSpec, left, right, max_lag: int) -> np.ndarray:
+    """Cov(u_{t+k}, v_t) at k = -L..L for the sides u, v with components left, right."""
+    L = int(max_lag)
+    out = np.zeros(2 * L + 1)
+    for w, ci, cj in model.coupled_pairs(left, right):
+        out[L:] += w * lead_lag_sums(ci, cj, L)
+        out[:L] += w * lead_lag_sums(cj, ci, L)[:0:-1]
+    return out
+
+
+def theoretical_exponents(model: ModelSpec) -> ExponentReport:
     """Theoretical H_x, H_y, H_xy and process standard deviations.
 
     Component exponents are 0.5 + d for fractional components and 0.5 for
     ar1/white.  H_x (H_y) is the maximum over components with nonzero
     weight.  H_xy is the maximum of (H_i + H_j)/2 over cross pairs whose
     weights and innovation covariance are all nonzero, floored at 0.5.
-    Standard deviations come from the truncated weight sums
+    Standard deviations are exact for the untruncated process:
     sigma_x^2 = sum_{i,j} w_i w_j sigma_ij sum_k a_k^(i) a_k^(j).
     """
-    coeffs = {c.slot: c.ma_coefficients(truncation) for c in model.components}
 
-    def side_variance(comps):
-        var = 0.0
-        for ci in comps:
-            for cj in comps:
-                s = model.covariance.sigma(ci.slot, cj.slot)
-                if ci.weight == 0.0 or cj.weight == 0.0 or s == 0.0:
-                    continue
-                var += ci.weight * cj.weight * s * float(coeffs[ci.slot] @ coeffs[cj.slot])
-        return var
+    def side_sigma(comps):
+        return math.sqrt(max(_cross_covariance(model, comps, comps, 0)[0], 0.0))
 
     def side_hurst(comps):
         hs = [c.hurst for c in comps if c.weight != 0.0]
         return max(hs) if hs else 0.5
 
-    H_x = side_hurst(model.x_components)
-    H_y = side_hurst(model.y_components)
-
     best = None
     best_pair = None
-    for ci in model.x_components:
-        for cj in model.y_components:
-            s = model.covariance.sigma(ci.slot, cj.slot)
-            if ci.weight * cj.weight * s == 0.0:
-                continue
-            h = 0.5 * (ci.hurst + cj.hurst)
-            if best is None or h > best:
-                best = h
-                best_pair = (ci.slot, cj.slot)
-    H_xy = max(best, 0.5) if best is not None else 0.5
+    for _, ci, cj in model.coupled_pairs(model.x_components, model.y_components):
+        h = 0.5 * (ci.hurst + cj.hurst)
+        if best is None or h > best:
+            best = h
+            best_pair = (ci.slot, cj.slot)
 
     return ExponentReport(
-        H_x=H_x,
-        H_y=H_y,
-        H_xy=H_xy,
-        sigma_x=math.sqrt(max(side_variance(model.x_components), 0.0)),
-        sigma_y=math.sqrt(max(side_variance(model.y_components), 0.0)),
+        H_x=side_hurst(model.x_components),
+        H_y=side_hurst(model.y_components),
+        H_xy=max(best, 0.5) if best is not None else 0.5,
+        sigma_x=side_sigma(model.x_components),
+        sigma_y=side_sigma(model.y_components),
         dominating_pair=best_pair,
     )
 
@@ -265,7 +306,7 @@ def simulate(
     """
     if T < 1:
         raise ValueError(f"series length T must be >= 1, got {T}")
-    M = max(T, DEFAULT_EXPONENT_TRUNCATION) if truncation is None else int(truncation)
+    M = max(T, DEFAULT_SIM_TRUNCATION) if truncation is None else int(truncation)
     if M < 0:
         raise ValueError(f"truncation must be >= 0, got {M}")
     block = sample(model.covariance, T + M, seed)
@@ -291,82 +332,40 @@ def simulate(
     )
 
 
-def _pair_lag_sums(ax: np.ndarray, ay: np.ndarray, max_lag: int, truncation: int) -> np.ndarray:
-    """sum_{k=0..K} a^x_{k+i} a^y_k for i = -L..L (negative i shifts the y weights).
-
-    ``ax`` and ``ay`` must have length K + L + 1; the shifted side keeps
-    its full K + L + 1 coefficients while the unshifted side is cut at K,
-    so every lag uses exactly K + 1 products.
-    """
-    K, L = truncation, max_lag
-    # Positive lags: conv[m] = sum_j ax[j + m - K] * ay[j] over j = 0..K.
-    pos = fft_convolve(ax, ay[: K + 1][::-1])[K : K + L + 1]
-    neg = fft_convolve(ay, ax[: K + 1][::-1])[K + 1 : K + L + 1]
-    return np.concatenate([neg[::-1], pos])
-
-
-def theoretical_ccf(
-    model: ModelSpec,
-    max_lag: int = 1000,
-    truncation: int = DEFAULT_CCF_TRUNCATION,
-) -> np.ndarray:
+def theoretical_ccf(model: ModelSpec, max_lag: int = 1000) -> np.ndarray:
     """Theoretical cross-correlation function at lags -L..L.
 
     For lag i >= 0 each cross pair contributes
-    (w_i w_j sigma_ij / (sigma_x sigma_y)) * sum_{k=0..K} a_{k+i}^(x) a_k^(y);
-    negative lags shift the y weights instead.  The normalizing standard
-    deviations use the same truncation K, so all values lie in [-1, 1].
-    The truncation tail is O(K^{d_i + d_j - 1}).
+    (w_i w_j sigma_ij / (sigma_x sigma_y)) * sum_{k>=0} a_{k+i}^(x) a_k^(y);
+    negative lags shift the y weights instead.  Every sum is the exact
+    infinite one (see lead_lag_sums), so all values lie in [-1, 1].
     """
     L = int(max_lag)
-    K = int(truncation)
     if L < 0:
         raise ValueError(f"max_lag must be >= 0, got {L}")
-    if K < L + 100:
-        raise ValueError(f"truncation K = {K} too small: need K >= max_lag + 100 = {L + 100}")
-
-    coeffs = {c.slot: c.ma_coefficients(K + L) for c in model.components}
-    rep = theoretical_exponents(model, truncation=K)
+    rep = theoretical_exponents(model)
     denom = rep.sigma_x * rep.sigma_y
     if denom == 0.0:
         raise ValueError("model has zero process variance; cross-correlations undefined")
-
-    values = np.zeros(2 * L + 1)
-    for ci in model.x_components:
-        for cj in model.y_components:
-            s = model.covariance.sigma(ci.slot, cj.slot)
-            w = ci.weight * cj.weight * s
-            if w == 0.0:
-                continue
-            values += (w / denom) * _pair_lag_sums(coeffs[ci.slot], coeffs[cj.slot], L, K)
-    return values
+    return _cross_covariance(model, model.x_components, model.y_components, L) / denom
 
 
 def cross_spectrum(model: ModelSpec, freq) -> complex | np.ndarray:
     """Cross-power spectrum f_xy at angular frequency lambda in (0, pi].
 
-    Closed form for all-fractional models:
-    f_xy(l) = (1/2pi) sum_pairs w_i w_j sigma_ij
-              (1 - e^{il})^{-d_i} (1 - e^{-il})^{-d_j}.
-    Rejects lambda = 0 (pole for d_i + d_j > 0) and models with ar1 or
-    white components, for which this closed form does not hold.
+    f_xy(l) = (1/2pi) sum_pairs w_i w_j sigma_ij H_i(e^{il}) H_j(e^{-il}),
+    with the component transfer functions H (see ComponentSpec.transfer).
+    Rejects lambda = 0, a pole when d_i + d_j > 0.
     """
-    if not model.all_fractional:
-        raise ValueError("cross_spectrum requires all components fractional")
     lam = np.asarray(freq, dtype=float)
     if np.any(lam <= 0.0) or np.any(lam > np.pi):
         raise ValueError("frequency must lie in (0, pi]")
     scalar = lam.ndim == 0
     lam = np.atleast_1d(lam)
-    plus = 1.0 - np.exp(1j * lam)
-    minus = 1.0 - np.exp(-1j * lam)
+    plus = np.exp(1j * lam)
+    minus = np.exp(-1j * lam)
     out = np.zeros(lam.shape, dtype=complex)
-    for ci in model.x_components:
-        for cj in model.y_components:
-            s = model.covariance.sigma(ci.slot, cj.slot)
-            w = ci.weight * cj.weight * s
-            if w == 0.0:
-                continue
-            out += w * plus ** (-ci.param) * minus ** (-cj.param)
+    for w, ci, cj in model.coupled_pairs(model.x_components, model.y_components):
+        out += w * ci.transfer(plus) * cj.transfer(minus)
     out /= 2.0 * np.pi
     return out[0] if scalar else out

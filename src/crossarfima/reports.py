@@ -14,13 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import ols, sample_ccf
-from .filters import AR1, FRACTIONAL
-from .models import (
-    DEFAULT_CCF_TRUNCATION,
-    BivariateSeries,
-    theoretical_ccf,
-    theoretical_exponents,
-)
+from .models import BivariateSeries, theoretical_ccf
 
 MAX_SCATTER_POINTS = 5_000
 
@@ -82,9 +76,8 @@ def lag_scatter(series: BivariateSeries, lag: int) -> LagScatter:
 class CcfComparison:
     """Sample versus theoretical CCF at lags -L..L with disagreement flags.
 
-    ``flagged`` marks lags where |sample - theory| exceeds
-    3/sqrt(T) + truncation_bound, a Bartlett-style band widened by the
-    theoretical tail cut at K.
+    ``flagged`` marks lags where |sample - theory| exceeds the
+    Bartlett-style band 3/sqrt(T).
     """
 
     lags: np.ndarray
@@ -93,7 +86,6 @@ class CcfComparison:
     abs_diff: np.ndarray
     flagged: np.ndarray
     T: int
-    truncation: int
     threshold: float
 
     def rows(self):
@@ -108,58 +100,12 @@ class CcfComparison:
             )
 
 
-def truncation_bound(model, truncation: int) -> float:
-    """Upper estimate of the CCF error from cutting the weight sums at K.
-
-    Fractional pairs contribute a power tail
-    sum_{k>K} a_k(d_i) a_k(d_j) ~ K^{d_i+d_j-1} / ((1-d_i-d_j) G(d_i) G(d_j))
-    via the a_n ~ n^{d-1}/G(d) asymptote; ar1 components contribute a
-    geometric tail and white components none.  Normalized by the
-    process standard deviations.
-    """
-    rep = theoretical_exponents(model, truncation=truncation)
-    denom = rep.sigma_x * rep.sigma_y
-    if denom == 0.0:
-        return 0.0
-
-    def tail(comp, K):
-        # crude per-component envelope of sum_{k>K} |a_k| shapes
-        if comp.kind == FRACTIONAL and comp.param > 0.0:
-            return ("power", comp.param)
-        if comp.kind == AR1 and comp.param != 0.0:
-            return ("geom", abs(comp.param))
-        return ("zero", 0.0)
-
-    K = truncation
-    total = 0.0
-    for ci in model.x_components:
-        for cj in model.y_components:
-            w = abs(ci.weight * cj.weight * model.covariance.sigma(ci.slot, cj.slot))
-            if w == 0.0:
-                continue
-            ti, tj = tail(ci, K), tail(cj, K)
-            if ti[0] == "zero" or tj[0] == "zero":
-                continue
-            if ti[0] == "power" and tj[0] == "power":
-                di, dj = ti[1], tj[1]
-                total += w * K ** (di + dj - 1.0) / (
-                    (1.0 - di - dj) * math.gamma(di) * math.gamma(dj)
-                )
-            else:
-                # at least one geometric factor collapses the tail
-                theta = ti[1] if ti[0] == "geom" else tj[1]
-                total += w * theta**K / (1.0 - theta)
-    return total / denom
-
-
-def ccf_comparison(
-    series: BivariateSeries, max_lag: int, truncation: int = DEFAULT_CCF_TRUNCATION
-) -> CcfComparison:
+def ccf_comparison(series: BivariateSeries, max_lag: int) -> CcfComparison:
     """Join the sample CCF of a realization with the model's theoretical CCF."""
     sample = sample_ccf(series.x, series.y, max_lag)
-    theory = theoretical_ccf(series.model, max_lag=max_lag, truncation=truncation)
+    theory = theoretical_ccf(series.model, max_lag=max_lag)
     diff = np.abs(sample.values - theory)
-    threshold = 3.0 / math.sqrt(sample.T) + truncation_bound(series.model, truncation)
+    threshold = 3.0 / math.sqrt(sample.T)
     return CcfComparison(
         lags=sample.lags,
         sample=sample.values,
@@ -167,6 +113,5 @@ def ccf_comparison(
         abs_diff=diff,
         flagged=diff > threshold,
         T=sample.T,
-        truncation=truncation,
         threshold=threshold,
     )

@@ -15,7 +15,7 @@ with lag k at index k + T - 1.
 
 import numpy as np
 from scipy.signal import fftconvolve
-from scipy.special import gamma, gammaln, poch
+from scipy.special import gammaln, hyp2f1
 
 
 def gamma_ratio_weights(d, M):
@@ -71,27 +71,78 @@ def protocol_covariances(model, T, M):
     }
 
 
-def limit_cross_cov(model, left, right, lags):
-    """gamma_uv(k) of the untruncated process for fractional and white components.
+def _memory(comp):
+    return comp.param if comp.kind == "fractional" else 0.0
 
-    For k >= 0 a pair contributes
-    w_i w_j sigma_ij Gamma(1-d_i-d_j) Gamma(k+d_i) / (Gamma(d_i) Gamma(1-d_i) Gamma(k+1-d_j)),
-    with white noise as d = 0 (Gamma(k+d)/Gamma(d) is the Pochhammer
-    symbol); negative lags swap i and j.  Lags must stay below ~170,
-    where Gamma overflows.
+
+def _fractional_weight(d, k):
+    """a_k(d) = Gamma(k + d) / (Gamma(k + 1) Gamma(d)) at k >= 0; d = 0 is the identity filter."""
+    if d == 0.0:
+        return (k == 0).astype(float)
+    return np.exp(gammaln(k + d) - gammaln(k + 1.0) - gammaln(d))
+
+
+def _lead_lag_limit(ci, cj, k):
+    """sum_{m>=0} a^(i)_{m+k} a^(j)_m of the untruncated weights at lags k >= 0.
+
+    ar1 leading ar1 is a geometric series, theta_i^k / (1 - theta_i theta_j);
+    ar1 leading a fractional (or white) stream is theta^k times the
+    generating function (1 - theta)^(-d); a fractional stream leading an
+    ar1 one is a_k(d) 2F1(1, k + d; k + 1; theta); two fractional streams
+    give the gamma-ratio closed form, with white noise as d = 0.
+    """
+    if ci.kind == "ar1":
+        if cj.kind == "ar1":
+            return ci.param**k / (1.0 - ci.param * cj.param)
+        return ci.param**k * (1.0 - ci.param) ** (-_memory(cj))
+    p = _memory(ci)
+    if cj.kind == "ar1":
+        return _fractional_weight(p, k) * hyp2f1(1.0, k + p, k + 1.0, cj.param)
+    if p == 0.0:
+        return (k == 0).astype(float)
+    q = _memory(cj)
+    return np.exp(
+        gammaln(1.0 - p - q) + gammaln(k + p)
+        - gammaln(p) - gammaln(1.0 - p) - gammaln(k + 1.0 - q)
+    )
+
+
+def limit_cross_cov(model, left, right, lags):
+    """gamma_uv(k) of the untruncated process, for every component kind.
+
+    For k >= 0 a pair contributes w_i w_j sigma_ij sum_m a^(i)_{m+k} a^(j)_m
+    in closed form (log-gamma ratios and the hypergeometric 2F1, so lags
+    of any size work); negative lags swap i and j.
     """
     lags = np.asarray(lags)
-    m = np.abs(lags)
+    m = np.abs(lags).astype(float)
     out = np.zeros(lags.shape)
     for w, ci, cj in _pair_factors(model, left, right):
-        if "ar1" in (ci.kind, cj.kind):
-            raise ValueError("closed form implemented for fractional and white components only")
-        di = ci.param if ci.kind == "fractional" else 0.0
-        dj = cj.param if cj.kind == "fractional" else 0.0
-        p = np.where(lags >= 0, di, dj)
-        q = np.where(lags >= 0, dj, di)
-        out += w * gamma(1.0 - p - q) * poch(p, m) / (gamma(1.0 - p) * gamma(m + 1.0 - q))
+        out += w * np.where(lags >= 0, _lead_lag_limit(ci, cj, m), _lead_lag_limit(cj, ci, m))
     return out
+
+
+def limit_ccf(model, lags):
+    """rho(k) of the untruncated process."""
+    x, y = model.x_components, model.y_components
+    var_x = limit_cross_cov(model, x, x, [0])[0]
+    var_y = limit_cross_cov(model, y, y, [0])[0]
+    return limit_cross_cov(model, x, y, lags) / np.sqrt(var_x * var_y)
+
+
+def truncated_cross_spectrum(model, lam, N):
+    """f_xy(lam) of the MA weights cut at N, as a double sum over weight indices (m, n).
+
+    The double sum factorizes exactly into
+    (1/2pi) sum_pairs w (sum_m a_m e^{i m lam}) (sum_n a_n e^{-i n lam}).
+    """
+    phase = np.exp(1j * lam * np.arange(N + 1))
+    out = 0j
+    for w, ci, cj in _pair_factors(model, model.x_components, model.y_components):
+        a = _component_weights(ci, N)
+        b = _component_weights(cj, N)
+        out += w * (a @ phase[: a.size]) * (b @ phase[: b.size].conj())
+    return out / (2.0 * np.pi)
 
 
 def _prefix(v):

@@ -28,22 +28,15 @@ from protocol_expectations import (
     expected_lagged_products,
     expected_sample_ccf,
     gamma_ratio_weights,
-    limit_cross_cov,
+    limit_ccf,
     protocol_covariances,
+    truncated_cross_spectrum,
 )
 
 
 def criterion(n, ok, detail):
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {n}: {detail}")
     return ok
-
-
-def limit_ccf(model, lags):
-    """rho(k) of the untruncated process (fractional and white components)."""
-    x, y = model.x_components, model.y_components
-    var_x = limit_cross_cov(model, x, x, [0])[0]
-    var_y = limit_cross_cov(model, y, y, [0])[0]
-    return limit_cross_cov(model, x, y, lags) / math.sqrt(var_x * var_y)
 
 
 def test_criterion_1_weight_correctness():
@@ -198,9 +191,9 @@ def test_criterion_5_model1_ccf_agreement(study):
 
     The expectation is that of the sample CCF of the M-truncated process
     with global demeaning, divisor T - |k| and ddof-0 variances.  The
-    printed line splits the gap to theoretical_ccf at the worst lag into
-    the theory's own truncation (K = 1e5), the simulation truncation M,
-    global demeaning and the Monte Carlo remainder.
+    printed line splits the gap to theoretical_ccf (the exact limit) at
+    the worst lag into the simulation truncation M, global demeaning and
+    the Monte Carlo remainder.
     """
     st = study["model1"]
     samples = st["ccf"]
@@ -218,7 +211,6 @@ def test_criterion_5_model1_ccf_agreement(study):
     z_max = float(np.max(np.abs(z[L:])))
 
     theory = theoretical_ccf(model, max_lag=L)
-    exact = limit_ccf(model, lags)
     truncated = cov["xy"][lags + T - 1] / math.sqrt(cov["xx"][T - 1] * cov["yy"][T - 1])
     k = int(np.argmax(np.abs(mean_ccf - theory)[L:]))
     i = L + k
@@ -228,11 +220,11 @@ def test_criterion_5_model1_ccf_agreement(study):
         ok,
         f"max |mean sample rho - protocol expectation| over k in [0, {L}] is {worst:.4f} "
         f"at k = {k_worst} (need < 0.01), max |z| {z_max:.2f}; gap to theoretical_ccf "
-        f"at k = {k}: {mean_ccf[i] - theory[i]:+.4f} = theory cut {exact[i] - theory[i]:+.4f} "
-        f"+ simulation cut M = {st['truncation']} {truncated[i] - exact[i]:+.4f} "
+        f"at k = {k}: {mean_ccf[i] - theory[i]:+.4f} = "
+        f"simulation cut M = {st['truncation']} {truncated[i] - theory[i]:+.4f} "
         f"+ global demeaning {expected[i] - truncated[i]:+.4f} "
         f"+ Monte Carlo {mean_ccf[i] - expected[i]:+.4f} "
-        f"(exact limit {exact[i]:.5f}, protocol expectation {expected[i]:.5f})",
+        f"(exact limit {theory[i]:.5f}, protocol expectation {expected[i]:.5f})",
     )
 
 
@@ -253,22 +245,10 @@ def test_criterion_7_spectrum_consistency():
     truncated reference is evaluated here (N = 2e5 terms).
     """
     model = model1()
-    N = 200_000
-    tables = {c.slot: gamma_ratio_weights(c.param, N) for c in model.components}
     worst_rel = 0.0
     for lam in (np.pi / 4, np.pi / 2, np.pi):
-        closed = cross_spectrum(model, lam)
-        ref = 0j
-        phase = np.exp(1j * lam * np.arange(N + 1))
-        for ci in model.x_components:
-            for cj in model.y_components:
-                s = model.covariance.sigma(ci.slot, cj.slot)
-                w = ci.weight * cj.weight * s
-                if w == 0.0:
-                    continue
-                ref += w * (tables[ci.slot] @ phase) * (tables[cj.slot] @ phase.conj())
-        ref /= 2.0 * np.pi
-        worst_rel = max(worst_rel, abs(closed - ref) / abs(ref))
+        ref = truncated_cross_spectrum(model, lam, 200_000)
+        worst_rel = max(worst_rel, abs(cross_spectrum(model, lam) - ref) / abs(ref))
     lam = np.geomspace(1e-4, 1e-2, 50)
     slope = float(np.polyfit(np.log(lam), np.log(np.abs(cross_spectrum(model, lam))), 1)[0])
     ok = worst_rel < 1e-3 and abs(slope - (-0.6)) < 0.02

@@ -14,7 +14,7 @@ import crossarfima
 from crossarfima import cli
 from crossarfima.cli import main
 from crossarfima.estimators import sample_ccf
-from crossarfima.models import model1, simulate, theoretical_ccf
+from crossarfima.models import cross_spectrum, model1, model2, simulate, theoretical_ccf
 
 
 def read_csv(path):
@@ -205,6 +205,29 @@ def test_estimate_unreadable_input_fails_alone(tmp_path, capsys):
     assert "missing.csv" in capsys.readouterr().err
 
 
+def test_estimate_directory_input_fails_alone(tmp_path, capsys):
+    # a path that exists but cannot be opened as a file fails its own rows
+    # with the OS message; the good file's rows and CCF table are written
+    good = simulate_files(tmp_path, T=3000)[0]
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    out = tmp_path / "o"
+    rc = main(["estimate", "--T", "3000", "--estimators", "hxa,ccf", "--output", str(out),
+               good, str(adir)])
+    assert rc == 0
+    _, rows = read_csv(out / "estimates.csv")
+    assert [(r[0], r[1], r[3]) for r in rows] == [
+        (good, "hxa", "ok"), (str(adir), "hxa", "failed"), (str(adir), "ccf", "failed"),
+    ]
+    assert all("Is a directory" in r[7] and str(adir) in r[7] for r in rows[1:])
+    assert sorted(os.listdir(out)) == ["ccf_series_r0000.csv", "estimates.csv"]
+    # the directory alone: nothing succeeded
+    rc = main(["estimate", "--T", "3000", "--estimators", "hxa", "--output",
+               str(tmp_path / "o2"), str(adir)])
+    assert rc == 2
+    assert "all estimations failed" in capsys.readouterr().err
+
+
 def test_estimate_rejects_inputs_sharing_a_ccf_table(tmp_path, capsys):
     a = simulate_files(tmp_path / "a")[0]
     b = simulate_files(tmp_path / "b", seed=4)[0]
@@ -236,8 +259,7 @@ def test_estimate_degenerate_input_fails_cleanly(tmp_path, capsys):
 
 def test_theory_tables_model1(tmp_path):
     out = tmp_path / "th"
-    rc = main(["theory", "--model", "model1", "--max-lag", "50",
-               "--ccf-truncation", "5000", "--output", str(out)])
+    rc = main(["theory", "--model", "model1", "--max-lag", "50", "--output", str(out)])
     assert rc == 0
     _, rows = read_csv(out / "exponents.csv")
     table = dict(rows)
@@ -248,10 +270,11 @@ def test_theory_tables_model1(tmp_path):
     assert header == ["lag", "rho"]
     assert len(ccf) == 101
     values = {int(r[0]): float(r[1]) for r in ccf}
-    ref = theoretical_ccf(model1(), max_lag=50, truncation=5000)
+    ref = theoretical_ccf(model1(), max_lag=50)
     assert values[0] == pytest.approx(ref[50], rel=1e-11)
     assert values[-7] == pytest.approx(values[7], rel=1e-11)
-    # all-fractional preset: the spectrum table is written by default
+    # the exact limit, not a truncated weight sum
+    assert dict(ccf)["20"] == "0.110845342897"
     header, spec = read_csv(out / "spectrum.csv")
     assert header == ["lambda", "re", "im", "abs"]
     assert len(spec) == 200
@@ -270,20 +293,32 @@ def test_theory_model3_ccf_is_a_spike(tmp_path):
     assert max(off) < 1e-15
 
 
-def test_theory_spectrum_skipped_for_mixed_models(tmp_path, capsys):
+def test_theory_spectrum_written_for_mixed_models(tmp_path):
     out = tmp_path / "th2"
-    rc = main(["theory", "--model", "model2", "--output", str(out)])
+    rc = main(["theory", "--model", "model2", "--spectrum-points", "20", "--output", str(out)])
     assert rc == 0
-    assert "spectrum skipped" in capsys.readouterr().err
-    assert not (out / "spectrum.csv").exists()
     assert (out / "theoretical_ccf.csv").exists()
+    header, spec = read_csv(out / "spectrum.csv")
+    assert header == ["lambda", "re", "im", "abs"]
+    lams = np.geomspace(1e-4, np.pi, 20)
+    assert np.allclose([float(r[0]) for r in spec], lams, rtol=1e-11)
+    ref = cross_spectrum(model2(), lams)
+    assert np.allclose([float(r[1]) for r in spec], ref.real, rtol=1e-11, atol=1e-13)
+    assert np.allclose([float(r[2]) for r in spec], ref.imag, rtol=1e-11, atol=1e-13)
 
 
-def test_theory_spectrum_always_rejects_mixed_models(tmp_path, capsys):
-    rc = main(["theory", "--model", "model2", "--spectrum", "always",
-               "--output", str(tmp_path / "o")])
-    assert rc == 1
-    assert "fractional" in capsys.readouterr().err
+@pytest.mark.parametrize("flag", ["--ccf-truncation", "--truncation", "--spectrum"])
+def test_theory_rejects_truncation_and_spectrum_flags(tmp_path, capsys, flag):
+    # theory is exact and writes the spectrum for every model: none of these
+    # remain.  argparse reads --spectrum as short for --spectrum-points, which
+    # rejects the old policy words.
+    value = "always" if flag == "--spectrum" else "5000"
+    with pytest.raises(SystemExit) as exc:
+        main(["theory", "--model", "model2", flag, value, "--output", str(tmp_path / "o")])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and flag in err
+    assert not (tmp_path / "o").exists()
 
 
 # ----------------------------------------------------------------------

@@ -67,7 +67,6 @@ def test_minimal_config_fills_every_default():
     assert (cfg.hxa_tau_min, cfg.hxa_tau_max) == (1, 100)
     assert cfg.ccf_max_lag == 100
     assert cfg.sim_truncation == 10_000
-    assert cfg.ccf_truncation == 100_000
     assert cfg.output_dir == "out"
 
 
@@ -173,8 +172,12 @@ def test_rejects_inconsistent_scales():
         parse_config(MINIMAL + "[hxa]\ntau_max = 1500\n")
     with pytest.raises(ConfigError, match="ccf.max_lag"):
         parse_config("[experiment]\nestimators = ccf\nt = 1000\n[ccf]\nmax_lag = 600\n")
-    with pytest.raises(ConfigError, match="ccf_truncation"):
-        parse_config(MINIMAL + "[theory]\nccf_truncation = 150\n")
+
+
+def test_rejects_removed_theory_section():
+    # theory is exact: an old [theory] ccf_truncation key has nothing to set
+    with pytest.raises(ConfigError, match=r"unknown section \[theory\]"):
+        parse_config(MINIMAL + "[theory]\nccf_truncation = 100000\n")
 
 
 def test_rejects_bad_inline_model():
@@ -251,7 +254,6 @@ NON_DEFAULT = {
     "hxa_tau_min": "2",
     "hxa_tau_max": "50",
     "ccf_max_lag": "30",
-    "ccf_truncation": "5000",
     "sim_truncation": "12000",
 }
 

@@ -2,7 +2,9 @@
 
 scipy's stats and signal imports cost over a second per CLI start, far
 more than the work of a short run, so they must not come back, not even
-as an import deferred into a function body.
+as an import deferred into a function body.  Nor may the package import
+the test suite: the closed forms in tests/protocol_expectations.py are an
+independent oracle for the theory only while the package cannot use them.
 """
 
 import ast
@@ -32,8 +34,11 @@ def test_cli_import_loads_no_scipy_module():
     assert proc.stdout.strip() == "[]"
 
 
-def scipy_imports(path: Path) -> list[str]:
-    """Every `import scipy...` or `from scipy... import` in a file, at any depth."""
+TEST_MODULES = ("tests", "protocol_expectations", "conftest")
+
+
+def imports_of(path: Path, roots) -> list[str]:
+    """Every `import X...` or `from X... import` with X in roots, at any depth."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):
@@ -42,15 +47,32 @@ def scipy_imports(path: Path) -> list[str]:
             names = [node.module or ""]
         else:
             continue
-        found += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] == "scipy"]
+        found += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] in roots]
     return found
 
 
 def test_no_source_file_imports_scipy(tmp_path):
     sources = sorted(PACKAGE_DIR.glob("*.py"))
     assert len(sources) >= 9
-    assert [hit for path in sources for hit in scipy_imports(path)] == []
+    assert [hit for path in sources for hit in imports_of(path, ("scipy",))] == []
     # the scan sees an import hidden in a function body
     probe = tmp_path / "probe.py"
     probe.write_text("def f():\n    from scipy import stats\n    import scipy.signal as sg\n")
-    assert scipy_imports(probe) == ["probe.py:2 scipy", "probe.py:3 scipy.signal"]
+    assert imports_of(probe, ("scipy",)) == ["probe.py:2 scipy", "probe.py:3 scipy.signal"]
+
+
+def test_no_source_file_imports_the_tests(tmp_path):
+    sources = sorted(PACKAGE_DIR.glob("*.py"))
+    assert len(sources) >= 9
+    assert [hit for path in sources for hit in imports_of(path, TEST_MODULES)] == []
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import protocol_expectations as pe\n"
+        "def f():\n    from tests.protocol_expectations import limit_ccf\n"
+        "    import conftest\n"
+    )
+    assert imports_of(probe, TEST_MODULES) == [
+        "probe.py:1 protocol_expectations",
+        "probe.py:3 tests.protocol_expectations",
+        "probe.py:4 conftest",
+    ]

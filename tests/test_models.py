@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
 
 from crossarfima.errors import NotPositiveSemiDefiniteError
 from crossarfima.innovations import CovarianceSpec
@@ -23,58 +22,52 @@ from crossarfima.models import (
     white,
 )
 
+from protocol_expectations import limit_ccf, limit_cross_cov, truncated_cross_spectrum
+
 
 def squared_sum_limit(d):
     # sum_k a_k(d)^2 = Gamma(1-2d) / Gamma(1-d)^2
     return math.gamma(1.0 - 2.0 * d) / math.gamma(1.0 - d) ** 2
 
 
-def slot_coefficients(comp, length):
-    """Independent MA coefficient table for the brute-force CCF oracle."""
-    out = np.zeros(length)
-    if comp.kind == "fractional":
-        n = np.arange(length, dtype=float)
-        out[:] = np.exp(gammaln(n + comp.param) - gammaln(n + 1.0) - gammaln(comp.param))
-        out[0] = 1.0
-        if comp.param == 0.0:
-            out[1:] = 0.0
-    elif comp.kind == "ar1":
-        out[:] = comp.param ** np.arange(length, dtype=float)
-    else:
-        out[0] = 1.0
-    return out
+def mixed_model():
+    """Every kind at once: all four cross pairs and the x-side pair coupled.
+
+    x = F(0.35) + F(0), y = AR1(-0.6) + white, so the cross pairs are
+    fractional-ar1, fractional-white, and d = 0 against ar1 and white.
+    """
+    return ModelSpec(
+        x_components=(fractional(0.35, 1.0, slot=1), fractional(0.0, 0.7, slot=2)),
+        y_components=(ar1(-0.6, 1.5, slot=3), white(0.8, slot=4)),
+        covariance=CovarianceSpec(
+            covariances={(1, 2): 0.2, (1, 3): 0.3, (1, 4): -0.2, (2, 3): 0.25, (2, 4): 0.1}
+        ),
+    )
 
 
-def brute_ccf(model, max_lag, truncation):
-    """Slice-and-dot reference for theoretical_ccf, O(pairs * lags * K)."""
+def brute_cross_cov(model, left, right, max_lag, truncation):
+    """Slice-and-dot sums sum_{m<=K} a^(i)_{m+k} a^(j)_m at lags -L..L.
+
+    For ar1 and white components only, where a finite sum is exact to
+    rounding once theta^K is negligible.
+    """
     L, K = max_lag, truncation
-    coeffs = {c.slot: slot_coefficients(c, K + L + 1) for c in model.components}
+    n = np.arange(K + L + 1, dtype=float)
 
-    def side_sigma(comps):
-        var = 0.0
-        for ci in comps:
-            for cj in comps:
-                s = model.covariance.sigma(ci.slot, cj.slot)
-                a = coeffs[ci.slot][: K + 1]
-                b = coeffs[cj.slot][: K + 1]
-                var += ci.weight * cj.weight * s * float(a @ b)
-        return math.sqrt(var)
+    def coefficients(comp):
+        assert comp.kind in ("ar1", "white")
+        return comp.param**n if comp.kind == "ar1" else (n == 0).astype(float)
 
-    denom = side_sigma(model.x_components) * side_sigma(model.y_components)
     values = np.zeros(2 * L + 1)
-    for ci in model.x_components:
-        for cj in model.y_components:
-            s = model.covariance.sigma(ci.slot, cj.slot)
-            w = ci.weight * cj.weight * s
-            if w == 0.0:
-                continue
-            ax = coeffs[ci.slot]
-            ay = coeffs[cj.slot]
-            values[L] += w * float(ax[: K + 1] @ ay[: K + 1])
+    for ci in left:
+        for cj in right:
+            w = ci.weight * cj.weight * model.covariance.sigma(ci.slot, cj.slot)
+            a, b = coefficients(ci), coefficients(cj)
+            values[L] += w * float(a[: K + 1] @ b[: K + 1])
             for i in range(1, L + 1):
-                values[L + i] += w * float(ax[i : i + K + 1] @ ay[: K + 1])
-                values[L - i] += w * float(ax[: K + 1] @ ay[i : i + K + 1])
-    return values / denom
+                values[L + i] += w * float(a[i : i + K + 1] @ b[: K + 1])
+                values[L - i] += w * float(a[: K + 1] @ b[i : i + K + 1])
+    return values
 
 
 # ----------------------------------------------------------------------
@@ -156,12 +149,6 @@ def test_presets_match_published_setup():
         assert [c.weight for c in m2.components] == [1.0, 1.0, 1.0, 1.0] or m is m1
         assert m.covariance.sigma(2, 3) == 0.9
         assert m.covariance.sigma(1, 4) == 0.0
-    assert m1.all_fractional and not m2.all_fractional and not m3.all_fractional
-
-
-def test_all_fractional_flag():
-    assert not model3().all_fractional
-    assert model1().all_fractional
 
 
 # ----------------------------------------------------------------------
@@ -224,23 +211,37 @@ def test_exponents_pick_strongest_admissible_pair():
 
 
 def test_process_sigma_approaches_weight_sum_limit():
-    """Truncated process variances climb toward the closed-form limits.
+    """Process sigmas equal the closed-form weight-sum limits.
 
-    Preset 3: sigma_x^2 -> S(0.4) + 1; preset 1: 0.04 S(0.4) + S(0.3).
-    The K = 1e5 truncation keeps sigma within 2 percent of the limit.
+    Preset 3: sigma_x^2 = S(0.4) + 1; preset 1: 0.04 S(0.4) + S(0.3),
+    with S(d) = sum_k a_k(d)^2.  Truncated weight sums climb toward the
+    limit from below and never reach it.
     """
-    rep3 = theoretical_exponents(model3(), truncation=100_000)
+    rep3 = theoretical_exponents(model3())
     limit3 = math.sqrt(squared_sum_limit(0.4) + 1.0)
     assert rep3.sigma_x == rep3.sigma_y
-    assert rep3.sigma_x < limit3
-    assert abs(rep3.sigma_x - limit3) / limit3 < 0.02
+    assert rep3.sigma_x == pytest.approx(limit3, rel=1e-13)
 
-    rep1 = theoretical_exponents(model1(), truncation=100_000)
+    rep1 = theoretical_exponents(model1())
     limit1 = math.sqrt(0.04 * squared_sum_limit(0.4) + squared_sum_limit(0.3))
-    assert abs(rep1.sigma_x - limit1) / limit1 < 0.02
+    assert rep1.sigma_x == pytest.approx(limit1, rel=1e-13)
 
-    # monotone in the truncation horizon
-    assert theoretical_exponents(model3(), truncation=1000).sigma_x < rep3.sigma_x
+    comp = model3().x_components[0]
+    cut = [math.sqrt(float(comp.ma_coefficients(K) @ comp.ma_coefficients(K)) + 1.0)
+           for K in (1000, 10_000, 100_000)]
+    assert cut[0] < cut[1] < cut[2] < rep3.sigma_x
+
+
+@pytest.mark.parametrize("make", [model1, model2, model3, mixed_model])
+def test_theory_matches_oracle(make):
+    """sigma and rho(k) at lags -1000..1000 against the scipy closed forms."""
+    model = make()
+    x, y = model.x_components, model.y_components
+    rep = theoretical_exponents(model)
+    assert rep.sigma_x == pytest.approx(math.sqrt(limit_cross_cov(model, x, x, [0])[0]), abs=1e-12)
+    assert rep.sigma_y == pytest.approx(math.sqrt(limit_cross_cov(model, y, y, [0])[0]), abs=1e-12)
+    got = theoretical_ccf(model, max_lag=1000)
+    assert np.max(np.abs(got - limit_ccf(model, np.arange(-1000, 1001)))) <= 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -335,76 +336,66 @@ def test_simulated_contemporaneous_correlation():
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("make", [model1, model2, model3])
+@pytest.mark.parametrize("make", [model2, model3])
 def test_theoretical_ccf_matches_brute_force(make):
+    # the coupled cross pairs are ar1 x ar1 (preset 2) and white x white
+    # (preset 3), whose finite lead-lag sums are exact at K = 300
     model = make()
-    got = theoretical_ccf(model, max_lag=10, truncation=300)
-    ref = brute_ccf(model, 10, 300)
+    rep = theoretical_exponents(model)
+    got = theoretical_ccf(model, max_lag=10) * rep.sigma_x * rep.sigma_y
+    ref = brute_cross_cov(model, model.x_components[1:], model.y_components[:1], 10, 300)
     assert np.allclose(got, ref, rtol=1e-12, atol=1e-14)
 
 
 def test_theoretical_ccf_brute_force_all_pairs_coupled():
-    # exercise every cross pair at once, including negative covariances
-    base = model1()
+    # every cross pair at once, with negative thetas and covariances; ar1 and
+    # white only, so the brute-force sigmas are exact as well
     m = ModelSpec(
-        x_components=base.x_components,
-        y_components=base.y_components,
+        x_components=(ar1(0.7, 1.0, slot=1), white(0.5, slot=2)),
+        y_components=(ar1(-0.4, 2.0, slot=3), ar1(0.3, 1.0, slot=4)),
         covariance=CovarianceSpec(
-            covariances={(1, 3): 0.3, (1, 4): -0.2, (2, 3): 0.5, (2, 4): 0.1}
+            covariances={(1, 2): 0.4, (1, 3): 0.3, (1, 4): -0.2, (2, 3): 0.5, (2, 4): 0.1}
         ),
     )
-    got = theoretical_ccf(m, max_lag=7, truncation=250)
-    assert np.allclose(got, brute_ccf(m, 7, 250), rtol=1e-12, atol=1e-14)
+    x, y = m.x_components, m.y_components
+    ref = brute_cross_cov(m, x, y, 7, 250) / math.sqrt(
+        brute_cross_cov(m, x, x, 0, 250)[0] * brute_cross_cov(m, y, y, 0, 250)[0]
+    )
+    assert np.allclose(theoretical_ccf(m, max_lag=7), ref, rtol=1e-12, atol=1e-14)
 
 
 def test_theoretical_ccf_model3_is_a_spike():
-    # off-zero lags only pick up FFT roundoff from the one-tap white kernels
-    vals = theoretical_ccf(model3(), max_lag=20, truncation=5000)
-    assert np.max(np.abs(vals[:20])) < 1e-15
-    assert np.max(np.abs(vals[21:])) < 1e-15
-    rep = theoretical_exponents(model3(), truncation=5000)
+    # white x white is the only coupled pair: exactly zero off lag 0
+    vals = theoretical_ccf(model3(), max_lag=20)
+    assert np.all(vals[:20] == 0.0) and np.all(vals[21:] == 0.0)
+    rep = theoretical_exponents(model3())
     assert vals[20] == pytest.approx(0.9 / (rep.sigma_x * rep.sigma_y), rel=1e-12)
 
 
 def test_theoretical_ccf_limit_value_model3():
-    """rho(0) -> sigma_23 / (S(0.4) + 1) as the truncation horizon grows.
-
-    The truncated sigmas undershoot their limits by the weight-sum tail
-    K^(2d-1)/((1-2d)Gamma(d)^2), so the normalized ratio overshoots by
-    that relative amount; the K = 1e6 value must land inside the envelope.
-    """
-    K = 1_000_000
+    """rho(0) = sigma_23 / (S(0.4) + 1), the untruncated limit itself."""
     limit = 0.9 / (squared_sum_limit(0.4) + 1.0)
-    var_tail = K ** (-0.2) / (0.2 * math.gamma(0.4) ** 2)
-    envelope = limit * var_tail / (squared_sum_limit(0.4) + 1.0)
-    v = theoretical_ccf(model3(), max_lag=0, truncation=K)[0]
-    assert v > limit
-    assert v - limit < 1.2 * envelope
+    assert theoretical_ccf(model3(), max_lag=0)[0] == pytest.approx(limit, rel=1e-13)
 
 
 def test_theoretical_ccf_model1_symmetry():
     # mirrored composition (slots 2,3 share d = 0.3) makes rho even in the lag
-    vals = theoretical_ccf(model1(), max_lag=50, truncation=10_000)
+    vals = theoretical_ccf(model1(), max_lag=50)
     assert np.allclose(vals, vals[::-1], rtol=1e-12, atol=1e-14)
 
 
 def test_theoretical_ccf_is_bounded():
     for make in (model1, model2, model3):
-        vals = theoretical_ccf(make(), max_lag=30, truncation=4000)
+        vals = theoretical_ccf(make(), max_lag=30)
         assert np.max(np.abs(vals)) <= 1.0 + 1e-9
 
 
 def test_theoretical_ccf_power_decay():
     # dominating (d2, d3) = (0.3, 0.3) pair gives rho(k) ~ k^(-0.4)
-    vals = theoretical_ccf(model1(), max_lag=1000, truncation=200_000)
+    vals = theoretical_ccf(model1(), max_lag=1000)
     lags = np.arange(100, 1001)
     slope = np.polyfit(np.log(lags), np.log(vals[1000 + 100 : 1000 + 1001]), 1)[0]
     assert abs(slope - (-0.4)) < 0.05
-
-
-def test_theoretical_ccf_rejects_small_truncation():
-    with pytest.raises(ValueError, match="truncation"):
-        theoretical_ccf(model1(), max_lag=500, truncation=550)
 
 
 def test_theoretical_ccf_rejects_zero_variance():
@@ -414,7 +405,7 @@ def test_theoretical_ccf_rejects_zero_variance():
         covariance=CovarianceSpec(),
     )
     with pytest.raises(ValueError, match="variance"):
-        theoretical_ccf(m, max_lag=0, truncation=200)
+        theoretical_ccf(m, max_lag=0)
 
 
 # ----------------------------------------------------------------------
@@ -484,10 +475,31 @@ def test_cross_spectrum_domain_checks():
         cross_spectrum(model1(), np.array([0.1, -0.2]))
 
 
-def test_cross_spectrum_requires_fractional_model():
-    for make in (model2, model3):
-        with pytest.raises(ValueError, match="fractional"):
-            cross_spectrum(make(), 0.5)
+def fractional_ar1_model():
+    # fractional x shell coupled to an ar1 y core, both lag directions
+    return ModelSpec(
+        x_components=(fractional(0.3, 1.0, slot=1), white(0.5, slot=2)),
+        y_components=(ar1(0.6, 1.0, slot=3), white(1.0, slot=4)),
+        covariance=CovarianceSpec(covariances={(1, 3): 0.7}),
+    )
+
+
+@pytest.mark.parametrize(
+    "make, rel",
+    [(model2, 1e-12), (model3, 1e-12), (fractional_ar1_model, 1e-3)],
+    ids=["model2", "model3", "fractional_ar1"],
+)
+def test_cross_spectrum_matches_double_sum(make, rel):
+    """Mixed models against the double sum over weights cut at N = 2e5.
+
+    ar1 and white weights are exact there; the fractional shell's cut
+    leaves an error of order N^(d-1), so that model gets criterion 7's
+    1e-3.
+    """
+    model = make()
+    for lam in (np.pi / 4, np.pi / 2, np.pi):
+        ref = truncated_cross_spectrum(model, lam, 200_000)
+        assert cross_spectrum(model, lam) == pytest.approx(ref, rel=rel)
 
 
 def test_covariance_admissibility_surfaces_in_simulate():
