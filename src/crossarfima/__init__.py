@@ -25,8 +25,8 @@ from .estimators import (
     powerlaw_fit,
     sample_ccf,
 )
-from .filters import ar1_weights, causal_filter, ma_weights
-from .innovations import CovarianceSpec, InnovationBlock, cholesky_factor, sample
+from .filters import ar1_weights, ma_weights
+from .innovations import CovarianceSpec, cholesky_factor, sample
 from .models import (
     BivariateSeries,
     ComponentSpec,
@@ -67,10 +67,8 @@ __all__ = [
     "powerlaw_fit",
     "sample_ccf",
     "ar1_weights",
-    "causal_filter",
     "ma_weights",
     "CovarianceSpec",
-    "InnovationBlock",
     "cholesky_factor",
     "sample",
     "BivariateSeries",

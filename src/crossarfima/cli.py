@@ -135,7 +135,7 @@ def _estimate_rows_to_csv(rows: list[tuple]) -> list[list[str]]:
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     outdir = _ensure_outdir(cfg)
     for rep, seed in enumerate(cfg.seeds()):
-        series = simulate(cfg.model, cfg.T, seed, truncation=cfg.sim_truncation)
+        series = simulate(cfg.model, cfg.T, seed)
         path = os.path.join(outdir, f"series_r{rep:04d}.csv")
         rows = (
             [str(t), _fmt(series.x[t]), _fmt(series.y[t])] for t in range(cfg.T)
@@ -209,6 +209,8 @@ def cmd_estimate(cfg: ExperimentConfig, inputs: list[str]) -> int:
 
 
 def cmd_theory(cfg: ExperimentConfig, spectrum_points: int) -> int:
+    if spectrum_points < 1:
+        raise ConfigError(f"spectrum-points: must be >= 1, got {spectrum_points}")
     outdir = _ensure_outdir(cfg)
     rep = theoretical_exponents(cfg.model)
     pair = "" if rep.dominating_pair is None else f"{rep.dominating_pair[0]}-{rep.dominating_pair[1]}"
@@ -251,7 +253,7 @@ def _replication_worker(args: tuple[ExperimentConfig, int]):
     cfg, rep = args
     seed = cfg.base_seed + rep
     try:
-        series = simulate(cfg.model, cfg.T, seed, truncation=cfg.sim_truncation)
+        series = simulate(cfg.model, cfg.T, seed)
     except (CrossArfimaError, ValueError) as e:
         return rep, seed, _failed_rows(cfg, str(e)), None
     rows, ccf_values = _estimate_pair(series.x, series.y, cfg)
@@ -359,7 +361,7 @@ _RUN = ("model_name", "T", "base_seed", "output_dir")
 _WINDOWS = ("estimators", *(n for n, s in SETTINGS.items() if s.section in ESTIMATOR_NAMES))
 # which settings each subcommand takes as flags; flags keep the table's order
 COMMAND_SETTINGS = {
-    "simulate": {*_RUN, "replications", "sim_truncation"},
+    "simulate": {*_RUN, "replications"},
     "estimate": {*_RUN, *_WINDOWS},
     "theory": {*_RUN, "ccf_max_lag"},
     "experiment": {*_RUN, "replications", *_WINDOWS},
@@ -373,14 +375,17 @@ _COMMAND_HELP = {
 
 
 def build_parser() -> _Parser:
+    # no prefix matching: a mistyped or removed flag is a usage error, not
+    # another flag it happens to abbreviate
     parser = _Parser(
         prog="crossarfima",
         description="Simulate correlated long-memory pairs and estimate Hurst exponents.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     parsers = {}
     for command, text in _COMMAND_HELP.items():
-        parsers[command] = p = sub.add_parser(command, help=text)
+        parsers[command] = p = sub.add_parser(command, help=text, allow_abbrev=False)
         p.add_argument("--config", help="INI config file; flags override its values")
         for name, s in SETTINGS.items():
             if name in COMMAND_SETTINGS[command]:
@@ -388,7 +393,7 @@ def build_parser() -> _Parser:
 
     parsers["estimate"].add_argument("inputs", nargs="+", help="series files (columns x,y or t,x,y)")
     parsers["theory"].add_argument(
-        "--spectrum-points", type=int, default=SPECTRUM_GRID[2], help="spectrum grid size"
+        "--spectrum-points", type=int, default=SPECTRUM_GRID[2], help="spectrum grid size, >= 1"
     )
     parsers["experiment"].add_argument(
         "--workers", type=int, default=1,

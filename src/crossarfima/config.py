@@ -17,11 +17,11 @@ import io
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Mapping
 
-from .errors import ConfigError
+from .errors import ConfigError, NotPositiveSemiDefiniteError
 from .estimators import check_max_lag, check_scales, check_taus
 from .filters import AR1, FRACTIONAL, WHITE
-from .innovations import N_STREAMS, CovarianceSpec
-from .models import DEFAULT_SIM_TRUNCATION, PRESETS, ComponentSpec, ModelSpec
+from .innovations import N_STREAMS, CovarianceSpec, cholesky_factor
+from .models import PRESETS, ComponentSpec, ModelSpec
 
 ESTIMATOR_NAMES = ("dfa", "dcca", "hxa", "ccf")
 INLINE = "inline"
@@ -120,11 +120,6 @@ class ExperimentConfig:
         "ccf", "max_lag", "--max-lag", "CCF maximum lag, sample and theoretical",
         lambda v: min(100, (v["T"] - 1) // 2),
     )
-    sim_truncation: int = _setting(
-        "simulation", "truncation", "--truncation",
-        "MA truncation horizon M of simulation (theory is exact and does not use it)",
-        lambda v: max(v["T"], DEFAULT_SIM_TRUNCATION),
-    )
 
     def seeds(self) -> list[int]:
         """Replication seed schedule: base_seed, base_seed+1, ..."""
@@ -220,11 +215,10 @@ def _parse_model(parser: configparser.ConfigParser, model_name: str) -> ModelSpe
                 raise ConfigError(f"[covariance] unknown key {key!r}")
     try:
         cov = CovarianceSpec(variances=tuple(variances), covariances=covariances)
-        return ModelSpec(
-            x_components=(comps[0], comps[1]), y_components=(comps[2], comps[3]), covariance=cov
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+        cholesky_factor(cov)
+    except (ValueError, NotPositiveSemiDefiniteError) as e:
+        raise ConfigError(f"[covariance] {e}") from None
+    return ModelSpec((comps[0], comps[1]), (comps[2], comps[3]), cov)
 
 
 def parse_config(
@@ -289,8 +283,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
             check(*args)
         except ValueError as e:
             raise ConfigError(f"{section}.{e}") from None
-    if cfg.sim_truncation < 0:
-        bad("simulation.truncation", f"must be >= 0, got {cfg.sim_truncation}")
     if not cfg.output_dir:
         bad("output_dir", "must be non-empty")
 

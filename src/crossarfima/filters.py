@@ -1,11 +1,10 @@
-"""Moving-average weight sequences and causal FIR filtering.
+"""Moving-average weight sequences and FFT convolution.
 
 A fractionally integrated component, an AR(1) component and a plain
 white-noise component can all be written as one-sided moving averages of
 an innovation stream.  This module generates the (truncated) weight
-sequences and applies them as causal convolution filters, with a direct
-and an FFT-based implementation that are interchangeable.  The FFT path
-is fft_convolve: numpy's real FFT at a 2-3-5-smooth padded length.
+sequences and convolves them with a stream by fft_convolve: numpy's real
+FFT at a 2-3-5-smooth padded length.
 """
 
 from __future__ import annotations
@@ -15,9 +14,6 @@ import numpy as np
 FRACTIONAL = "fractional"
 AR1 = "ar1"
 WHITE = "white"
-
-# Above this operation count the FFT path wins on constant factors.
-_FFT_CROSSOVER_OPS = 10_000_000
 
 
 def ma_weights(d: float, M: int) -> np.ndarray:
@@ -105,44 +101,3 @@ def fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = a.size + b.size - 1
     nfft = _smooth_length(n)
     return np.fft.irfft(np.fft.rfft(a, nfft) * np.fft.rfft(b, nfft), nfft)[:n]
-
-
-def causal_filter(
-    innovations: np.ndarray,
-    weights: np.ndarray,
-    method: str = "auto",
-) -> np.ndarray:
-    """Apply a causal FIR filter to an innovation stream.
-
-    The first M samples of ``innovations`` are burn-in: with M + 1 weights
-    and T + M input samples the output has length T and
-
-        output[t] = sum_{n=0..M} weights[n] * innovations[t + M - n].
-
-    ``method`` selects the implementation: "direct" (time-domain
-    summation), "fft" (transform-based fast convolution) or "auto"
-    (direct below roughly 1e7 multiply-adds, fft above).  The two
-    implementations agree to within 1e-8 absolute.
-    """
-    x = np.asarray(innovations, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if x.ndim != 1 or w.ndim != 1:
-        raise ValueError("innovations and weights must be 1-d")
-    M = w.size - 1
-    T = x.size - M
-    if T < 1:
-        raise ValueError(
-            f"innovation stream too short: need at least {M + 1} samples "
-            f"(M + 1) for M = {M}, got {x.size}"
-        )
-    if method == "auto":
-        method = "direct" if T * (M + 1) <= _FFT_CROSSOVER_OPS else "fft"
-    if method == "direct":
-        out = np.zeros(T)
-        for n in range(M + 1):
-            out += w[n] * x[M - n : M - n + T]
-        return out
-    if method == "fft":
-        # the T outputs whose window lies inside x ("valid" mode)
-        return fft_convolve(x, w)[M : M + T]
-    raise ValueError(f"unknown method {method!r}")

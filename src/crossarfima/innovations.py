@@ -67,26 +67,6 @@ class CovarianceSpec:
         return self.covariances.get(key, 0.0)
 
 
-@dataclass(frozen=True)
-class InnovationBlock:
-    """Four equal-length innovation streams drawn for one replication."""
-
-    streams: np.ndarray  # shape (4, L)
-    seed: int
-    spec: CovarianceSpec
-
-    def __post_init__(self):
-        s = np.asarray(self.streams, dtype=float)
-        if s.ndim != 2 or s.shape[0] != N_STREAMS:
-            raise ValueError(f"streams must have shape (4, L), got {s.shape}")
-        s.setflags(write=False)
-        object.__setattr__(self, "streams", s)
-
-    @property
-    def length(self) -> int:
-        return self.streams.shape[1]
-
-
 def cholesky_factor(spec: CovarianceSpec, tol: float = 1e-12) -> np.ndarray:
     """Validate a covariance spec and return its lower-triangular factor.
 
@@ -123,9 +103,10 @@ def cholesky_factor(spec: CovarianceSpec, tol: float = 1e-12) -> np.ndarray:
     return L
 
 
-def sample(spec: CovarianceSpec, length: int, seed: int) -> InnovationBlock:
+def sample(spec: CovarianceSpec, length: int, seed: int) -> np.ndarray:
     """Draw four jointly Gaussian innovation streams of the given length.
 
+    Returns a read-only (4, length) array whose row i - 1 is stream i.
     At each time step the 4-vector of innovations has mean zero and
     covariance ``spec.matrix()``; different time steps are independent.
     The draw is deterministic given ``seed`` (NumPy PCG64 generator), and
@@ -135,5 +116,6 @@ def sample(spec: CovarianceSpec, length: int, seed: int) -> InnovationBlock:
         raise ValueError(f"length must be positive, got {length}")
     factor = cholesky_factor(spec)
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((N_STREAMS, length))
-    return InnovationBlock(streams=factor @ z, seed=seed, spec=spec)
+    streams = factor @ rng.standard_normal((N_STREAMS, length))
+    streams.setflags(write=False)
+    return streams

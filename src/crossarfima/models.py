@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filters import AR1, FRACTIONAL, WHITE, ar1_weights, causal_filter, ma_weights
-from .innovations import CovarianceSpec, sample
+from .filters import AR1, FRACTIONAL, WHITE, ar1_weights, fft_convolve, ma_weights
+from .innovations import CovarianceSpec, cholesky_factor, sample
 
 DEFAULT_SIM_TRUNCATION = 10_000
 
@@ -70,14 +70,12 @@ class ComponentSpec:
         return (1.0 - z) ** (-self.memory)
 
     def ma_coefficients(self, truncation: int) -> np.ndarray:
-        """MA weights a_0..a_M at M = truncation; a white component's are [1, 0, ..., 0]."""
+        """MA weights a_0..a_M at M = truncation; a white component's are the one tap [1]."""
         if self.kind == FRACTIONAL:
             return ma_weights(self.param, truncation)
         if self.kind == AR1:
             return ar1_weights(self.param, truncation)
-        out = np.zeros(truncation + 1)
-        out[0] = 1.0
-        return out
+        return np.ones(1)
 
 
 def fractional(d: float, weight: float, slot: int) -> ComponentSpec:
@@ -262,7 +260,9 @@ def theoretical_exponents(model: ModelSpec) -> ExponentReport:
     weights and innovation covariance are all nonzero, floored at 0.5.
     Standard deviations are exact for the untruncated process:
     sigma_x^2 = sum_{i,j} w_i w_j sigma_ij sum_k a_k^(i) a_k^(j).
+    Raises NotPositiveSemiDefiniteError for an inadmissible covariance.
     """
+    cholesky_factor(model.covariance)
 
     def side_sigma(comps):
         return math.sqrt(max(_cross_covariance(model, comps, comps, 0)[0], 0.0))
@@ -289,38 +289,29 @@ def theoretical_exponents(model: ModelSpec) -> ExponentReport:
     )
 
 
-def simulate(
-    model: ModelSpec,
-    T: int,
-    seed: int,
-    truncation: int | None = None,
-    method: str = "auto",
-) -> BivariateSeries:
+def simulate(model: ModelSpec, T: int, seed: int) -> BivariateSeries:
     """Draw one realization of length T from the model.
 
-    One innovation block of length T + M is sampled (M defaults to
-    max(T, 10000)) and each component filters its stream through its
-    truncated MA weights; the first M outputs are burn-in and discarded
-    by construction of the causal filter.  Deterministic given
-    (model, T, seed, M).
+    One innovation block of length T + M is sampled, M = max(T, 10000),
+    and each component convolves its stream with its MA weights cut at
+    M.  Only the T outputs whose window lies inside the stream are kept,
+    so the first M samples are burn-in.  Deterministic given
+    (model, T, seed).
     """
     if T < 1:
         raise ValueError(f"series length T must be >= 1, got {T}")
-    M = max(T, DEFAULT_SIM_TRUNCATION) if truncation is None else int(truncation)
-    if M < 0:
-        raise ValueError(f"truncation must be >= 0, got {M}")
-    block = sample(model.covariance, T + M, seed)
+    M = max(T, DEFAULT_SIM_TRUNCATION)
+    streams = sample(model.covariance, T + M, seed)
 
     def build(comps):
         out = np.zeros(T)
         for c in comps:
             if c.weight == 0.0:
                 continue
-            # white noise filters through its one tap: M zero taps would only
-            # add work, and could switch causal_filter to its FFT path
-            w = np.ones(1) if c.kind == WHITE else c.ma_coefficients(M)
-            stream = block.streams[c.slot - 1]
-            out += c.weight * causal_filter(stream[M + 1 - w.size :], w, method=method)
+            w = c.ma_coefficients(M)
+            stream = streams[c.slot - 1]
+            # the T outputs whose window of w.size samples lies inside the stream
+            out += c.weight * fft_convolve(stream[M + 1 - w.size :], w)[w.size - 1 : w.size - 1 + T]
         return out
 
     return BivariateSeries(
@@ -355,8 +346,10 @@ def cross_spectrum(model: ModelSpec, freq) -> complex | np.ndarray:
 
     f_xy(l) = (1/2pi) sum_pairs w_i w_j sigma_ij H_i(e^{il}) H_j(e^{-il}),
     with the component transfer functions H (see ComponentSpec.transfer).
-    Rejects lambda = 0, a pole when d_i + d_j > 0.
+    Rejects lambda = 0, a pole when d_i + d_j > 0, and raises
+    NotPositiveSemiDefiniteError for an inadmissible covariance.
     """
+    cholesky_factor(model.covariance)
     lam = np.asarray(freq, dtype=float)
     if np.any(lam <= 0.0) or np.any(lam > np.pi):
         raise ValueError("frequency must lie in (0, pi]")

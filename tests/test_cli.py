@@ -71,6 +71,66 @@ def test_unknown_flag_exits_with_usage_error(tmp_path):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "--model", "model3", "--T", "300", "--rep", "2"],
+        ["simulate", "--model", "model1", "--T", "200", "--truncation", "500"],
+    ],
+    ids=["rep", "truncation"],
+)
+def test_abbreviated_or_removed_flag_is_usage_error(tmp_path, capsys, argv):
+    # no prefix matching: --rep is not --reps, and the removed --truncation
+    # matches nothing (theory's --spectrum is checked with theory's flags)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--output", str(tmp_path / "o")])
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+# x = F(0.3) in slot 2 and y = F(0.3) in slot 3 with |sigma_23| > sigma_2 sigma_3
+INADMISSIBLE_INI = """
+[experiment]
+model = inline
+
+[component.x1]
+kind = white
+weight = 0.0
+
+[component.x2]
+kind = fractional
+weight = 1.0
+param = 0.3
+
+[component.y1]
+kind = fractional
+weight = 1.0
+param = 0.3
+
+[component.y2]
+kind = white
+weight = 0.0
+
+[covariance]
+sigma_23 = 1.5
+"""
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate", "theory", "experiment"])
+def test_inadmissible_covariance_is_a_config_error(tmp_path, capsys, command):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(INADMISSIBLE_INI)
+    out = tmp_path / "o"
+    argv = [command, "--config", str(ini), "--T", "200", "--output", str(out)]
+    if command == "estimate":
+        argv.append(str(tmp_path / "series.csv"))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error: [covariance] covariance matrix is not positive semi-definite" in err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------------
 # estimate
 # ----------------------------------------------------------------------
@@ -310,15 +370,22 @@ def test_theory_spectrum_written_for_mixed_models(tmp_path):
 @pytest.mark.parametrize("flag", ["--ccf-truncation", "--truncation", "--spectrum"])
 def test_theory_rejects_truncation_and_spectrum_flags(tmp_path, capsys, flag):
     # theory is exact and writes the spectrum for every model: none of these
-    # remain.  argparse reads --spectrum as short for --spectrum-points, which
-    # rejects the old policy words.
-    value = "always" if flag == "--spectrum" else "5000"
+    # remain, and with prefix matching off --spectrum is not --spectrum-points
     with pytest.raises(SystemExit) as exc:
-        main(["theory", "--model", "model2", flag, value, "--output", str(tmp_path / "o")])
+        main(["theory", "--model", "model2", flag, "5000", "--output", str(tmp_path / "o")])
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert "error:" in err and flag in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("points", ["0", "-5"])
+def test_theory_rejects_nonpositive_spectrum_points(tmp_path, capsys, points):
+    out = tmp_path / "o"
+    argv = ["theory", "--model", "model1", "--spectrum-points", points, "--output", str(out)]
+    assert main(argv) == 1
+    assert f"spectrum-points: must be >= 1, got {points}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------------
@@ -373,10 +440,10 @@ def test_experiment_failed_simulation_becomes_failed_rows(tmp_path, monkeypatch)
     # and a forked pool sees the same patched simulate as the serial run
     real = cli.simulate
 
-    def flaky(model, T, seed, truncation=None):
+    def flaky(model, T, seed):
         if seed == 43:
             raise ValueError("simulation blew up")
-        return real(model, T, seed, truncation=truncation)
+        return real(model, T, seed)
 
     monkeypatch.setattr(cli, "simulate", flaky)
     for workers in (1, 2):

@@ -66,7 +66,6 @@ def test_minimal_config_fills_every_default():
     assert cfg.detrend_order == 1
     assert (cfg.hxa_tau_min, cfg.hxa_tau_max) == (1, 100)
     assert cfg.ccf_max_lag == 100
-    assert cfg.sim_truncation == 10_000
     assert cfg.output_dir == "out"
 
 
@@ -74,7 +73,6 @@ def test_scale_defaults_follow_T():
     cfg = parse_config("[experiment]\nmodel = model2\nt = 40000\n")
     assert cfg.dfa_s_max == 2000  # T/20
     assert cfg.dcca_s_max == 8000  # T/5
-    assert cfg.sim_truncation == 40_000  # max(T, 1e4)
 
 
 def test_estimator_list_is_canonicalized():
@@ -128,7 +126,7 @@ def test_default_config_helper():
 
 def test_rejects_missing_experiment_section():
     with pytest.raises(ConfigError, match=r"\[experiment\]"):
-        parse_config("[simulation]\ntruncation = 10\n")
+        parse_config("[dfa]\nstep = 5\n")
 
 
 def test_rejects_malformed_ini():
@@ -178,6 +176,22 @@ def test_rejects_removed_theory_section():
     # theory is exact: an old [theory] ccf_truncation key has nothing to set
     with pytest.raises(ConfigError, match=r"unknown section \[theory\]"):
         parse_config(MINIMAL + "[theory]\nccf_truncation = 100000\n")
+
+
+def test_rejects_removed_simulation_section():
+    # simulation cuts at the fixed M = max(T, 1e4): [simulation] truncation is gone
+    with pytest.raises(ConfigError, match=r"unknown section \[simulation\]"):
+        parse_config(MINIMAL + "[simulation]\ntruncation = 500\n")
+
+
+def test_rejects_inadmissible_covariance():
+    # var_2 = 4, var_3 = 1: |sigma_23| may not exceed 2
+    with pytest.raises(ConfigError, match=r"\[covariance\] covariance matrix is not positive"):
+        parse_config(INLINE.replace("sigma_23 = 0.25", "sigma_23 = 2.5"))
+    with pytest.raises(ConfigError, match=r"\[covariance\] variances must be positive"):
+        parse_config(INLINE.replace("var_2 = 4.0", "var_2 = -1.0"))
+    edge = parse_config(INLINE.replace("sigma_23 = 0.25", "sigma_23 = 2.0"))
+    assert edge.model.covariance.sigma(2, 3) == 2.0  # the PSD boundary is admissible
 
 
 def test_rejects_bad_inline_model():
@@ -254,7 +268,6 @@ NON_DEFAULT = {
     "hxa_tau_min": "2",
     "hxa_tau_max": "50",
     "ccf_max_lag": "30",
-    "sim_truncation": "12000",
 }
 
 

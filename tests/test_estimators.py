@@ -20,7 +20,7 @@ from crossarfima.estimators import (
     powerlaw_fit,
     sample_ccf,
 )
-from crossarfima.filters import causal_filter, ma_weights
+from crossarfima.filters import ma_weights
 from crossarfima.models import PRESETS, simulate
 
 
@@ -93,7 +93,7 @@ def brute_hxa(x, y, taus):
 def arfima_draw(d, T, seed):
     w = ma_weights(d, T)
     z = np.random.default_rng(seed).standard_normal(2 * T)
-    return causal_filter(z, w)
+    return np.convolve(z, w, "valid")
 
 
 # ----------------------------------------------------------------------

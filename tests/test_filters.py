@@ -1,4 +1,4 @@
-"""MA weight construction and the causal filter kernel."""
+"""MA weight construction and the FFT convolution that filters with them."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 from scipy.special import gammaln
 
-from crossarfima.filters import _smooth_length, ar1_weights, causal_filter, fft_convolve, ma_weights
+from crossarfima.filters import _smooth_length, ar1_weights, fft_convolve, ma_weights
 
 
 def gamma_ratio_weights(d, M):
@@ -119,8 +119,13 @@ def test_weight_vector_is_read_only():
 
 
 # ----------------------------------------------------------------------
-# causal filter
+# causal filtering: the "valid" slice of fft_convolve, as simulate takes it
 # ----------------------------------------------------------------------
+
+
+def causal(x, w):
+    """output[t] = sum_n w[n] x[t+M-n] for the T = len(x) - M outputs, M = len(w) - 1."""
+    return fft_convolve(x, w)[len(w) - 1 : len(x)]
 
 
 def test_impulse_response_recovers_weights():
@@ -132,7 +137,7 @@ def test_impulse_response_recovers_weights():
     w = ma_weights(0.4, M)
     x = np.zeros(M + T)
     x[M] = 1.0
-    out = causal_filter(x, w)
+    out = causal(x, w)
     assert np.allclose(out, w[:T], rtol=0, atol=1e-14)
 
 
@@ -148,19 +153,16 @@ def test_filter_matches_double_loop():
         expected = np.array(
             [sum(w[n] * x[t + M - n] for n in range(M + 1)) for t in range(T)]
         )
-        for method in ("direct", "fft", "auto"):
-            out = causal_filter(x, w, method=method)
-            assert out.shape == (T,)
-            assert np.allclose(out, expected, rtol=0, atol=1e-10)
+        out = causal(x, w)
+        assert out.shape == (T,)
+        assert np.allclose(out, expected, rtol=0, atol=1e-10)
 
 
 def test_fft_agrees_with_direct_on_long_input():
     rng = np.random.default_rng(11)
     w = ma_weights(0.45, 400)
     x = rng.standard_normal(400 + 5000)
-    a = causal_filter(x, w, method="direct")
-    b = causal_filter(x, w, method="fft")
-    assert np.max(np.abs(a - b)) < 1e-10
+    assert np.max(np.abs(causal(x, w) - np.convolve(x, w, "valid"))) < 1e-10
 
 
 def test_filter_is_linear():
@@ -168,28 +170,17 @@ def test_filter_is_linear():
     w = ma_weights(0.2, 50)
     x1 = rng.standard_normal(200)
     x2 = rng.standard_normal(200)
-    lhs = causal_filter(3.0 * x1 - 0.5 * x2, w)
-    rhs = 3.0 * causal_filter(x1, w) - 0.5 * causal_filter(x2, w)
+    lhs = causal(3.0 * x1 - 0.5 * x2, w)
+    rhs = 3.0 * causal(x1, w) - 0.5 * causal(x2, w)
     assert np.allclose(lhs, rhs, rtol=0, atol=1e-12)
 
 
 def test_white_filter_is_identity():
+    # a one-tap filter is applied exactly, as in fftconvolve: simulate
+    # passes white-noise streams through unchanged
     rng = np.random.default_rng(5)
     x = rng.standard_normal(64)
-    # the FFT path too: a one-tap filter is applied exactly, as in fftconvolve
-    for method in ("direct", "fft", "auto"):
-        assert np.array_equal(causal_filter(x, [1.0], method=method), x)
-
-
-def test_filter_rejects_short_stream():
-    w = ma_weights(0.3, 10)
-    with pytest.raises(ValueError, match="too short"):
-        causal_filter(np.zeros(10), w)  # needs at least M+1 = 11 samples
-
-
-def test_filter_rejects_unknown_method():
-    with pytest.raises(ValueError, match="method"):
-        causal_filter(np.zeros(5), [1.0], method="wavelet")
+    assert np.array_equal(causal(x, np.ones(1)), x)
 
 
 # ----------------------------------------------------------------------
@@ -212,7 +203,7 @@ def test_smooth_length_is_scipys_real_fast_length():
         (1, 1), (1, 7), (2, 3), (7, 13), (97, 89), (101, 1),
         # the output length n1 + n2 - 1 lands on and just past 2-3-5-smooth sizes
         (257, 256), (258, 256), (500, 501), (501, 501), (7_919, 7_907),
-        # causal_filter at T = M = 1e4 and 1e5: T + M innovations, M + 1 weights
+        # simulate at T = M = 1e4 and 1e5: T + M innovations, M + 1 weights
         (20_000, 10_001), (200_000, 100_001),
         # theoretical_ccf at K = 1e5: K + L + 1 weights against K + 1, L = 100 and 1000
         (100_101, 100_001), (101_001, 100_001),

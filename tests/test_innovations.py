@@ -126,16 +126,15 @@ def test_sample_shape_and_determinism():
     a = sample(spec, 500, seed=42)
     b = sample(spec, 500, seed=42)
     c = sample(spec, 500, seed=43)
-    assert a.streams.shape == (4, 500)
-    assert a.length == 500
-    assert np.array_equal(a.streams, b.streams)
-    assert not np.array_equal(a.streams, c.streams)
+    assert a.shape == (4, 500)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_sample_streams_are_read_only():
-    block = sample(CovarianceSpec(), 10, seed=0)
+    streams = sample(CovarianceSpec(), 10, seed=0)
     with pytest.raises(ValueError):
-        block.streams[0, 0] = 1.0
+        streams[0, 0] = 1.0
 
 
 def test_sample_rejects_nonpositive_length():
@@ -150,8 +149,7 @@ def test_sample_moments():
     sqrt(2)/1000, so 0.01 bands are seven-sigma safe.
     """
     spec = CovarianceSpec(variances=(1.0, 2.0, 1.0, 1.0), covariances={(2, 3): 0.9, (1, 4): -0.4})
-    block = sample(spec, 1_000_000, seed=123)
-    z = block.streams
+    z = sample(spec, 1_000_000, seed=123)
     assert np.max(np.abs(z.mean(axis=1))) < 0.01
     emp = (z @ z.T) / z.shape[1]
     assert np.max(np.abs(emp - spec.matrix())) < 0.01
@@ -160,6 +158,6 @@ def test_sample_moments():
 def test_sample_has_no_serial_correlation():
     # contemporaneous-only coupling: lag-1 cross moments vanish
     spec = CovarianceSpec(covariances={(2, 3): 0.9})
-    z = sample(spec, 1_000_000, seed=7).streams
+    z = sample(spec, 1_000_000, seed=7)
     lag1 = (z[:, 1:] @ z[:, :-1].T) / (z.shape[1] - 1)
     assert np.max(np.abs(lag1)) < 0.01

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from crossarfima.errors import NotPositiveSemiDefiniteError
-from crossarfima.innovations import CovarianceSpec
+from crossarfima.filters import ar1_weights, ma_weights
+from crossarfima.innovations import CovarianceSpec, sample
 from crossarfima.models import (
+    PRESETS,
     ComponentSpec,
     ModelSpec,
     ar1,
@@ -107,10 +109,10 @@ def test_component_validation():
             white(1.0, slot=slot)
 
 
-def test_ma_coefficients_zero_pad():
-    # a white component has a one-tap kernel; the table pads with zeros
+def test_ma_coefficients_white_is_one_tap():
+    # a white component's kernel is the one tap [1] at every horizon
     c = white(1.0, slot=2)
-    assert np.array_equal(c.ma_coefficients(5), [1, 0, 0, 0, 0, 0])
+    assert np.array_equal(c.ma_coefficients(5), [1.0])
     f = fractional(0.3, 1.0, slot=1)
     assert f.ma_coefficients(5).shape == (6,)
     assert f.ma_coefficients(5)[1] == pytest.approx(0.3, abs=1e-15)
@@ -260,8 +262,37 @@ def test_simulate_deterministic_and_sized():
 
 
 def test_simulate_default_truncation_grows_with_T():
+    # M = max(T, 1e4) is fixed: a simulation depends on the model, T and seed only
     assert simulate(model3(), T=200, seed=0).truncation == 10_000
-    assert simulate(model3(), T=12_000, seed=0, truncation=500).truncation == 500
+    assert simulate(model3(), T=12_000, seed=0).truncation == 12_000
+
+
+@pytest.mark.parametrize("T", [200, 3000])
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_simulate_matches_direct_convolution(name, T):
+    """Each series is sum_c w_c (a_c * stream_c), summed directly by np.convolve.
+
+    The reference draws the same T + M innovations and filters every
+    component with its M + 1 weights, white noise with the identity
+    filter a = (1, 0, ..., 0), keeping the T outputs of "valid" mode.
+    """
+    model = PRESETS[name]()
+    seed = 11
+    M = max(T, 10_000)
+    streams = sample(model.covariance, T + M, seed)
+
+    def taps(c):
+        if c.kind == "ar1":
+            return ar1_weights(c.param, M)
+        return ma_weights(c.memory, M)
+
+    def direct(comps):
+        return sum(c.weight * np.convolve(streams[c.slot - 1], taps(c), "valid") for c in comps)
+
+    s = simulate(model, T, seed)
+    for got, ref in ((s.x, direct(model.x_components)), (s.y, direct(model.y_components))):
+        assert got.shape == ref.shape == (T,)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_simulate_x_independent_of_y_definition():
@@ -282,7 +313,7 @@ def test_simulate_rejects_bad_arguments():
     with pytest.raises(ValueError):
         simulate(model1(), T=0, seed=1)
     with pytest.raises(ValueError):
-        simulate(model1(), T=100, seed=1, truncation=-5)
+        simulate(model1(), T=-3, seed=1)
 
 
 def test_series_is_read_only():
@@ -503,6 +534,7 @@ def test_cross_spectrum_matches_double_sum(make, rel):
 
 
 def test_covariance_admissibility_surfaces_in_simulate():
+    # |sigma_23| > sigma_2 sigma_3: theory refuses it too, or rho(0) would exceed 1
     m = ModelSpec(
         x_components=model1().x_components,
         y_components=model1().y_components,
@@ -510,3 +542,6 @@ def test_covariance_admissibility_surfaces_in_simulate():
     )
     with pytest.raises(NotPositiveSemiDefiniteError):
         simulate(m, T=100, seed=0)
+    for call in (theoretical_exponents, theoretical_ccf, lambda m: cross_spectrum(m, 1.0)):
+        with pytest.raises(NotPositiveSemiDefiniteError):
+            call(m)
