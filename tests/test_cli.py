@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,27 @@ def test_simulate_is_deterministic(tmp_path):
     assert main(args + ["--output", str(tmp_path / "b")]) == 0
     for name in ("series_r0000.csv", "series_r0001.csv"):
         assert read_bytes(tmp_path / "a" / name) == read_bytes(tmp_path / "b" / name)
+
+
+# the printed forms these take are the edge cases of "%.12g": signed zero,
+# the smallest subnormal, exponent notation at 1e16 and above, rounding at
+# the twelfth digit, and small negative exponents
+AWKWARD_FLOATS = [-0.0, 5e-324, 1e22, 1e16 + 1, 123456789012.5, -1.5e-7, 0.1, -np.inf, np.nan]
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, cli._CHUNK_ROWS, cli._CHUNK_ROWS + 1])
+def test_write_table_matches_csv_writer(tmp_path, n_rows):
+    # the column writer must give the bytes of csv.writer over str and _fmt cells
+    rng = np.random.default_rng(n_rows)
+    # integers past 12 digits, which a float format would round
+    ints = np.arange(n_rows) * 1_000_000_007 - 10**12
+    awkward = np.resize(AWKWARD_FLOATS, n_rows)
+    wide = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-20, 20, n_rows)
+    header = ["int", "awkward", "wide"]
+    cli._write_table(str(tmp_path / "table.csv"), header, [ints, awkward, wide])
+    rows = ([str(k), cli._fmt(a), cli._fmt(w)] for k, a, w in zip(ints, awkward, wide))
+    cli._write_csv(str(tmp_path / "reference.csv"), header, rows)
+    assert read_bytes(tmp_path / "table.csv") == read_bytes(tmp_path / "reference.csv")
 
 
 def test_simulate_rejects_short_series(tmp_path, capsys):
@@ -144,6 +166,16 @@ def simulate_files(tmp_path, model="model1", T=2000, reps=1, seed=42):
     )
     assert rc == 0
     return sorted(str(p) for p in out.iterdir())
+
+
+def test_series_file_round_trip_keeps_12_digits(tmp_path):
+    # reading a written series file back gives each value rounded to 12
+    # significant digits, exactly
+    path = simulate_files(tmp_path, T=3000)[0]
+    x, y = cli._load_series_file(path)
+    ref = simulate(model1(), T=3000, seed=42)
+    for got, want in ((x, ref.x), (y, ref.y)):
+        assert np.array_equal(got, [float(format(v, ".12g")) for v in want.tolist()])
 
 
 def test_estimate_reports_all_estimators(tmp_path):
@@ -265,6 +297,34 @@ def test_estimate_unreadable_input_fails_alone(tmp_path, capsys):
     assert "missing.csv" in capsys.readouterr().err
 
 
+def test_estimate_empty_or_header_only_input_fails_alone(tmp_path, capsys):
+    # a file with no data rows fails its own rows with that message, and
+    # numpy's empty-input warning does not leak
+    good = simulate_files(tmp_path, T=3000)[0]
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text("t,x,y\n")
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    out = tmp_path / "o"
+    args = ["estimate", "--T", "3000", "--estimators", "hxa,ccf"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(args + ["--output", str(out), good, str(header_only), str(empty)])
+    assert rc == 0
+    assert not caught
+    _, rows = read_csv(out / "estimates.csv")
+    assert [(r[0], r[1], r[3]) for r in rows] == [
+        (good, "hxa", "ok"),
+        *((str(p), name, "failed") for p in (header_only, empty) for name in ("hxa", "ccf")),
+    ]
+    assert [r[7] for r in rows[1:]] == [f"{header_only}: no data rows"] * 2 + [f"{empty}: no data rows"] * 2
+    assert sorted(os.listdir(out)) == ["ccf_series_r0000.csv", "estimates.csv"]
+    # the two alone: nothing succeeded
+    rc = main(args + ["--output", str(tmp_path / "o2"), str(header_only), str(empty)])
+    assert rc == 2
+    assert capsys.readouterr().err == "all estimations failed\n"
+
+
 def test_estimate_directory_input_fails_alone(tmp_path, capsys):
     # a path that exists but cannot be opened as a file fails its own rows
     # with the OS message; the good file's rows and CCF table are written
@@ -365,6 +425,8 @@ def test_theory_spectrum_written_for_mixed_models(tmp_path):
     ref = cross_spectrum(model2(), lams)
     assert np.allclose([float(r[1]) for r in spec], ref.real, rtol=1e-11, atol=1e-13)
     assert np.allclose([float(r[2]) for r in spec], ref.imag, rtol=1e-11, atol=1e-13)
+    # each cell is the 12-digit text of the value, |f| as Python's abs gives it
+    assert [r[1:] for r in spec] == [[cli._fmt(v.real), cli._fmt(v.imag), cli._fmt(abs(v))] for v in ref]
 
 
 @pytest.mark.parametrize("flag", ["--ccf-truncation", "--truncation", "--spectrum"])

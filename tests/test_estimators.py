@@ -155,6 +155,21 @@ def test_ccf_invariant_under_positive_affine_maps():
     assert np.allclose(a.values, b.values, rtol=0, atol=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(T=st.integers(3, 400), lag_frac=st.floats(0, 1), seed=st.integers(0, 2**32 - 1),
+       mix=st.floats(-1, 1), scale=st.floats(1e-3, 1e3))
+def test_ccf_swapping_the_series_mirrors_the_lags(T, lag_frac, seed, mix, scale):
+    # rho_xy(k) = rho_yx(-k); the denominators multiply in another order,
+    # so the two agree to rounding, not bit for bit
+    L = int(lag_frac * (T - 1) / 2)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(T)
+    y = scale * (mix * x + rng.standard_normal(T)) + 5.0
+    xy = sample_ccf(x, y, L).values
+    yx = sample_ccf(y, x, L).values
+    np.testing.assert_allclose(xy, yx[::-1], rtol=1e-15, atol=0)
+
+
 def test_ccf_preconditions():
     x = np.arange(10.0)
     with pytest.raises(ValueError, match="max_lag"):

@@ -1,0 +1,132 @@
+"""Time each layer of crossarfima at T = 1e4 and 1e5 and write the table as JSON.
+
+The layers are the innovation draw, ``simulate``, ``dfa``, ``dcca``,
+``hxa``, ``sample_ccf`` and ``theoretical_ccf``, plus the write and the
+read of one series file as the CLI does them.  Every timing is of model1
+with fixed seeds, estimator windows are the CLI's T-scaled defaults, and
+each row reports the median and the best of its runs after one untimed
+warm-up call.  BLAS runs on one thread.
+
+Run from the repository root; it times the ``src/`` tree beside this
+directory and takes well under a minute on a 2-core VM:
+
+    python tools/layers.py --output layers.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import platform
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+import crossarfima  # noqa: E402
+from crossarfima import cli  # noqa: E402
+from crossarfima.config import default_config  # noqa: E402
+from crossarfima.estimators import dcca, dfa, hxa, sample_ccf  # noqa: E402
+from crossarfima.innovations import sample  # noqa: E402
+from crossarfima.models import model1, simulate, theoretical_ccf  # noqa: E402
+
+SIZES = (10_000, 100_000)
+SEED = 42
+RUNS = 7
+CCF_LAGS = (100, 1000)
+
+
+def _time(call) -> dict:
+    call()
+    times = []
+    for _ in range(RUNS):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return {"median_ms": 1e3 * statistics.median(times), "best_ms": 1e3 * min(times)}
+
+
+def _write_series(cfg, series):
+    """cli.cmd_simulate with the draw taken out: the file write alone."""
+    draw = cli.simulate
+    cli.simulate = lambda model, T, seed: series
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.cmd_simulate(cfg)
+    finally:
+        cli.simulate = draw
+
+
+def layer_rows(T: int, workdir: str) -> dict:
+    model = model1()
+    cfg = default_config("model1", t=str(T), replications="1", base_seed=str(SEED), output_dir=workdir)
+    series = simulate(model, T, SEED)
+    x, y = series.x, series.y
+    path = os.path.join(workdir, "series_r0000.csv")
+    calls = {
+        "innovation draw": lambda: sample(model.covariance, T + series.truncation, SEED),
+        "simulate": lambda: simulate(model, T, SEED),
+        "dfa": lambda: dfa(x, cfg.dfa_s_min, cfg.dfa_s_max, cfg.dfa_step, cfg.detrend_order),
+        "dcca": lambda: dcca(x, y, cfg.dcca_s_min, cfg.dcca_s_max, cfg.dcca_step, cfg.detrend_order),
+        "hxa": lambda: hxa(x, y, cfg.hxa_tau_min, cfg.hxa_tau_max),
+        "sample_ccf": lambda: sample_ccf(x, y, cfg.ccf_max_lag),
+        "csv write": lambda: _write_series(cfg, series),
+        "csv read": lambda: cli._load_series_file(path),
+    }
+    rows = {name: _time(call) for name, call in calls.items()}
+    rows["csv write"]["bytes"] = os.path.getsize(path)
+    return rows
+
+
+def machine() -> dict:
+    cpu = platform.processor()
+    with contextlib.suppress(OSError):
+        with open("/proc/cpuinfo") as f:
+            cpu = next((line.split(":", 1)[1].strip() for line in f if line.startswith("model name")), cpu)
+    return {
+        "cpu": cpu,
+        "cores": os.cpu_count(),
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "crossarfima": crossarfima.__version__,
+        "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--output", required=True, help="JSON file to write")
+    args = parser.parse_args(argv)
+
+    started = time.perf_counter()
+    result = {"machine": machine(), "model": "model1", "seed": SEED, "runs": RUNS, "layers": {}}
+    with tempfile.TemporaryDirectory() as workdir:
+        for T in SIZES:
+            result["layers"][f"T={T}"] = layer_rows(T, workdir)
+    result["layers"]["theoretical_ccf"] = {
+        f"L={L}": _time(lambda: theoretical_ccf(model1(), max_lag=L)) for L in CCF_LAGS
+    }
+    result["total_s"] = time.perf_counter() - started
+
+    Path(args.output).write_text(json.dumps(result, indent=2) + "\n")
+    for size, rows in result["layers"].items():
+        for name, row in rows.items():
+            print(f"{size:>16s}  {name:16s}  median {row['median_ms']:9.2f} ms  best {row['best_ms']:9.2f} ms")
+    print(f"wrote {args.output} in {result['total_s']:.1f} s")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
