@@ -4,8 +4,8 @@ Configuration comes from an INI file (see config module), from presets
 by name, or from flags; flags always win.  Outputs are delimited text
 with a header row and 12-significant-digit floats, written to the
 configured output directory.  Runs are deterministic given the config
-and base seed: replication r uses seed base_seed + r and aggregation is
-keyed by replication index, so worker count does not affect results.
+and base seed: replication r uses seed base_seed + r and the results
+are kept in replication order, so worker count does not affect results.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime or estimation
 failure.
@@ -20,13 +20,15 @@ import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from .config import ESTIMATOR_NAMES, SETTINGS, ExperimentConfig, parse_config
 from .errors import ConfigError, CrossArfimaError
-from .estimators import dcca, dfa, fit_hurst, hxa, sample_ccf
+from .estimators import CcfSeries, dcca, dfa, fit_hurst, hxa, sample_ccf
 from .models import cross_spectrum, simulate, theoretical_ccf, theoretical_exponents
+from .reports import ccf_comparison
 
 SPECTRUM_GRID = (1e-4, float(np.pi), 200)
 # rows per write in _write_table; larger chunks write no faster and raise
@@ -107,28 +109,8 @@ ESTIMATES = (
 )
 
 
-def _estimate_pair(x, y, cfg: ExperimentConfig):
-    """All configured Hurst estimates for one (x, y) pair, plus the CCF.
-
-    A CCF that cannot be computed adds a failed ("ccf", "rho") row and
-    gives None for the values, as when the CCF is not configured.
-    """
-    rows = [
-        _fit_row(name, target, lambda: call(x, y, cfg))
-        for name, target, _, call in ESTIMATES
-        if name in cfg.estimators
-    ]
-    ccf_values = None
-    if "ccf" in cfg.estimators:
-        try:
-            ccf_values = sample_ccf(x, y, cfg.ccf_max_lag).values
-        except (CrossArfimaError, ValueError) as e:
-            rows.append(EstimateRow("ccf", "rho", False, np.nan, np.nan, 0, str(e)))
-    return rows, ccf_values
-
-
 def _failed_rows(cfg: ExperimentConfig, message: str) -> list[EstimateRow]:
-    """The rows of _estimate_pair for a pair that could not be made: every
+    """The rows of _pair_rows for a pair that could not be made: every
     configured estimate, the CCF included, failed with the one message."""
     targets = [(name, target) for name, target, _, _ in ESTIMATES if name in cfg.estimators]
     if "ccf" in cfg.estimators:
@@ -136,10 +118,45 @@ def _failed_rows(cfg: ExperimentConfig, message: str) -> list[EstimateRow]:
     return [EstimateRow(name, target, False, np.nan, np.nan, 0, message) for name, target in targets]
 
 
-def _estimate_rows_to_csv(rows: list[tuple]) -> list[list[str]]:
-    out = []
-    for prefix, row in rows:
-        out.append(
+def _pair_rows(cfg: ExperimentConfig, make_pair):
+    """Estimate rows and CCF (a CcfSeries or None) of the pair make_pair() gives.
+
+    The one failure rule for series files and replications: a missing
+    input is re-raised, so it stays a config error; a pair that cannot be
+    made (read, parsed or simulated) gets _failed_rows, and a CCF that
+    cannot be computed one failed ("ccf", "rho") row.
+    """
+    try:
+        x, y = make_pair()
+    except FileNotFoundError:
+        raise
+    except (CrossArfimaError, ValueError, OSError) as e:
+        return _failed_rows(cfg, str(e)), None
+    rows = [
+        _fit_row(name, target, lambda: call(x, y, cfg))
+        for name, target, _, call in ESTIMATES
+        if name in cfg.estimators
+    ]
+    ccf = None
+    if "ccf" in cfg.estimators:
+        try:
+            ccf = sample_ccf(x, y, cfg.ccf_max_lag)
+        except (CrossArfimaError, ValueError) as e:
+            rows.append(EstimateRow("ccf", "rho", False, np.nan, np.nan, 0, str(e)))
+    return rows, ccf
+
+
+ESTIMATE_COLUMNS = ["estimator", "target", "status", "exponent", "stderr", "n_points", "notes"]
+
+
+def _write_estimates(path: str, prefix_columns: list[str], table) -> bool:
+    """Write one line per estimate row of table's (prefix cells, rows, ccf)
+    items.  True if any estimate is ok or any CCF was computed: a command
+    whose pairs gave neither exits 2."""
+    _write_csv(
+        path,
+        prefix_columns + ESTIMATE_COLUMNS,
+        (
             prefix
             + [
                 row.estimator,
@@ -150,8 +167,11 @@ def _estimate_rows_to_csv(rows: list[tuple]) -> list[list[str]]:
                 str(row.n_points),
                 row.message,
             ]
-        )
-    return out
+            for prefix, rows, _ in table
+            for row in rows
+        ),
+    )
+    return any(row.ok for _, rows, _ in table for row in rows) or any(ccf is not None for *_, ccf in table)
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
@@ -201,31 +221,13 @@ def cmd_estimate(cfg: ExperimentConfig, inputs: list[str]) -> int:
             if owners.setdefault(name, path) != path:
                 raise ConfigError(f"inputs {owners[name]} and {path} would both write {name}")
     outdir = _ensure_outdir(cfg)
-    table: list[tuple] = []
-    any_ok = False
+    table = []
     for path in inputs:
-        # a missing file stays a config error; one that cannot be opened or
-        # parsed (a directory, say) fails its own rows
-        try:
-            x, y = _load_series_file(path)
-        except FileNotFoundError:
-            raise
-        except (ValueError, OSError) as e:
-            rows, ccf_values = _failed_rows(cfg, str(e)), None
-        else:
-            rows, ccf_values = _estimate_pair(x, y, cfg)
-        table.extend(([path], row) for row in rows)
-        any_ok = any_ok or any(r.ok for r in rows)
-        if ccf_values is not None:
-            any_ok = True
-            lags = np.arange(-cfg.ccf_max_lag, cfg.ccf_max_lag + 1)
-            _write_table(os.path.join(outdir, _ccf_table_name(path)), ["lag", "rho"], [lags, ccf_values])
-    _write_csv(
-        os.path.join(outdir, "estimates.csv"),
-        ["file", "estimator", "target", "status", "exponent", "stderr", "n_points", "notes"],
-        _estimate_rows_to_csv(table),
-    )
-    if not any_ok:
+        rows, ccf = _pair_rows(cfg, lambda: _load_series_file(path))
+        table.append(([path], rows, ccf))
+        if ccf is not None:
+            _write_table(os.path.join(outdir, _ccf_table_name(path)), ["lag", "rho"], [ccf.lags, ccf.values])
+    if not _write_estimates(os.path.join(outdir, "estimates.csv"), ["file"], table):
         print("all estimations failed", file=sys.stderr)
         return 2
     return 0
@@ -264,15 +266,9 @@ def cmd_theory(cfg: ExperimentConfig, spectrum_points: int) -> int:
     return 0
 
 
-def _replication_worker(args: tuple[ExperimentConfig, int]):
-    cfg, rep = args
-    seed = cfg.base_seed + rep
-    try:
-        series = simulate(cfg.model, cfg.T, seed)
-    except (CrossArfimaError, ValueError) as e:
-        return rep, seed, _failed_rows(cfg, str(e)), None
-    rows, ccf_values = _estimate_pair(series.x, series.y, cfg)
-    return rep, seed, rows, ccf_values
+def _replication_worker(job: tuple[ExperimentConfig, int]):
+    cfg, seed = job
+    return _pair_rows(cfg, lambda: attrgetter("x", "y")(simulate(cfg.model, cfg.T, seed)))
 
 
 def cmd_experiment(cfg: ExperimentConfig, workers: int) -> int:
@@ -281,46 +277,26 @@ def cmd_experiment(cfg: ExperimentConfig, workers: int) -> int:
     # a fork pool starts all max_workers processes at the first submit
     workers = min(workers, cfg.replications, os.cpu_count() or 1)
     outdir = _ensure_outdir(cfg)
-    jobs = [(cfg, rep) for rep in range(cfg.replications)]
+    seeds = cfg.seeds()
+    jobs = [(cfg, seed) for seed in seeds]
+    # map gives the results in job order, whichever worker ran each job
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replication_worker, jobs))
     else:
         results = [_replication_worker(job) for job in jobs]
-    results.sort(key=lambda item: item[0])
 
-    rep_table: list[tuple] = []
-    ccf_stack = []
-    for rep, seed, rows, ccf_values in results:
-        rep_table.extend(([str(rep), str(seed)], row) for row in rows)
-        if ccf_values is not None:
-            ccf_stack.append(ccf_values)
-    _write_csv(
-        os.path.join(outdir, "replications.csv"),
-        [
-            "replication",
-            "seed",
-            "estimator",
-            "target",
-            "status",
-            "exponent",
-            "stderr",
-            "n_points",
-            "notes",
-        ],
-        _estimate_rows_to_csv(rep_table),
-    )
+    table = [([str(rep), str(seed)], *result) for rep, (seed, result) in enumerate(zip(seeds, results))]
+    any_result = _write_estimates(os.path.join(outdir, "replications.csv"), ["replication", "seed"], table)
 
     theory = theoretical_exponents(cfg.model)
-    groups: dict[tuple[str, str], list[float]] = {}
-    for _, row in rep_table:
-        if row.ok:
-            groups.setdefault((row.estimator, row.target), []).append(row.exponent)
     summary_rows = []
     for name, target, attr, _ in ESTIMATES:
-        if (name, target) not in groups:
+        vals = np.array(
+            [r.exponent for _, rows, _ in table for r in rows if r.ok and (r.estimator, r.target) == (name, target)]
+        )
+        if vals.size == 0:
             continue
-        vals = np.array(groups[name, target])
         summary_rows.append(
             [
                 name,
@@ -344,17 +320,17 @@ def cmd_experiment(cfg: ExperimentConfig, workers: int) -> int:
             f"sd={float(row[4]):.4f}  theory={float(row[7]):.4f}"
         )
 
-    if ccf_stack:
-        mean_ccf = np.mean(np.stack(ccf_stack), axis=0)
-        L = cfg.ccf_max_lag
-        theory_ccf = theoretical_ccf(cfg.model, max_lag=L)
+    ccfs = [ccf for _, ccf in results if ccf is not None]
+    if ccfs:
+        mean = CcfSeries(ccfs[0].lags, np.mean(np.stack([ccf.values for ccf in ccfs]), axis=0), cfg.T)
+        cmp = ccf_comparison(mean, cfg.model)
         _write_table(
             os.path.join(outdir, "ccf_mean.csv"),
             ["lag", "mean_sample_rho", "theory_rho", "abs_diff"],
-            [np.arange(-L, L + 1), mean_ccf, theory_ccf, np.abs(mean_ccf - theory_ccf)],
+            [cmp.lags, cmp.sample, cmp.theory, cmp.abs_diff],
         )
 
-    if not groups and not ccf_stack:
+    if not any_result:
         print("all replications failed", file=sys.stderr)
         return 2
     return 0
@@ -369,14 +345,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-_RUN = ("model_name", "T", "base_seed", "output_dir")
 _WINDOWS = ("estimators", *(n for n, s in SETTINGS.items() if s.section in ESTIMATOR_NAMES))
-# which settings each subcommand takes as flags; flags keep the table's order
+# the settings each subcommand reads, which it takes as flags in the table's
+# order; theory reads T through the default CCF max_lag
 COMMAND_SETTINGS = {
-    "simulate": {*_RUN, "replications"},
-    "estimate": {*_RUN, *_WINDOWS},
-    "theory": {*_RUN, "ccf_max_lag"},
-    "experiment": {*_RUN, "replications", *_WINDOWS},
+    "simulate": {"model_name", "T", "replications", "base_seed", "output_dir"},
+    "estimate": {"T", "output_dir", *_WINDOWS},
+    "theory": {"model_name", "T", "output_dir", "ccf_max_lag"},
+    "experiment": set(SETTINGS),
 }
 _COMMAND_HELP = {
     "simulate": "write simulated series files",
@@ -416,8 +392,11 @@ def build_parser() -> _Parser:
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
-        with open(args.config) as f:
-            text = f.read()
+        try:
+            with open(args.config, encoding="utf-8") as f:
+                text = f.read()
+        except (OSError, UnicodeDecodeError) as e:
+            raise ConfigError(str(e)) from None
     else:
         text = "[experiment]\n"
     overrides = {}
@@ -439,13 +418,9 @@ def main(argv=None) -> int:
             return cmd_estimate(cfg, args.inputs)
         if args.command == "theory":
             return cmd_theory(cfg, args.spectrum_points)
-        if args.command == "experiment":
-            return cmd_experiment(cfg, args.workers)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as e:
+        return cmd_experiment(cfg, args.workers)
+    # a missing estimate input is re-raised by _pair_rows as a config error
+    except (ConfigError, FileNotFoundError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
     except (CrossArfimaError, ValueError, OSError) as e:

@@ -2,8 +2,9 @@
 
 These functions produce the numbers behind the usual plots (lagged
 scatter clouds with least-squares lines, sample versus theoretical
-cross-correlation functions) without rendering anything.  They are
-library functions: the CLI does not write these tables.
+cross-correlation functions) without rendering anything.  The CLI
+writes one of them: ``experiment``'s ``ccf_mean.csv`` is the comparison
+of the replication-mean sample CCF.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import ols, sample_ccf
-from .models import BivariateSeries, theoretical_ccf
+from .estimators import CcfSeries, ols
+from .models import BivariateSeries, ModelSpec, theoretical_ccf
 
 MAX_SCATTER_POINTS = 5_000
 
@@ -100,10 +101,10 @@ class CcfComparison:
             )
 
 
-def ccf_comparison(series: BivariateSeries, max_lag: int) -> CcfComparison:
-    """Join the sample CCF of a realization with the model's theoretical CCF."""
-    sample = sample_ccf(series.x, series.y, max_lag)
-    theory = theoretical_ccf(series.model, max_lag=max_lag)
+def ccf_comparison(sample: CcfSeries, model: ModelSpec) -> CcfComparison:
+    """Join a sample CCF, of one realization or a mean over several of
+    length sample.T, with the model's theoretical CCF at the same lags."""
+    theory = theoretical_ccf(model, max_lag=sample.max_lag)
     diff = np.abs(sample.values - theory)
     threshold = 3.0 / math.sqrt(sample.T)
     return CcfComparison(

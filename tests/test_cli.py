@@ -98,12 +98,16 @@ def test_unknown_flag_exits_with_usage_error(tmp_path):
     [
         ["experiment", "--model", "model3", "--T", "300", "--rep", "2"],
         ["simulate", "--model", "model1", "--T", "200", "--truncation", "500"],
+        ["estimate", "series.csv", "--model", "model1"],
+        ["estimate", "series.csv", "--seed", "3"],
+        ["theory", "--model", "model1", "--seed", "3"],
     ],
-    ids=["rep", "truncation"],
+    ids=["rep", "truncation", "estimate-model", "estimate-seed", "theory-seed"],
 )
 def test_abbreviated_or_removed_flag_is_usage_error(tmp_path, capsys, argv):
     # no prefix matching: --rep is not --reps, and the removed --truncation
-    # matches nothing (theory's --spectrum is checked with theory's flags)
+    # matches nothing (theory's --spectrum is checked with theory's flags);
+    # a subcommand takes no flag for a setting it does not read
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--output", str(tmp_path / "o")])
     assert exc.value.code == 1
@@ -182,8 +186,7 @@ def test_estimate_reports_all_estimators(tmp_path):
     files = simulate_files(tmp_path)
     out = tmp_path / "est"
     rc = main(
-        ["estimate", "--model", "model1", "--T", "2000",
-         "--estimators", "dfa,dcca,hxa,ccf", "--output", str(out), *files]
+        ["estimate", "--T", "2000", "--estimators", "dfa,dcca,hxa,ccf", "--output", str(out), *files]
     )
     assert rc == 0
     header, rows = read_csv(out / "estimates.csv")
@@ -203,7 +206,7 @@ def test_estimate_reports_all_estimators(tmp_path):
 
 def test_estimate_is_deterministic(tmp_path):
     files = simulate_files(tmp_path, model="model3", T=1500, seed=11)
-    args = ["estimate", "--model", "model3", "--T", "1500", "--estimators", "dfa,hxa"]
+    args = ["estimate", "--T", "1500", "--estimators", "dfa,hxa"]
     assert main(args + ["--output", str(tmp_path / "e1"), *files]) == 0
     assert main(args + ["--output", str(tmp_path / "e2"), *files]) == 0
     assert read_bytes(tmp_path / "e1" / "estimates.csv") == read_bytes(tmp_path / "e2" / "estimates.csv")
@@ -362,6 +365,14 @@ def test_estimate_rejects_inputs_sharing_a_ccf_table(tmp_path, capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("command", ["estimate", "experiment"])
+def test_a_ccf_alone_is_a_result(tmp_path, command):
+    # both commands exit 2 only when no pair gave an ok estimate or a CCF
+    args = [command, "--T", "2000", "--estimators", "ccf", "--output", str(tmp_path / "o")]
+    args += simulate_files(tmp_path) if command == "estimate" else ["--reps", "2"]
+    assert main(args) == 0
+
+
 def test_estimate_degenerate_input_fails_cleanly(tmp_path, capsys):
     path = tmp_path / "flat.csv"
     with open(path, "w") as f:
@@ -484,6 +495,8 @@ def test_experiment_summary_and_replication_tables(tmp_path, capsys):
     header, ccf = read_csv(out / "ccf_mean.csv")
     assert header == ["lag", "mean_sample_rho", "theory_rho", "abs_diff"]
     assert len(ccf) == 201
+    # the theory column is the model's exact CCF at lags -100..100
+    assert [r[2] for r in ccf] == [cli._fmt(v) for v in theoretical_ccf(model1(), max_lag=100)]
     stdout = capsys.readouterr().out
     assert "dfa" in stdout and "hxy" in stdout  # summary table echoed
 
@@ -526,6 +539,25 @@ def test_experiment_failed_simulation_becomes_failed_rows(tmp_path, monkeypatch)
     _, ccf = read_csv(tmp_path / "w1" / "ccf_mean.csv")
     lag0 = [sample_ccf(s.x, s.y, 100).at(0) for s in (real(model1(), 2000, seed) for seed in (42, 44))]
     assert float(ccf[100][1]) == pytest.approx(np.mean(lag0), rel=1e-11)
+
+
+@pytest.mark.parametrize("preset", ["model1", "model2", "model3"])
+def test_estimate_and_experiment_give_the_same_rows(tmp_path, preset):
+    # estimate on a file holding replication 1 to the bit gives that
+    # replication's rows: the two commands share one per-pair path
+    estimators = ["--estimators", "dfa,dcca,hxa,ccf"]
+    exp = tmp_path / "exp"
+    assert main(["experiment", "--model", preset, "--T", "2000", "--reps", "2", "--seed", "42",
+                 *estimators, "--output", str(exp)]) == 0
+    s = simulate(getattr(crossarfima, preset)(), T=2000, seed=43)
+    path = tmp_path / "rep1.csv"
+    np.savetxt(path, np.column_stack([s.x, s.y]), fmt="%.17g", delimiter=",")
+    est = tmp_path / "est"
+    assert main(["estimate", "--T", "2000", *estimators, "--output", str(est), str(path)]) == 0
+    _, reps = read_csv(exp / "replications.csv")
+    _, rows = read_csv(est / "estimates.csv")
+    assert len(rows) == 4
+    assert [r[1:] for r in rows] == [r[2:] for r in reps if r[:2] == ["1", "43"]]
 
 
 def test_experiment_workers_validated_and_clamped(tmp_path, monkeypatch, capsys):
@@ -596,6 +628,19 @@ def test_missing_config_file(tmp_path, capsys):
                str(tmp_path / "o")])
     assert rc == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+def test_unreadable_config_file_is_a_config_error(tmp_path, capsys, kind):
+    path = tmp_path / "run.ini"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"[experiment]\nmodel = model\xe91\n")
+    out = tmp_path / "o"
+    assert main(["theory", "--config", str(path), "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
 
 
 def test_console_script_smoke(tmp_path):

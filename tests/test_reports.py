@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from crossarfima.estimators import sample_ccf
 from crossarfima.models import BivariateSeries, model1, model2, model3, simulate, theoretical_ccf
 from crossarfima.reports import MAX_SCATTER_POINTS, ccf_comparison, lag_scatter
 
@@ -110,7 +111,7 @@ def test_scatter_separates_real_from_spurious_dependence():
 
 def test_comparison_table_is_internally_consistent():
     s = simulate(model1(), T=10_000, seed=42)
-    cmp = ccf_comparison(s, max_lag=30)
+    cmp = ccf_comparison(sample_ccf(s.x, s.y, 30), s.model)
     assert np.array_equal(cmp.lags, np.arange(-30, 31))
     assert cmp.T == 10_000
     assert np.array_equal(cmp.abs_diff, np.abs(cmp.sample - cmp.theory))
@@ -131,7 +132,7 @@ def test_comparison_model2_tails():
     memory, so it only obeys a looser 0.12 envelope at this length.
     """
     s = simulate(model2(), T=10_000, seed=42)
-    cmp = ccf_comparison(s, max_lag=100)
+    cmp = ccf_comparison(sample_ccf(s.x, s.y, 100), s.model)
     tail = np.abs(cmp.lags) > 30
     assert np.max(np.abs(cmp.theory[tail])) < 0.02
     assert np.max(np.abs(cmp.sample[tail])) < 0.12
@@ -149,7 +150,7 @@ def test_comparison_model3_spike_dominates_noise():
     the limit (+0.019 at M = T = 1e5).
     """
     s = simulate(model3(), T=100_000, seed=7)
-    cmp = ccf_comparison(s, max_lag=50)
+    cmp = ccf_comparison(sample_ccf(s.x, s.y, 50), s.model)
     off = cmp.lags != 0
     assert np.all(cmp.theory[off] == 0.0)
     assert np.max(np.abs(cmp.sample[off])) < 0.05

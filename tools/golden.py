@@ -1,0 +1,134 @@
+"""Run a fixed list of crossarfima CLI calls and keep every output, for byte comparison.
+
+Each call runs in this process through ``crossarfima.cli.main``, with the
+package imported from ``--src`` (put first on ``sys.path``), BLAS on one
+thread and the working directory set to ``--output``.  Every path in the
+calls is relative, so the file columns of ``estimates.csv`` read the same
+in every run.  The script writes each call's argv, exit code, stdout and
+stderr to ``calls.json`` beside the output files.  Two source trees give
+the same outputs when the two output directories compare equal:
+
+    python tools/golden.py --src src --output golden-new
+    python tools/golden.py --src ../parent/src --output golden-old
+    diff -r golden-old golden-new
+
+The calls are ``simulate`` for each preset at T = 999, 3000 and 1e5;
+``estimate`` on those files, with the default T as well, and on inputs
+that fail (header only, empty, four columns, 150 rows, a directory, a
+missing file); ``theory`` at the defaults and at ``--max-lag 1000``; and
+``experiment`` at T = 1e4 (10 replications, 1 and 2 workers) and at
+T = 300.  A run takes about 5 s on a 2-core VM.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import sys
+import time
+import warnings
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+
+PRESETS = ("model1", "model2", "model3")
+SIM_T = (999, 3000, 100_000)
+ALL_ESTIMATORS = "dfa,dcca,hxa,ccf"
+# inputs estimate must fail one by one; missing.csv is never made
+BAD_INPUTS = ("inputs/header_only.csv", "inputs/empty.csv", "inputs/four_columns.csv",
+              "inputs/short.csv", "inputs/adir")
+
+
+def _series(model: str, T: int) -> list[str]:
+    return [f"sim-{model}-{T}/series_r000{r}.csv" for r in range(2)]
+
+
+def calls() -> list[list[str]]:
+    out = []
+    for m in PRESETS:
+        for T in SIM_T:
+            out.append(["simulate", "--model", m, "--T", str(T), "--reps", "2", "--seed", "42",
+                        "--output", f"sim-{m}-{T}"])
+    for m in PRESETS:
+        for T in SIM_T:
+            estimators = "hxa,ccf" if T == 100_000 else ALL_ESTIMATORS
+            out.append(["estimate", "--T", str(T), "--estimators", estimators,
+                        "--output", f"est-{m}-{T}", *_series(m, T)])
+        # windows sized for the default T = 10000: DCCA fails on these files
+        out.append(["estimate", "--estimators", ALL_ESTIMATORS, "--output", f"est-{m}-default",
+                    *_series(m, 3000)])
+    good = _series("model1", 3000)[0]
+    out += [
+        ["estimate", "--T", "3000", "--estimators", "hxa,ccf", "--output", "est-bad-mixed",
+         good, *BAD_INPUTS],
+        ["estimate", "--T", "3000", "--estimators", ALL_ESTIMATORS, "--output", "est-bad-only",
+         *BAD_INPUTS],
+        ["estimate", "--T", "3000", "--estimators", "hxa", "--output", "est-bad-missing",
+         good, "inputs/missing.csv"],
+    ]
+    for m in PRESETS:
+        out.append(["theory", "--model", m, "--output", f"theory-{m}"])
+        out.append(["theory", "--model", m, "--max-lag", "1000", "--output", f"theory-{m}-1000"])
+    for m in PRESETS:
+        for workers in (1, 2):
+            out.append(["experiment", "--model", m, "--T", "10000", "--reps", "10", "--seed", "42",
+                        "--estimators", ALL_ESTIMATORS, "--workers", str(workers),
+                        "--output", f"exp-{m}-w{workers}"])
+        out.append(["experiment", "--model", m, "--T", "300", "--reps", "3", "--seed", "7",
+                    "--estimators", ALL_ESTIMATORS, "--output", f"exp-{m}-300"])
+    return out
+
+
+def write_inputs() -> None:
+    os.makedirs("inputs/adir")
+    Path("inputs/header_only.csv").write_text("t,x,y\n")
+    Path("inputs/empty.csv").write_text("")
+    np.savetxt("inputs/four_columns.csv", np.ones((3000, 4)), delimiter=",")
+    np.savetxt("inputs/short.csv", np.random.default_rng(8).standard_normal((150, 2)), delimiter=",")
+
+
+def run(cli, argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        # each call shows its own warnings, whatever ran before it
+        warnings.simplefilter("always")
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            code = e.code
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--src", type=Path, required=True, help="source tree holding crossarfima/")
+    parser.add_argument("--output", type=Path, required=True, help="new or empty output directory")
+    args = parser.parse_args()
+    src = args.src.resolve()
+    sys.path.insert(0, str(src))
+    from crossarfima import cli
+
+    if not Path(cli.__file__).resolve().is_relative_to(src):
+        raise SystemExit(f"crossarfima imported from {cli.__file__}, not from {src}")
+    args.output.mkdir(parents=True, exist_ok=True)
+    if any(args.output.iterdir()):
+        raise SystemExit(f"{args.output} is not empty")
+    os.chdir(args.output)
+    start = time.perf_counter()
+    write_inputs()
+    results = [run(cli, argv) for argv in calls()]
+    with open("calls.json", "w") as f:
+        json.dump(results, f, indent=1)
+        f.write("\n")
+    print(f"{len(results)} calls in {time.perf_counter() - start:.1f} s", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
