@@ -121,13 +121,13 @@ def _failed_rows(cfg: ExperimentConfig, message: str) -> list[EstimateRow]:
 def _pair_rows(cfg: ExperimentConfig, make_pair):
     """Estimate rows and CCF (a CcfSeries or None) of the pair make_pair() gives.
 
-    The one failure rule for series files and replications: a missing
-    input is re-raised, so it stays a config error; a pair that cannot be
-    made (read, parsed or simulated) gets _failed_rows, and a CCF that
-    cannot be computed one failed ("ccf", "rho") row.
+    make_pair() gives (cfg, x, y), cfg sized for the pair's length.  One
+    failure rule: a missing input is re-raised, so it stays a config
+    error; a pair that cannot be made (read, parsed, sized or simulated)
+    gets _failed_rows, and a CCF that cannot be computed one failed row.
     """
     try:
-        x, y = make_pair()
+        cfg, x, y = make_pair()
     except FileNotFoundError:
         raise
     except (CrossArfimaError, ValueError, OSError) as e:
@@ -212,7 +212,11 @@ def _ccf_table_name(path: str) -> str:
     return f"ccf_{os.path.splitext(os.path.basename(path))[0]}.csv"
 
 
-def cmd_estimate(cfg: ExperimentConfig, inputs: list[str]) -> int:
+def cmd_estimate(config_at, inputs: list[str]) -> int:
+    # A file's row count is its T.  Every length check only relaxes as T grows
+    # and every T-scaled default grows with T, so the config fails at an
+    # unbounded length exactly when no length can fix it: a config error.
+    cfg = config_at(sys.maxsize)
     if "ccf" in cfg.estimators:
         # one CCF table per file stem: two inputs must not share a stem
         owners: dict[str, str] = {}
@@ -223,7 +227,12 @@ def cmd_estimate(cfg: ExperimentConfig, inputs: list[str]) -> int:
     outdir = _ensure_outdir(cfg)
     table = []
     for path in inputs:
-        rows, ccf = _pair_rows(cfg, lambda: _load_series_file(path))
+
+        def make_pair():
+            x, y = _load_series_file(path)
+            return config_at(x.size), x, y
+
+        rows, ccf = _pair_rows(cfg, make_pair)
         table.append(([path], rows, ccf))
         if ccf is not None:
             _write_table(os.path.join(outdir, _ccf_table_name(path)), ["lag", "rho"], [ccf.lags, ccf.values])
@@ -238,19 +247,9 @@ def cmd_theory(cfg: ExperimentConfig, spectrum_points: int) -> int:
         raise ConfigError(f"spectrum-points: must be >= 1, got {spectrum_points}")
     outdir = _ensure_outdir(cfg)
     rep = theoretical_exponents(cfg.model)
-    pair = "" if rep.dominating_pair is None else f"{rep.dominating_pair[0]}-{rep.dominating_pair[1]}"
-    _write_csv(
-        os.path.join(outdir, "exponents.csv"),
-        ["quantity", "value"],
-        [
-            ["H_x", _fmt(rep.H_x)],
-            ["H_y", _fmt(rep.H_y)],
-            ["H_xy", _fmt(rep.H_xy)],
-            ["sigma_x", _fmt(rep.sigma_x)],
-            ["sigma_y", _fmt(rep.sigma_y)],
-            ["dominating_pair", pair],
-        ],
-    )
+    rows = [[q, _fmt(getattr(rep, q))] for q in ("H_x", "H_y", "H_xy", "sigma_x", "sigma_y")]
+    rows.append(["dominating_pair", "-".join(map(str, rep.dominating_pair or ()))])
+    _write_csv(os.path.join(outdir, "exponents.csv"), ["quantity", "value"], rows)
 
     L = cfg.ccf_max_lag
     values = theoretical_ccf(cfg.model, max_lag=L)
@@ -268,7 +267,7 @@ def cmd_theory(cfg: ExperimentConfig, spectrum_points: int) -> int:
 
 def _replication_worker(job: tuple[ExperimentConfig, int]):
     cfg, seed = job
-    return _pair_rows(cfg, lambda: attrgetter("x", "y")(simulate(cfg.model, cfg.T, seed)))
+    return _pair_rows(cfg, lambda: (cfg, *attrgetter("x", "y")(simulate(cfg.model, cfg.T, seed))))
 
 
 def cmd_experiment(cfg: ExperimentConfig, workers: int) -> int:
@@ -347,10 +346,10 @@ class _Parser(argparse.ArgumentParser):
 
 _WINDOWS = ("estimators", *(n for n, s in SETTINGS.items() if s.section in ESTIMATOR_NAMES))
 # the settings each subcommand reads, which it takes as flags in the table's
-# order; theory reads T through the default CCF max_lag
+# order; theory reads T through the default max_lag, estimate from each file
 COMMAND_SETTINGS = {
     "simulate": {"model_name", "T", "replications", "base_seed", "output_dir"},
-    "estimate": {"T", "output_dir", *_WINDOWS},
+    "estimate": {"output_dir", *_WINDOWS},
     "theory": {"model_name", "T", "output_dir", "ccf_max_lag"},
     "experiment": set(SETTINGS),
 }
@@ -390,7 +389,9 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+def _config_reader(args: argparse.Namespace):
+    """config_at(T): the config of the --config text, read here once, and
+    the flags at length T; T None keeps the config's own T."""
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as f:
@@ -405,17 +406,26 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         value = getattr(args, s.flag[2:].replace("-", "_"), None)
         if value is not None:
             overrides[s.section, s.key] = str(value)
-    return parse_config(text, overrides=overrides)
+
+    def config_at(T: int | None = None) -> ExperimentConfig:
+        length = {} if T is None else {("experiment", "t"): str(T)}
+        return parse_config(text, overrides={**overrides, **length})
+
+    return config_at
+
+
+def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    return _config_reader(args)()
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.command == "estimate":
+            return cmd_estimate(_config_reader(args), args.inputs)
         cfg = _config_from_args(args)
         if args.command == "simulate":
             return cmd_simulate(cfg)
-        if args.command == "estimate":
-            return cmd_estimate(cfg, args.inputs)
         if args.command == "theory":
             return cmd_theory(cfg, args.spectrum_points)
         return cmd_experiment(cfg, args.workers)

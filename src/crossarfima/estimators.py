@@ -106,6 +106,15 @@ def _demean(z: np.ndarray, name: str) -> np.ndarray:
     return z - z.mean()
 
 
+def _centred_pair(x, y) -> tuple[np.ndarray, np.ndarray, int]:
+    """Both series demeaned, checked to have one length T, and T."""
+    xc = _demean(x, "x")
+    yc = _demean(y, "y")
+    if xc.size != yc.size:
+        raise ValueError("x and y must have equal length")
+    return xc, yc, xc.size
+
+
 # Window preconditions, shared with config validation.  Each message
 # starts with the offending parameter's name, so that a caller can put
 # its config section in front.
@@ -149,11 +158,7 @@ def sample_ccf(x, y, max_lag: int) -> CcfSeries:
     T > 2L.
     """
     L = int(max_lag)
-    xc = _demean(x, "x")
-    yc = _demean(y, "y")
-    if xc.size != yc.size:
-        raise ValueError("x and y must have equal length")
-    T = xc.size
+    xc, yc, T = _centred_pair(x, y)
     check_max_lag(L, T)
     sx = np.sqrt(np.mean(xc**2))
     sy = np.sqrt(np.mean(yc**2))
@@ -237,11 +242,7 @@ def dcca(
     the residual product sums in closed form per box:
     sum r_x r_y = sum X'Y' - (Q^T X') . (Q^T Y').
     """
-    xc = _demean(x, "x")
-    yc = _demean(y, "y")
-    if xc.size != yc.size:
-        raise ValueError("x and y must have equal length")
-    T = xc.size
+    xc, yc, T = _centred_pair(x, y)
     if s_max is None:
         s_max = T // 5
     s_min, s_max, step, order = int(s_min), int(s_max), int(step), int(detrend_order)
@@ -289,11 +290,7 @@ def hxa(x, y, tau_min: int = 1, tau_max: int = 100) -> FluctuationSeries:
     divisor T - tau; scales as tau^(2 H_xy).  Requires
     1 <= tau_min < tau_max <= T/10.
     """
-    xc = _demean(x, "x")
-    yc = _demean(y, "y")
-    if xc.size != yc.size:
-        raise ValueError("x and y must have equal length")
-    T = xc.size
+    xc, yc, T = _centred_pair(x, y)
     tau_min, tau_max = int(tau_min), int(tau_max)
     check_taus(tau_min, tau_max, T)
 

@@ -100,14 +100,16 @@ def test_unknown_flag_exits_with_usage_error(tmp_path):
         ["simulate", "--model", "model1", "--T", "200", "--truncation", "500"],
         ["estimate", "series.csv", "--model", "model1"],
         ["estimate", "series.csv", "--seed", "3"],
+        ["estimate", "series.csv", "--T", "3000"],
         ["theory", "--model", "model1", "--seed", "3"],
     ],
-    ids=["rep", "truncation", "estimate-model", "estimate-seed", "theory-seed"],
+    ids=["rep", "truncation", "estimate-model", "estimate-seed", "estimate-T", "theory-seed"],
 )
 def test_abbreviated_or_removed_flag_is_usage_error(tmp_path, capsys, argv):
     # no prefix matching: --rep is not --reps, and the removed --truncation
     # matches nothing (theory's --spectrum is checked with theory's flags);
-    # a subcommand takes no flag for a setting it does not read
+    # a subcommand takes no flag for a setting it does not read (estimate
+    # takes each file's T from its row count)
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--output", str(tmp_path / "o")])
     assert exc.value.code == 1
@@ -148,7 +150,7 @@ def test_inadmissible_covariance_is_a_config_error(tmp_path, capsys, command):
     ini = tmp_path / "bad.ini"
     ini.write_text(INADMISSIBLE_INI)
     out = tmp_path / "o"
-    argv = [command, "--config", str(ini), "--T", "200", "--output", str(out)]
+    argv = [command, "--config", str(ini), "--output", str(out)]
     if command == "estimate":
         argv.append(str(tmp_path / "series.csv"))
     assert main(argv) == 1
@@ -186,7 +188,7 @@ def test_estimate_reports_all_estimators(tmp_path):
     files = simulate_files(tmp_path)
     out = tmp_path / "est"
     rc = main(
-        ["estimate", "--T", "2000", "--estimators", "dfa,dcca,hxa,ccf", "--output", str(out), *files]
+        ["estimate", "--estimators", "dfa,dcca,hxa,ccf", "--output", str(out), *files]
     )
     assert rc == 0
     header, rows = read_csv(out / "estimates.csv")
@@ -206,7 +208,7 @@ def test_estimate_reports_all_estimators(tmp_path):
 
 def test_estimate_is_deterministic(tmp_path):
     files = simulate_files(tmp_path, model="model3", T=1500, seed=11)
-    args = ["estimate", "--T", "1500", "--estimators", "dfa,hxa"]
+    args = ["estimate", "--estimators", "dfa,hxa"]
     assert main(args + ["--output", str(tmp_path / "e1"), *files]) == 0
     assert main(args + ["--output", str(tmp_path / "e2"), *files]) == 0
     assert read_bytes(tmp_path / "e1" / "estimates.csv") == read_bytes(tmp_path / "e2" / "estimates.csv")
@@ -216,7 +218,7 @@ def test_estimate_headerless_two_column_input(tmp_path):
     rng = np.random.default_rng(3)
     path = tmp_path / "plain.csv"
     np.savetxt(path, rng.standard_normal((1200, 2)), delimiter=",")
-    rc = main(["estimate", "--T", "1200", "--estimators", "dfa", "--output",
+    rc = main(["estimate", "--estimators", "dfa", "--output",
                str(tmp_path / "o"), str(path)])
     assert rc == 0
     _, rows = read_csv(tmp_path / "o" / "estimates.csv")
@@ -229,7 +231,7 @@ def test_estimate_headerless_two_column_input(tmp_path):
 def test_detrend_order_also_sets_dfa(tmp_path):
     # [dcca] detrend_order is shared with DFA: order 2 must change the dfa rows
     files = simulate_files(tmp_path)
-    args = ["estimate", "--T", "2000", "--estimators", "dfa", *files]
+    args = ["estimate", "--estimators", "dfa", *files]
     assert main(args + ["--output", str(tmp_path / "o1")]) == 0
     assert main(args + ["--detrend-order", "2", "--output", str(tmp_path / "o2")]) == 0
     _, rows1 = read_csv(tmp_path / "o1" / "estimates.csv")
@@ -241,26 +243,28 @@ def test_detrend_order_also_sets_dfa(tmp_path):
 
 
 def test_estimate_short_input_fails_alone(tmp_path, capsys):
-    # a file too short for the CCF's max_lag fails its own rows; the good
-    # file's tables are still written
+    # a file too short for a pinned CCF max_lag fails its own rows, with the
+    # config's message at the file's length; the good file's tables are
+    # still written
     good = simulate_files(tmp_path, T=3000)[0]
     rng = np.random.default_rng(8)
     short = tmp_path / "short.csv"
     np.savetxt(short, rng.standard_normal((150, 2)), delimiter=",")
     out = tmp_path / "o"
-    rc = main(["estimate", "--T", "3000", "--estimators", "hxa,ccf", "--output", str(out),
-               good, str(short)])
+    args = ["estimate", "--estimators", "hxa,ccf", "--max-lag", "100"]
+    rc = main(args + ["--output", str(out), good, str(short)])
     assert rc == 0
     _, rows = read_csv(out / "estimates.csv")
     assert [(r[0], r[1], r[3]) for r in rows] == [
         (good, "hxa", "ok"), (str(short), "hxa", "failed"), (str(short), "ccf", "failed"),
     ]
-    assert rows[-1][1:] == ["ccf", "rho", "failed", "", "", "0",
-                            "max_lag: need T > 2*max_lag, got T=150, max_lag=100"]
+    note = "ccf.max_lag: need T > 2*max_lag, got T=150, max_lag=100"
+    assert [r[1:] for r in rows[1:]] == [
+        ["hxa", "hxy", "failed", "", "", "0", note], ["ccf", "rho", "failed", "", "", "0", note],
+    ]
     assert sorted(os.listdir(out)) == ["ccf_series_r0000.csv", "estimates.csv"]
     # the short file alone: every estimate failed
-    rc = main(["estimate", "--T", "3000", "--estimators", "hxa,ccf", "--output",
-               str(tmp_path / "o2"), str(short)])
+    rc = main(args + ["--output", str(tmp_path / "o2"), str(short)])
     assert rc == 2
     assert "all estimations failed" in capsys.readouterr().err
 
@@ -273,7 +277,7 @@ def test_estimate_unreadable_input_fails_alone(tmp_path, capsys):
     np.savetxt(bad, np.ones((3000, 4)), delimiter=",")
     message = f"{bad}: expected 2 columns (x,y) or 3 (t,x,y), got 4"
     out = tmp_path / "o"
-    rc = main(["estimate", "--T", "3000", "--estimators", "hxa", "--output", str(out),
+    rc = main(["estimate", "--estimators", "hxa", "--output", str(out),
                good, str(bad)])
     assert rc == 0
     _, rows = read_csv(out / "estimates.csv")
@@ -282,7 +286,7 @@ def test_estimate_unreadable_input_fails_alone(tmp_path, capsys):
     # every estimator and the CCF get their own failed row
     text = tmp_path / "text.csv"
     text.write_text("t,x,y\n0,1.5,oops\n")
-    rc = main(["estimate", "--T", "3000", "--estimators", "dfa,dcca,hxa,ccf", "--output",
+    rc = main(["estimate", "--estimators", "dfa,dcca,hxa,ccf", "--output",
                str(tmp_path / "o2"), str(bad), str(text)])
     assert rc == 2
     assert "all estimations failed" in capsys.readouterr().err
@@ -294,7 +298,7 @@ def test_estimate_unreadable_input_fails_alone(tmp_path, capsys):
     assert {r[7] for r in rows[:5]} == {message}
     assert all("oops" in r[7] for r in rows[5:])
     # a path that does not exist is still a config error
-    rc = main(["estimate", "--T", "3000", "--estimators", "hxa", "--output",
+    rc = main(["estimate", "--estimators", "hxa", "--output",
                str(tmp_path / "o3"), good, str(tmp_path / "missing.csv")])
     assert rc == 1
     assert "missing.csv" in capsys.readouterr().err
@@ -309,7 +313,7 @@ def test_estimate_empty_or_header_only_input_fails_alone(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     out = tmp_path / "o"
-    args = ["estimate", "--T", "3000", "--estimators", "hxa,ccf"]
+    args = ["estimate", "--estimators", "hxa,ccf"]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc = main(args + ["--output", str(out), good, str(header_only), str(empty)])
@@ -335,7 +339,7 @@ def test_estimate_directory_input_fails_alone(tmp_path, capsys):
     adir = tmp_path / "adir"
     adir.mkdir()
     out = tmp_path / "o"
-    rc = main(["estimate", "--T", "3000", "--estimators", "hxa,ccf", "--output", str(out),
+    rc = main(["estimate", "--estimators", "hxa,ccf", "--output", str(out),
                good, str(adir)])
     assert rc == 0
     _, rows = read_csv(out / "estimates.csv")
@@ -345,7 +349,7 @@ def test_estimate_directory_input_fails_alone(tmp_path, capsys):
     assert all("Is a directory" in r[7] and str(adir) in r[7] for r in rows[1:])
     assert sorted(os.listdir(out)) == ["ccf_series_r0000.csv", "estimates.csv"]
     # the directory alone: nothing succeeded
-    rc = main(["estimate", "--T", "3000", "--estimators", "hxa", "--output",
+    rc = main(["estimate", "--estimators", "hxa", "--output",
                str(tmp_path / "o2"), str(adir)])
     assert rc == 2
     assert "all estimations failed" in capsys.readouterr().err
@@ -355,21 +359,21 @@ def test_estimate_rejects_inputs_sharing_a_ccf_table(tmp_path, capsys):
     a = simulate_files(tmp_path / "a")[0]
     b = simulate_files(tmp_path / "b", seed=4)[0]
     out = tmp_path / "o"
-    rc = main(["estimate", "--T", "2000", "--estimators", "ccf", "--output", str(out), a, b])
+    rc = main(["estimate", "--estimators", "ccf", "--output", str(out), a, b])
     assert rc == 1
     err = capsys.readouterr().err
     assert "config error" in err and a in err and b in err and "ccf_series_r0000.csv" in err
     assert not out.exists()
     # without the CCF nothing is named after the file, so the two may share a name
-    rc = main(["estimate", "--T", "2000", "--estimators", "hxa", "--output", str(out), a, b])
+    rc = main(["estimate", "--estimators", "hxa", "--output", str(out), a, b])
     assert rc == 0
 
 
 @pytest.mark.parametrize("command", ["estimate", "experiment"])
 def test_a_ccf_alone_is_a_result(tmp_path, command):
     # both commands exit 2 only when no pair gave an ok estimate or a CCF
-    args = [command, "--T", "2000", "--estimators", "ccf", "--output", str(tmp_path / "o")]
-    args += simulate_files(tmp_path) if command == "estimate" else ["--reps", "2"]
+    args = [command, "--estimators", "ccf", "--output", str(tmp_path / "o")]
+    args += simulate_files(tmp_path) if command == "estimate" else ["--T", "2000", "--reps", "2"]
     assert main(args) == 0
 
 
@@ -377,7 +381,7 @@ def test_estimate_degenerate_input_fails_cleanly(tmp_path, capsys):
     path = tmp_path / "flat.csv"
     with open(path, "w") as f:
         f.write("x,y\n" + "1.0,1.0\n" * 500)
-    rc = main(["estimate", "--T", "500", "--estimators", "dfa,dcca",
+    rc = main(["estimate", "--estimators", "dfa,dcca",
                "--output", str(tmp_path / "o"), str(path)])
     assert rc == 2
     assert "failed" in capsys.readouterr().err
@@ -541,23 +545,66 @@ def test_experiment_failed_simulation_becomes_failed_rows(tmp_path, monkeypatch)
     assert float(ccf[100][1]) == pytest.approx(np.mean(lag0), rel=1e-11)
 
 
-@pytest.mark.parametrize("preset", ["model1", "model2", "model3"])
-def test_estimate_and_experiment_give_the_same_rows(tmp_path, preset):
-    # estimate on a file holding replication 1 to the bit gives that
-    # replication's rows: the two commands share one per-pair path
-    estimators = ["--estimators", "dfa,dcca,hxa,ccf"]
-    exp = tmp_path / "exp"
-    assert main(["experiment", "--model", preset, "--T", "2000", "--reps", "2", "--seed", "42",
+def replication_file(tmp_path, preset, T, estimators):
+    """Replication 1 of an experiment at length T, saved to the bit: the
+    file's path and the cells of that replication's rows."""
+    exp = tmp_path / f"exp-{preset}-{T}"
+    assert main(["experiment", "--model", preset, "--T", str(T), "--reps", "2", "--seed", "42",
                  *estimators, "--output", str(exp)]) == 0
-    s = simulate(getattr(crossarfima, preset)(), T=2000, seed=43)
-    path = tmp_path / "rep1.csv"
+    s = simulate(getattr(crossarfima, preset)(), T=T, seed=43)
+    path = tmp_path / f"{preset}-{T}.csv"
     np.savetxt(path, np.column_stack([s.x, s.y]), fmt="%.17g", delimiter=",")
-    est = tmp_path / "est"
-    assert main(["estimate", "--T", "2000", *estimators, "--output", str(est), str(path)]) == 0
     _, reps = read_csv(exp / "replications.csv")
+    return str(path), [r[2:] for r in reps if r[:2] == ["1", "43"]]
+
+
+ALL_ESTIMATORS = ["--estimators", "dfa,dcca,hxa,ccf"]
+
+
+@pytest.mark.parametrize(
+    "preset, T",
+    [pytest.param(p, T, id=p if T == 2000 else f"{p}-T{T}")
+     for T in (2000, 1500, 3000) for p in ("model1", "model2", "model3")],
+)
+def test_estimate_and_experiment_give_the_same_rows(tmp_path, preset, T):
+    # estimate on a file holding replication 1 to the bit gives that
+    # replication's rows: the two commands share one per-pair path, and
+    # the file's row count is its T
+    path, want = replication_file(tmp_path, preset, T, ALL_ESTIMATORS)
+    est = tmp_path / "est"
+    assert main(["estimate", *ALL_ESTIMATORS, "--output", str(est), path]) == 0
     _, rows = read_csv(est / "estimates.csv")
     assert len(rows) == 4
-    assert [r[1:] for r in rows] == [r[2:] for r in reps if r[:2] == ["1", "43"]]
+    assert [r[1:] for r in rows] == want
+
+
+def test_estimate_sizes_each_file_by_its_length(tmp_path):
+    # one call over files of 1500 and 3000 rows: each file gets the windows
+    # experiment uses at its length, so each gives its own replication's rows
+    cases = [replication_file(tmp_path, "model1", T, ALL_ESTIMATORS) for T in (1500, 3000)]
+    est = tmp_path / "est"
+    assert main(["estimate", *ALL_ESTIMATORS, "--output", str(est), *(p for p, _ in cases)]) == 0
+    _, rows = read_csv(est / "estimates.csv")
+    for path, want in cases:
+        assert len(want) == 4
+        assert [r[1:] for r in rows if r[0] == path] == want
+
+
+def test_estimate_impossible_window_is_a_config_error(tmp_path, capsys):
+    # a window that no length can fit fails before any output is made
+    path = simulate_files(tmp_path)[0]
+    out = tmp_path / "o"
+    assert main(["estimate", "--s-min", "30", "--s-max", "20", "--output", str(out), path]) == 1
+    assert "config error: dcca.s_max: scale range [30, 20] is empty" in capsys.readouterr().err
+    assert not out.exists()
+    # one that only a file longer than the default T = 10000 can fit is not
+    long = tmp_path / "long.csv"
+    np.savetxt(long, np.random.default_rng(5).standard_normal((10_100, 2)), delimiter=",")
+    args = ["estimate", "--estimators", "hxa", "--tau-max", "1010", "--output", str(out)]
+    assert main(args + [path, str(long)]) == 0
+    _, rows = read_csv(out / "estimates.csv")
+    assert rows[0][7] == "hxa.tau_max = 1010 exceeds T/10 = 200"
+    assert rows[1][:4] == [str(long), "hxa", "hxy", "ok"]
 
 
 def test_experiment_workers_validated_and_clamped(tmp_path, monkeypatch, capsys):

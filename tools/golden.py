@@ -13,11 +13,13 @@ the same outputs when the two output directories compare equal:
     diff -r golden-old golden-new
 
 The calls are ``simulate`` for each preset at T = 999, 3000 and 1e5;
-``estimate`` on those files, with the default T as well, and on inputs
-that fail (header only, empty, four columns, 150 rows, a directory, a
-missing file); ``theory`` at the defaults and at ``--max-lag 1000``; and
-``experiment`` at T = 1e4 (10 replications, 1 and 2 workers) and at
-T = 300.  A run takes about 5 s on a 2-core VM.
+``estimate`` on those files, on the 999- and 3000-row files together,
+on a 150-row file beside one of them, and on inputs that fail (header
+only, empty, four columns, 50 rows, a directory, a missing file);
+``theory`` at the defaults and at ``--max-lag 1000``; and ``experiment``
+at T = 1e4 (10 replications, 1 and 2 workers) and at T = 300.  Each
+``estimate`` input gets the windows of its own length.  A run takes
+about 5 s on a 2-core VM.
 """
 
 from __future__ import annotations
@@ -40,9 +42,10 @@ import numpy as np  # noqa: E402
 PRESETS = ("model1", "model2", "model3")
 SIM_T = (999, 3000, 100_000)
 ALL_ESTIMATORS = "dfa,dcca,hxa,ccf"
-# inputs estimate must fail one by one; missing.csv is never made
+# inputs estimate must fail one by one (50 rows are fewer than any config
+# allows); missing.csv is never made
 BAD_INPUTS = ("inputs/header_only.csv", "inputs/empty.csv", "inputs/four_columns.csv",
-              "inputs/short.csv", "inputs/adir")
+              "inputs/fifty_rows.csv", "inputs/adir")
 
 
 def _series(model: str, T: int) -> list[str]:
@@ -58,18 +61,17 @@ def calls() -> list[list[str]]:
     for m in PRESETS:
         for T in SIM_T:
             estimators = "hxa,ccf" if T == 100_000 else ALL_ESTIMATORS
-            out.append(["estimate", "--T", str(T), "--estimators", estimators,
-                        "--output", f"est-{m}-{T}", *_series(m, T)])
-        # windows sized for the default T = 10000: DCCA fails on these files
-        out.append(["estimate", "--estimators", ALL_ESTIMATORS, "--output", f"est-{m}-default",
-                    *_series(m, 3000)])
+            out.append(["estimate", "--estimators", estimators, "--output", f"est-{m}-{T}",
+                        *_series(m, T)])
+        # two lengths in one call; no CCF, whose tables the shared file names would clash on
+        out.append(["estimate", "--estimators", "dfa,dcca,hxa", "--output", f"est-{m}-mixed",
+                    *_series(m, 999), *_series(m, 3000)])
     good = _series("model1", 3000)[0]
     out += [
-        ["estimate", "--T", "3000", "--estimators", "hxa,ccf", "--output", "est-bad-mixed",
-         good, *BAD_INPUTS],
-        ["estimate", "--T", "3000", "--estimators", ALL_ESTIMATORS, "--output", "est-bad-only",
-         *BAD_INPUTS],
-        ["estimate", "--T", "3000", "--estimators", "hxa", "--output", "est-bad-missing",
+        ["estimate", "--estimators", "hxa,ccf", "--output", "est-bad-mixed",
+         good, "inputs/short.csv", *BAD_INPUTS],
+        ["estimate", "--estimators", ALL_ESTIMATORS, "--output", "est-bad-only", *BAD_INPUTS],
+        ["estimate", "--estimators", "hxa", "--output", "est-bad-missing",
          good, "inputs/missing.csv"],
     ]
     for m in PRESETS:
@@ -91,6 +93,7 @@ def write_inputs() -> None:
     Path("inputs/empty.csv").write_text("")
     np.savetxt("inputs/four_columns.csv", np.ones((3000, 4)), delimiter=",")
     np.savetxt("inputs/short.csv", np.random.default_rng(8).standard_normal((150, 2)), delimiter=",")
+    np.savetxt("inputs/fifty_rows.csv", np.random.default_rng(9).standard_normal((50, 2)), delimiter=",")
 
 
 def run(cli, argv: list[str]) -> dict:
