@@ -43,7 +43,6 @@ from .models import (
     theoretical_exponents,
     white,
 )
-from .reports import CcfComparison, LagScatter, ccf_comparison, lag_scatter
 
 __version__ = "0.1.0"
 
@@ -85,9 +84,5 @@ __all__ = [
     "theoretical_ccf",
     "theoretical_exponents",
     "white",
-    "CcfComparison",
-    "LagScatter",
-    "ccf_comparison",
-    "lag_scatter",
     "__version__",
 ]

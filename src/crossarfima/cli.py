@@ -26,9 +26,8 @@ import numpy as np
 
 from .config import ESTIMATOR_NAMES, SETTINGS, ExperimentConfig, parse_config
 from .errors import ConfigError, CrossArfimaError
-from .estimators import CcfSeries, dcca, dfa, fit_hurst, hxa, sample_ccf
+from .estimators import dcca, dfa, fit_hurst, hxa, sample_ccf
 from .models import cross_spectrum, simulate, theoretical_ccf, theoretical_exponents
-from .reports import ccf_comparison
 
 SPECTRUM_GRID = (1e-4, float(np.pi), 200)
 # rows per write in _write_table; larger chunks write no faster and raise
@@ -321,12 +320,12 @@ def cmd_experiment(cfg: ExperimentConfig, workers: int) -> int:
 
     ccfs = [ccf for _, ccf in results if ccf is not None]
     if ccfs:
-        mean = CcfSeries(ccfs[0].lags, np.mean(np.stack([ccf.values for ccf in ccfs]), axis=0), cfg.T)
-        cmp = ccf_comparison(mean, cfg.model)
+        mean = np.mean(np.stack([ccf.values for ccf in ccfs]), axis=0)
+        theory = theoretical_ccf(cfg.model, max_lag=ccfs[0].max_lag)
         _write_table(
             os.path.join(outdir, "ccf_mean.csv"),
             ["lag", "mean_sample_rho", "theory_rho", "abs_diff"],
-            [cmp.lags, cmp.sample, cmp.theory, cmp.abs_diff],
+            [ccfs[0].lags, mean, theory, np.abs(mean - theory)],
         )
 
     if not any_result:

@@ -269,8 +269,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         bad("replications", f"must be >= 1, got {cfg.replications}")
     if cfg.base_seed < 0:
         bad("base_seed", f"must be >= 0, got {cfg.base_seed}")
-    if not cfg.estimators:
-        bad("estimators", "at least one estimator is required")
     # dcca first: it holds detrend_order, which dfa shares
     for section, check, *args in (
         ("dcca", check_scales, cfg.dcca_s_min, cfg.dcca_s_max, cfg.dcca_step, cfg.detrend_order, cfg.T),

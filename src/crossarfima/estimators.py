@@ -255,9 +255,6 @@ def dcca(
     scales, values = [], []
     for s in range(s_min, s_max + 1, step):
         n_boxes = T // s
-        if n_boxes < 1:
-            warnings.warn(f"scale {s} skipped: no complete box in T={T}")
-            continue
         Q = _box_vander(s, order) @ _basis_factor(s, order)
         bx = _anchored_boxes(X, n_boxes, s)
         by = bx if same else _anchored_boxes(Y, n_boxes, s)
@@ -266,8 +263,6 @@ def dcca(
         cov = np.einsum("ij,ij->", bx, by) - np.einsum("ij,ij->", px, py)
         scales.append(s)
         values.append(float(cov / (n_boxes * s)))
-    if not scales:
-        raise InsufficientDataError("all scales skipped, nothing to estimate")
     return FluctuationSeries(scales=np.array(scales), values=np.array(values), method=DCCA)
 
 
@@ -311,23 +306,19 @@ def ols(x, y) -> tuple[float, float, float]:
     The arithmetic of scipy.stats.linregress, step for step, so the three
     values are bit-identical to it: moments from np.cov with bias=1, the
     correlation clamped to [-1, 1], and the slope's standard error on
-    n - 2 degrees of freedom.  Two points give stderr 0, one point gives
-    NaN for all three, and identical x values raise ValueError.
+    n - 2 degrees of freedom.  Fewer than three points, or identical x
+    values, raise ValueError.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or x.shape != y.shape or x.size == 0:
-        raise ValueError("x and y must be non-empty 1-d arrays of equal length")
+    if x.ndim != 1 or x.shape != y.shape or x.size < 3:
+        raise ValueError("x and y must be 1-d arrays of equal length with at least 3 points")
     n = x.size
-    if n == 1:
-        return np.nan, np.nan, np.nan
     if np.amax(x) == np.amin(x):
         raise ValueError("Cannot calculate a linear regression if all x values are identical")
     ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
     slope = ssxym / ssxm
     intercept = np.mean(y) - slope * np.mean(x)
-    if n == 2:
-        return float(slope), float(intercept), 0.0
     if ssxm == 0.0 or ssym == 0.0:
         r = np.nan if ssxym == 0 else 0.0
     else:

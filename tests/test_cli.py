@@ -501,6 +501,9 @@ def test_experiment_summary_and_replication_tables(tmp_path, capsys):
     assert len(ccf) == 201
     # the theory column is the model's exact CCF at lags -100..100
     assert [r[2] for r in ccf] == [cli._fmt(v) for v in theoretical_ccf(model1(), max_lag=100)]
+    # abs_diff is the gap between the two columns before it
+    for lag, mean, theory, diff in ccf:
+        assert float(diff) == pytest.approx(abs(float(mean) - float(theory)), abs=1e-11), lag
     stdout = capsys.readouterr().out
     assert "dfa" in stdout and "hxy" in stdout  # summary table echoed
 

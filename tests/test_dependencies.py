@@ -8,9 +8,11 @@ independent oracle for the theory only while the package cannot use them.
 """
 
 import ast
+import functools
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import crossarfima
@@ -18,20 +20,46 @@ import crossarfima
 PACKAGE_DIR = Path(crossarfima.__file__).resolve().parent
 
 
-def test_cli_import_loads_no_scipy_module():
+@functools.cache
+def modules_loaded_by_cli_import() -> tuple[str, ...]:
+    """sys.modules after `import crossarfima, crossarfima.cli` in a fresh
+    interpreter that takes the package from this source tree."""
     env = dict(os.environ)
     src = str(PACKAGE_DIR.parent)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     code = (
         "import sys, crossarfima, crossarfima.cli\n"
         "assert crossarfima.__file__.startswith(sys.argv[1]), crossarfima.__file__\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(*sorted(sys.modules))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code, src], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return tuple(proc.stdout.split())
+
+
+def package_sources() -> list[Path]:
+    """The package's source files; fails if one the CLI import loads is missing."""
+    sources = sorted(PACKAGE_DIR.glob("*.py"))
+    loaded = {m.split(".")[1] for m in modules_loaded_by_cli_import() if m.startswith("crossarfima.")}
+    assert loaded <= {path.stem for path in sources}
+    return sources
+
+
+def test_cli_import_loads_no_scipy_module():
+    assert [m for m in modules_loaded_by_cli_import() if m.split(".")[0] == "scipy"] == []
+
+
+def test_all_lists_exactly_the_public_names():
+    # a name left in __all__ after its definition is deleted breaks `from crossarfima import *`
+    public = {
+        name
+        for name, value in vars(crossarfima).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(crossarfima.__all__) - {"__version__"} == public
+    assert len(set(crossarfima.__all__)) == len(crossarfima.__all__)
 
 
 TEST_MODULES = ("tests", "protocol_expectations", "conftest")
@@ -52,8 +80,7 @@ def imports_of(path: Path, roots) -> list[str]:
 
 
 def test_no_source_file_imports_scipy(tmp_path):
-    sources = sorted(PACKAGE_DIR.glob("*.py"))
-    assert len(sources) >= 9
+    sources = package_sources()
     assert [hit for path in sources for hit in imports_of(path, ("scipy",))] == []
     # the scan sees an import hidden in a function body
     probe = tmp_path / "probe.py"
@@ -62,8 +89,7 @@ def test_no_source_file_imports_scipy(tmp_path):
 
 
 def test_no_source_file_imports_the_tests(tmp_path):
-    sources = sorted(PACKAGE_DIR.glob("*.py"))
-    assert len(sources) >= 9
+    sources = package_sources()
     assert [hit for path in sources for hit in imports_of(path, TEST_MODULES)] == []
     probe = tmp_path / "probe.py"
     probe.write_text(
