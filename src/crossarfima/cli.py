@@ -343,7 +343,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-_WINDOWS = ("estimators", *(n for n, s in SETTINGS.items() if s.section in ESTIMATOR_NAMES))
+_WINDOWS = ("estimators", *(n for n, s in SETTINGS.items() if s.section in {*ESTIMATOR_NAMES, "fluctuation"}))
 # the settings each subcommand reads, which it takes as flags in the table's
 # order; theory reads T through the default max_lag, estimate from each file
 COMMAND_SETTINGS = {

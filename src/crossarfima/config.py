@@ -2,12 +2,12 @@
 
 Each run setting is one field of ExperimentConfig, declared with
 ``_setting``: its INI section and key, its CLI flag and help text, how
-its text is read and its default.  parse_config, serialize_config, the
-known sections and the CLI's flags all derive from those declarations.
-A custom model uses ``model = inline`` together with four [component.*]
-sections and an optional [covariance] section; otherwise ``model``
-names a preset.  parse_config(serialize_config(cfg)) reproduces cfg
-field by field.
+its text is read and its default.  A custom model uses ``model = inline``
+with four [component.*] sections and an optional [covariance] section;
+otherwise ``model`` names a preset.  Those declarations and the model
+sections' keys make one schema; parse_config rejects any section or key
+outside it, and serialize_config and the CLI's flags derive from it too.
+parse_config(serialize_config(cfg)) reproduces cfg field by field.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from typing import Any, Callable, Mapping
 
 from .errors import ConfigError, NotPositiveSemiDefiniteError
 from .estimators import check_max_lag, check_scales, check_taus
-from .filters import AR1, FRACTIONAL, WHITE
-from .innovations import N_STREAMS, CovarianceSpec, cholesky_factor
+from .filters import WHITE
+from .innovations import N_STREAMS, PAIRS, CovarianceSpec
 from .models import PRESETS, ComponentSpec, ModelSpec
 
 ESTIMATOR_NAMES = ("dfa", "dcca", "hxa", "ccf")
@@ -108,8 +108,7 @@ class ExperimentConfig:
     )
     dfa_step: int = _setting("dfa", "step", "--dfa-step", "DFA box size step", 10)
     detrend_order: int = _setting(
-        "dcca", "detrend_order", "--detrend-order",
-        "polynomial detrend order of DCCA boxes, used by DFA as well", 1,
+        "fluctuation", "detrend_order", "--detrend-order", "polynomial detrend order of DFA and DCCA boxes", 1
     )
     # scale-dependent defaults stay valid down to T = MIN_T
     hxa_tau_min: int = _setting("hxa", "tau_min", "--tau-min", "smallest HXA lag", 1)
@@ -129,11 +128,18 @@ class ExperimentConfig:
 SETTINGS: dict[str, Setting] = {
     f.name: f.metadata["setting"] for f in fields(ExperimentConfig) if "setting" in f.metadata
 }
-_KNOWN_SECTIONS = (
-    {s.section for s in SETTINGS.values()}
-    | {"covariance"}
-    | {name for name, _ in _COMPONENT_SECTIONS}
-)
+# [covariance] key -> its 1-based stream pair: var_i is (i, i), sigma_ij (i < j) is (i, j)
+_COVARIANCE_KEYS = {f"var_{i}": (i, i) for i in range(1, N_STREAMS + 1)} | {
+    f"sigma_{i}{j}": (i, j) for i, j in PAIRS
+}
+# the sections read only for an inline model, with their keys
+_MODEL_SECTIONS = {"covariance": set(_COVARIANCE_KEYS)} | {
+    name: {"kind", "weight", "param"} for name, _ in _COMPONENT_SECTIONS
+}
+# every section a config may hold, with the keys it may hold
+_SCHEMA = {
+    s.section: {t.key for t in SETTINGS.values() if t.section == s.section} for s in SETTINGS.values()
+} | _MODEL_SECTIONS
 
 
 def _read(parser: configparser.ConfigParser, section: str, key: str, cast):
@@ -166,56 +172,32 @@ class _Resolved(dict):
 
 
 def _parse_model(parser: configparser.ConfigParser, model_name: str) -> ModelSpec:
-    if model_name in PRESETS:
-        return PRESETS[model_name]()
-    if model_name != INLINE:
+    if model_name not in PRESETS and model_name != INLINE:
         raise ConfigError(
             f"[experiment] model: unknown name {model_name!r}; "
             f"use one of {', '.join(sorted(PRESETS))} or {INLINE!r}"
         )
+    if model_name != INLINE:
+        for section in parser.sections():
+            if section in _MODEL_SECTIONS:
+                raise ConfigError(f"[{section}] is read only for model = {INLINE}, not {model_name}")
+        return PRESETS[model_name]()
     comps = []
     for section, slot in _COMPONENT_SECTIONS:
         if not parser.has_section(section):
             raise ConfigError(f"inline model needs a [{section}] section")
         kind = _read(parser, section, "kind", str.lower)
-        if kind not in (FRACTIONAL, AR1, WHITE):
-            raise ConfigError(
-                f"[{section}] kind: expected one of {FRACTIONAL}/{AR1}/{WHITE}, got {kind!r}"
-            )
         weight = _read(parser, section, "weight", float)
         param = 0.0 if kind == WHITE else _read(parser, section, "param", float)
         try:
             comps.append(ComponentSpec(kind=kind, weight=weight, slot=slot, param=param))
         except ValueError as e:
             raise ConfigError(f"[{section}]: {e}") from None
-
-    variances = [1.0, 1.0, 1.0, 1.0]
-    covariances = {}
-    if parser.has_section("covariance"):
-        for key in parser.options("covariance"):
-            if key.startswith("var_"):
-                try:
-                    i = int(key[4:])
-                except ValueError:
-                    i = -1
-                if not 1 <= i <= N_STREAMS:
-                    raise ConfigError(f"[covariance] unknown key {key!r}")
-                variances[i - 1] = _read(parser, "covariance", key, float)
-            elif key.startswith("sigma_") and len(key) == 8:
-                try:
-                    i, j = int(key[6]), int(key[7])
-                except ValueError:
-                    raise ConfigError(f"[covariance] unknown key {key!r}") from None
-                if not 1 <= i < j <= N_STREAMS:
-                    raise ConfigError(
-                        f"[covariance] {key}: stream indices must satisfy 1 <= i < j <= 4"
-                    )
-                covariances[(i, j)] = _read(parser, "covariance", key, float)
-            else:
-                raise ConfigError(f"[covariance] unknown key {key!r}")
+    keys = parser.options("covariance") if parser.has_section("covariance") else ()
+    sigma = {_COVARIANCE_KEYS[key]: _read(parser, "covariance", key, float) for key in keys}
+    variances = tuple(sigma.pop((i, i), 1.0) for i in range(1, N_STREAMS + 1))
     try:
-        cov = CovarianceSpec(variances=tuple(variances), covariances=covariances)
-        cholesky_factor(cov)
+        cov = CovarianceSpec(variances, sigma)
     except (ValueError, NotPositiveSemiDefiniteError) as e:
         raise ConfigError(f"[covariance] {e}") from None
     return ModelSpec((comps[0], comps[1]), (comps[2], comps[3]), cov)
@@ -228,25 +210,28 @@ def parse_config(
 
     ``overrides`` maps (section, key) to replacement raw values and is
     applied after parsing, before validation; the CLI uses it for flag
-    precedence.  All problems raise ConfigError naming the section and
-    key.
+    precedence.  Every problem, such as an unknown section or key, a
+    non-empty [DEFAULT] or a model section beside a preset, raises
+    ConfigError naming the section and key.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as e:
         raise ConfigError(f"malformed config: {e}") from None
-    for section in parser.sections():
-        if section not in _KNOWN_SECTIONS:
-            raise ConfigError(
-                f"unknown section [{section}]; known sections: "
-                + ", ".join(sorted(_KNOWN_SECTIONS))
-            )
     if overrides:
         for (section, key), value in overrides.items():
             if not parser.has_section(section):
                 parser.add_section(section)
             parser.set(section, key, value)
+    if parser.defaults():
+        raise ConfigError(f"[DEFAULT] {next(iter(parser.defaults()))}: put each key in its own section")
+    for section in parser.sections():
+        if section not in _SCHEMA:
+            raise ConfigError(f"unknown section [{section}]; known sections: {', '.join(sorted(_SCHEMA))}")
+        for key in parser.options(section):
+            if key not in _SCHEMA[section]:
+                raise ConfigError(f"[{section}] unknown key {key!r}; known: {', '.join(sorted(_SCHEMA[section]))}")
     if not parser.has_section("experiment"):
         raise ConfigError("missing [experiment] section")
 
@@ -269,7 +254,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         bad("replications", f"must be >= 1, got {cfg.replications}")
     if cfg.base_seed < 0:
         bad("base_seed", f"must be >= 0, got {cfg.base_seed}")
-    # dcca first: it holds detrend_order, which dfa shares
+    if cfg.detrend_order < 0:
+        bad("fluctuation.detrend_order", f"must be >= 0, got {cfg.detrend_order}")
     for section, check, *args in (
         ("dcca", check_scales, cfg.dcca_s_min, cfg.dcca_s_max, cfg.dcca_step, cfg.detrend_order, cfg.T),
         ("dfa", check_scales, cfg.dfa_s_min, cfg.dfa_s_max, cfg.dfa_step, cfg.detrend_order, cfg.T),
@@ -302,9 +288,9 @@ def serialize_config(cfg: ExperimentConfig) -> str:
             if comp.kind != WHITE:
                 body[section]["param"] = repr(comp.param)
         cov = cfg.model.covariance
-        body["covariance"] = {f"var_{i + 1}": repr(v) for i, v in enumerate(cov.variances)}
-        for (i, j), s in sorted(cov.covariances.items()):
-            body["covariance"][f"sigma_{i}{j}"] = repr(s)
+        body["covariance"] = {
+            key: repr(cov.sigma(i, j)) for key, (i, j) in _COVARIANCE_KEYS.items() if cov.sigma(i, j) != 0.0
+        }
 
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_dict(body)

@@ -17,7 +17,7 @@ from .errors import NotPositiveSemiDefiniteError
 
 N_STREAMS = 4
 
-_PAIRS = tuple((i, j) for i in range(1, 5) for j in range(i + 1, 5))
+PAIRS = tuple((i, j) for i in range(1, 5) for j in range(i + 1, 5))
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,8 @@ class CovarianceSpec:
 
     ``variances`` are the diagonal entries sigma^2_1..sigma^2_4;
     ``covariances`` maps 1-based slot pairs (i, j) with i < j to sigma_ij.
-    Missing pairs are zero.
+    Missing pairs are zero.  A matrix that is not positive semi-definite
+    raises NotPositiveSemiDefiniteError (see cholesky_factor).
     """
 
     variances: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
@@ -42,7 +43,7 @@ class CovarianceSpec:
             raise ValueError("variances must be positive")
         cov = {}
         for (i, j), s in dict(self.covariances).items():
-            if (i, j) not in _PAIRS:
+            if (i, j) not in PAIRS:
                 raise ValueError(f"covariance key must be a pair (i, j) with 1 <= i < j <= 4, got {(i, j)}")
             s = float(s)
             if not np.isfinite(s):
@@ -51,6 +52,7 @@ class CovarianceSpec:
                 cov[(i, j)] = s
         object.__setattr__(self, "variances", v)
         object.__setattr__(self, "covariances", cov)
+        cholesky_factor(self)
 
     def matrix(self) -> np.ndarray:
         """The assembled symmetric 4x4 covariance matrix."""

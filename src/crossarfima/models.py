@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .filters import AR1, FRACTIONAL, WHITE, ar1_weights, fft_convolve, ma_weights
-from .innovations import CovarianceSpec, cholesky_factor, sample
+from .innovations import CovarianceSpec, sample
 
 DEFAULT_SIM_TRUNCATION = 10_000
 
@@ -43,7 +43,7 @@ class ComponentSpec:
 
     def __post_init__(self):
         if self.kind not in (FRACTIONAL, AR1, WHITE):
-            raise ValueError(f"unknown component kind {self.kind!r}")
+            raise ValueError(f"unknown component kind {self.kind!r}; use {FRACTIONAL}, {AR1} or {WHITE}")
         if not np.isfinite(self.weight):
             raise ValueError("component weight must be finite")
         if self.slot not in (1, 2, 3, 4):
@@ -260,9 +260,7 @@ def theoretical_exponents(model: ModelSpec) -> ExponentReport:
     weights and innovation covariance are all nonzero, floored at 0.5.
     Standard deviations are exact for the untruncated process:
     sigma_x^2 = sum_{i,j} w_i w_j sigma_ij sum_k a_k^(i) a_k^(j).
-    Raises NotPositiveSemiDefiniteError for an inadmissible covariance.
     """
-    cholesky_factor(model.covariance)
 
     def side_sigma(comps):
         return math.sqrt(max(_cross_covariance(model, comps, comps, 0)[0], 0.0))
@@ -346,10 +344,8 @@ def cross_spectrum(model: ModelSpec, freq) -> complex | np.ndarray:
 
     f_xy(l) = (1/2pi) sum_pairs w_i w_j sigma_ij H_i(e^{il}) H_j(e^{-il}),
     with the component transfer functions H (see ComponentSpec.transfer).
-    Rejects lambda = 0, a pole when d_i + d_j > 0, and raises
-    NotPositiveSemiDefiniteError for an inadmissible covariance.
+    Rejects lambda = 0, a pole when d_i + d_j > 0.
     """
-    cholesky_factor(model.covariance)
     lam = np.asarray(freq, dtype=float)
     if np.any(lam <= 0.0) or np.any(lam > np.pi):
         raise ValueError("frequency must lie in (0, pi]")

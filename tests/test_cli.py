@@ -229,7 +229,7 @@ def test_estimate_headerless_two_column_input(tmp_path):
 
 
 def test_detrend_order_also_sets_dfa(tmp_path):
-    # [dcca] detrend_order is shared with DFA: order 2 must change the dfa rows
+    # [fluctuation] detrend_order is shared by DFA and DCCA: order 2 must change the dfa rows
     files = simulate_files(tmp_path)
     args = ["estimate", "--estimators", "dfa", *files]
     assert main(args + ["--output", str(tmp_path / "o1")]) == 0
@@ -671,6 +671,20 @@ def test_config_file_with_flag_override(tmp_path):
     x2 = np.loadtxt(out2 / "series_r0000.csv", delimiter=",", skiprows=1)[:, 1]
     assert np.allclose(x1, ref5.x, rtol=1e-11)
     assert np.allclose(x2, ref9.x, rtol=1e-11)
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate", "theory", "experiment"])
+def test_misspelled_config_key_is_a_config_error(tmp_path, capsys, command):
+    # a dropped key would run 100 replications where 7 were asked for
+    ini = tmp_path / "typo.ini"
+    ini.write_text("[experiment]\nmodel = model1\nrepliactions = 7\n")
+    out = tmp_path / "o"
+    argv = [command, "--config", str(ini), "--output", str(out)]
+    if command == "estimate":
+        argv.append(str(tmp_path / "series.csv"))
+    assert main(argv) == 1
+    assert "config error: [experiment] unknown key 'repliactions'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """INI experiment configs: parsing, defaults, validation, round-trips."""
 
+import re
+
 import pytest
 
 from crossarfima.cli import COMMAND_SETTINGS, _config_from_args, build_parser
@@ -170,6 +172,8 @@ def test_rejects_inconsistent_scales():
         parse_config(MINIMAL + "[hxa]\ntau_max = 1500\n")
     with pytest.raises(ConfigError, match="ccf.max_lag"):
         parse_config("[experiment]\nestimators = ccf\nt = 1000\n[ccf]\nmax_lag = 600\n")
+    with pytest.raises(ConfigError, match="fluctuation.detrend_order: must be >= 0"):
+        parse_config(MINIMAL + "[fluctuation]\ndetrend_order = -1\n")
 
 
 def test_rejects_removed_theory_section():
@@ -198,17 +202,58 @@ def test_rejects_bad_inline_model():
     with pytest.raises(ConfigError, match=r"\[component.x1\]"):
         parse_config("[experiment]\nmodel = inline\n")
     bad_kind = INLINE.replace("kind = ar1", "kind = garch")
-    with pytest.raises(ConfigError, match="kind"):
+    with pytest.raises(ConfigError, match="kind 'garch'; use fractional, ar1 or white"):
         parse_config(bad_kind)
     bad_d = INLINE.replace("param = 0.35", "param = 0.6")
     with pytest.raises(ConfigError, match=r"\[component.x1\]"):
         parse_config(bad_d)
-    with pytest.raises(ConfigError, match="stream indices"):
+    with pytest.raises(ConfigError, match=r"\[covariance\] unknown key 'sigma_32'"):
         parse_config(INLINE + "sigma_32 = 0.1\n")
     with pytest.raises(ConfigError, match=r"\[covariance\] unknown key"):
         parse_config(INLINE + "var_9 = 1.0\n")
     with pytest.raises(ConfigError, match=r"\[covariance\] unknown key"):
         parse_config(INLINE + "rho = 1.0\n")
+
+
+def with_line(section, line):
+    """INLINE with one more line in the given section."""
+    header = f"[{section}]\n"
+    if header in INLINE:
+        return INLINE.replace(header, f"{header}{line}\n")
+    return f"{INLINE}{header}{line}\n"
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("experiment", "repliactions"),
+        ("dcca", "s_mx"),
+        ("dfa", "stpe"),
+        ("hxa", "tau_mx"),
+        ("ccf", "maxlag"),
+        ("fluctuation", "detrend"),
+        ("component.x1", "wieght"),
+        ("covariance", "sgima_23"),
+        ("dcca", "detrend_order"),  # moved to [fluctuation]
+    ],
+)
+def test_rejects_unknown_key_in_every_section(section, key):
+    with pytest.raises(ConfigError, match=rf"\[{re.escape(section)}\] unknown key '{key}'"):
+        parse_config(with_line(section, f"{key} = 1"))
+
+
+def test_rejects_model_sections_beside_a_preset():
+    # a preset fixes its covariance: sigma_23 here would be dropped, not used
+    with pytest.raises(ConfigError, match=r"\[covariance\] is read only for model = inline"):
+        parse_config(MINIMAL + "[covariance]\nsigma_23 = 0.1\n")
+    with pytest.raises(ConfigError, match=r"\[component.y2\] is read only for model = inline"):
+        parse_config(MINIMAL + "[component.y2]\nkind = white\nweight = 1.0\n")
+
+
+def test_rejects_non_empty_default_section():
+    with pytest.raises(ConfigError, match=r"\[DEFAULT\] t: "):
+        parse_config("[DEFAULT]\nt = 500\n" + MINIMAL)
+    assert parse_config("[DEFAULT]\n" + MINIMAL) == parse_config(MINIMAL)
 
 
 def test_validate_config_runs_standalone():

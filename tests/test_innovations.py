@@ -88,16 +88,14 @@ def test_cholesky_hand_case():
 
 def test_cholesky_rejects_inadmissible_correlation():
     # |sigma_23| > sigma_2 sigma_3 = 1 cannot come from any joint distribution
-    spec = CovarianceSpec(covariances={(2, 3): 1.1})
     with pytest.raises(NotPositiveSemiDefiniteError):
-        cholesky_factor(spec)
+        CovarianceSpec(covariances={(2, 3): 1.1})
 
 
 def test_cholesky_rejects_jointly_inadmissible_pairs():
     # each pairwise correlation is fine alone, together the matrix is indefinite
-    spec = CovarianceSpec(covariances={(1, 2): 0.9, (2, 3): 0.9, (1, 3): -0.9})
     with pytest.raises(NotPositiveSemiDefiniteError):
-        cholesky_factor(spec)
+        CovarianceSpec(covariances={(1, 2): 0.9, (2, 3): 0.9, (1, 3): -0.9})
 
 
 def test_cholesky_accepts_singular_psd():

@@ -581,14 +581,7 @@ def test_cross_spectrum_matches_double_sum(make, rel):
 
 
 def test_covariance_admissibility_surfaces_in_simulate():
-    # |sigma_23| > sigma_2 sigma_3: theory refuses it too, or rho(0) would exceed 1
-    m = ModelSpec(
-        x_components=model1().x_components,
-        y_components=model1().y_components,
-        covariance=CovarianceSpec(covariances={(2, 3): 1.2}),
-    )
+    # |sigma_23| > sigma_2 sigma_3 cannot be built, so no model with it reaches
+    # simulate or the theory, where rho(0) would exceed 1
     with pytest.raises(NotPositiveSemiDefiniteError):
-        simulate(m, T=100, seed=0)
-    for call in (theoretical_exponents, theoretical_ccf, lambda m: cross_spectrum(m, 1.0)):
-        with pytest.raises(NotPositiveSemiDefiniteError):
-            call(m)
+        CovarianceSpec(covariances={(2, 3): 1.2})

@@ -16,8 +16,10 @@ The calls are ``simulate`` for each preset at T = 999, 3000 and 1e5;
 ``estimate`` on those files, on the 999- and 3000-row files together,
 on a 150-row file beside one of them, and on inputs that fail (header
 only, empty, four columns, 50 rows, a directory, a missing file);
-``theory`` at the defaults and at ``--max-lag 1000``; and ``experiment``
-at T = 1e4 (10 replications, 1 and 2 workers) and at T = 300.  Each
+``theory`` at the defaults and at ``--max-lag 1000``; ``experiment``
+at T = 1e4 (10 replications, 1 and 2 workers) and at T = 300; and
+``theory`` and ``experiment`` (T = 1000, 2 replications) on a ``--config``
+file holding the README's inline model with detrend order 2.  Each
 ``estimate`` input gets the windows of its own length.  A run takes
 about 5 s on a 2-core VM.
 """
@@ -46,6 +48,39 @@ ALL_ESTIMATORS = "dfa,dcca,hxa,ccf"
 # allows); missing.csv is never made
 BAD_INPUTS = ("inputs/header_only.csv", "inputs/empty.csv", "inputs/four_columns.csv",
               "inputs/fifty_rows.csv", "inputs/adir")
+INLINE_CONFIG = "inputs/inline.ini"
+# the README's inline model; write_inputs adds the detrend order
+INLINE_INI = """[experiment]
+model = inline
+t = 4000
+replications = 7
+base_seed = 5
+estimators = dfa,dcca
+
+[component.x1]
+kind = fractional
+weight = 1.0
+param = 0.35
+
+[component.x2]
+kind = ar1
+weight = 0.5
+param = -0.2
+
+[component.y1]
+kind = white
+weight = 2.0
+
+[component.y2]
+kind = fractional
+weight = 1.0
+param = 0.1
+
+[covariance]
+var_2 = 4.0
+sigma_23 = 0.25
+sigma_14 = -0.1
+"""
 
 
 def _series(model: str, T: int) -> list[str]:
@@ -84,11 +119,16 @@ def calls() -> list[list[str]]:
                         "--output", f"exp-{m}-w{workers}"])
         out.append(["experiment", "--model", m, "--T", "300", "--reps", "3", "--seed", "7",
                     "--estimators", ALL_ESTIMATORS, "--output", f"exp-{m}-300"])
+    out += [
+        ["theory", "--config", INLINE_CONFIG, "--output", "theory-inline"],
+        ["experiment", "--config", INLINE_CONFIG, "--reps", "2", "--T", "1000", "--output", "exp-inline"],
+    ]
     return out
 
 
-def write_inputs() -> None:
+def write_inputs(detrend_section: str) -> None:
     os.makedirs("inputs/adir")
+    Path(INLINE_CONFIG).write_text(f"{INLINE_INI}\n[{detrend_section}]\ndetrend_order = 2\n")
     Path("inputs/header_only.csv").write_text("t,x,y\n")
     Path("inputs/empty.csv").write_text("")
     np.savetxt("inputs/four_columns.csv", np.ones((3000, 4)), delimiter=",")
@@ -124,8 +164,12 @@ def main() -> int:
         raise SystemExit(f"{args.output} is not empty")
     os.chdir(args.output)
     start = time.perf_counter()
-    write_inputs()
+    # detrend_order goes in the section this tree declares for it ([fluctuation],
+    # formerly [dcca]); the config file is removed after the calls, so that
+    # trees which differ only in that section compare equal by their outputs
+    write_inputs(cli.SETTINGS["detrend_order"].section)
     results = [run(cli, argv) for argv in calls()]
+    os.remove(INLINE_CONFIG)
     with open("calls.json", "w") as f:
         json.dump(results, f, indent=1)
         f.write("\n")
