@@ -15,14 +15,12 @@ from .errors import (
     NotPositiveSemiDefiniteError,
 )
 from .estimators import (
-    CcfSeries,
     FluctuationSeries,
     ScalingFit,
     dcca,
     dfa,
     fit_hurst,
     hxa,
-    powerlaw_fit,
     sample_ccf,
 )
 from .filters import ar1_weights, ma_weights
@@ -56,14 +54,12 @@ __all__ = [
     "DegenerateSeriesError",
     "InsufficientDataError",
     "NotPositiveSemiDefiniteError",
-    "CcfSeries",
     "FluctuationSeries",
     "ScalingFit",
     "dcca",
     "dfa",
     "fit_hurst",
     "hxa",
-    "powerlaw_fit",
     "sample_ccf",
     "ar1_weights",
     "ma_weights",

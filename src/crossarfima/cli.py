@@ -66,6 +66,12 @@ def _write_table(path: str, header, columns) -> None:
     print(f"wrote {path}")
 
 
+def _write_ccf(path: str, **columns) -> None:
+    """_write_table of named CCF columns over lags -L..L, after a lag column."""
+    L = len(next(iter(columns.values()))) // 2
+    _write_table(path, ["lag", *columns], [np.arange(-L, L + 1), *columns.values()])
+
+
 def _ensure_outdir(cfg: ExperimentConfig) -> str:
     os.makedirs(cfg.output_dir, exist_ok=True)
     return cfg.output_dir
@@ -118,7 +124,7 @@ def _failed_rows(cfg: ExperimentConfig, message: str) -> list[EstimateRow]:
 
 
 def _pair_rows(cfg: ExperimentConfig, make_pair):
-    """Estimate rows and CCF (a CcfSeries or None) of the pair make_pair() gives.
+    """Estimate rows and CCF (an array over lags -L..L, or None) of the pair make_pair() gives.
 
     make_pair() gives (cfg, x, y), cfg sized for the pair's length.  One
     failure rule: a missing input is re-raised, so it stays a config
@@ -234,7 +240,7 @@ def cmd_estimate(config_at, inputs: list[str]) -> int:
         rows, ccf = _pair_rows(cfg, make_pair)
         table.append(([path], rows, ccf))
         if ccf is not None:
-            _write_table(os.path.join(outdir, _ccf_table_name(path)), ["lag", "rho"], [ccf.lags, ccf.values])
+            _write_ccf(os.path.join(outdir, _ccf_table_name(path)), rho=ccf)
     if not _write_estimates(os.path.join(outdir, "estimates.csv"), ["file"], table):
         print("all estimations failed", file=sys.stderr)
         return 2
@@ -250,10 +256,7 @@ def cmd_theory(cfg: ExperimentConfig, spectrum_points: int) -> int:
     rows.append(["dominating_pair", "-".join(map(str, rep.dominating_pair or ()))])
     _write_csv(os.path.join(outdir, "exponents.csv"), ["quantity", "value"], rows)
 
-    L = cfg.ccf_max_lag
-    values = theoretical_ccf(cfg.model, max_lag=L)
-    lags = np.arange(-L, L + 1)
-    _write_table(os.path.join(outdir, "theoretical_ccf.csv"), ["lag", "rho"], [lags, values])
+    _write_ccf(os.path.join(outdir, "theoretical_ccf.csv"), rho=theoretical_ccf(cfg.model, cfg.ccf_max_lag))
 
     lo, hi, _ = SPECTRUM_GRID
     grid = np.geomspace(lo, hi, spectrum_points)
@@ -320,13 +323,10 @@ def cmd_experiment(cfg: ExperimentConfig, workers: int) -> int:
 
     ccfs = [ccf for _, ccf in results if ccf is not None]
     if ccfs:
-        mean = np.mean(np.stack([ccf.values for ccf in ccfs]), axis=0)
-        theory = theoretical_ccf(cfg.model, max_lag=ccfs[0].max_lag)
-        _write_table(
-            os.path.join(outdir, "ccf_mean.csv"),
-            ["lag", "mean_sample_rho", "theory_rho", "abs_diff"],
-            [ccfs[0].lags, mean, theory, np.abs(mean - theory)],
-        )
+        mean = np.mean(ccfs, axis=0)
+        theory = theoretical_ccf(cfg.model, cfg.ccf_max_lag)
+        path = os.path.join(outdir, "ccf_mean.csv")
+        _write_ccf(path, mean_sample_rho=mean, theory_rho=theory, abs_diff=np.abs(mean - theory))
 
     if not any_result:
         print("all replications failed", file=sys.stderr)

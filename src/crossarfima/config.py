@@ -188,7 +188,8 @@ def _parse_model(parser: configparser.ConfigParser, model_name: str) -> ModelSpe
             raise ConfigError(f"inline model needs a [{section}] section")
         kind = _read(parser, section, "kind", str.lower)
         weight = _read(parser, section, "weight", float)
-        param = 0.0 if kind == WHITE else _read(parser, section, "param", float)
+        given = parser.has_option(section, "param")  # read, so that a white kind refuses it
+        param = _read(parser, section, "param", float) if given or kind != WHITE else 0.0
         try:
             comps.append(ComponentSpec(kind=kind, weight=weight, slot=slot, param=param))
         except ValueError as e:

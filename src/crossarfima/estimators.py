@@ -1,4 +1,4 @@
-"""Scaling-exponent estimators: sample CCF, DFA, DCCA, HXA, power-law fits.
+"""Scaling-exponent estimators: sample CCF, DFA, DCCA, HXA and the Hurst fit.
 
 All estimators are pure functions of their inputs.  DFA/DCCA/HXA operate
 on profiles (cumulative sums of demeaned series) and return fluctuation
@@ -27,36 +27,6 @@ MIN_FIT_POINTS = 4
 
 
 @dataclass(frozen=True)
-class CcfSeries:
-    """Sample cross-correlations at lags -L..L with the sample size used."""
-
-    lags: np.ndarray
-    values: np.ndarray
-    T: int
-
-    def __post_init__(self):
-        lags = np.asarray(self.lags, dtype=int)
-        values = np.asarray(self.values, dtype=float)
-        if lags.shape != values.shape or lags.ndim != 1:
-            raise ValueError("lags and values must be 1-d arrays of equal length")
-        lags.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "lags", lags)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def max_lag(self) -> int:
-        return int(self.lags[-1])
-
-    def at(self, lag: int) -> float:
-        """Value at one lag; raises if the lag is outside -L..L."""
-        idx = lag + self.max_lag
-        if not 0 <= idx < self.values.size:
-            raise IndexError(f"lag {lag} outside computed range +-{self.max_lag}")
-        return float(self.values[idx])
-
-
-@dataclass(frozen=True)
 class FluctuationSeries:
     """Fluctuation values versus scale for one of the dfa/dcca/hxa methods.
 
@@ -82,13 +52,10 @@ class FluctuationSeries:
         object.__setattr__(self, "scales", scales)
         object.__setattr__(self, "values", values)
 
-    def __len__(self) -> int:
-        return self.scales.size
-
 
 @dataclass(frozen=True)
 class ScalingFit:
-    """Least-squares power-law fit in log-log coordinates."""
+    """Hurst fit of a fluctuation series: half the log-log slope and stderr (see fit_hurst)."""
 
     exponent: float
     intercept: float
@@ -150,9 +117,10 @@ def check_max_lag(max_lag: int, T: int | None = None) -> None:
         raise ValueError(f"max_lag: need T > 2*max_lag, got T={T}, max_lag={max_lag}")
 
 
-def sample_ccf(x, y, max_lag: int) -> CcfSeries:
+def sample_ccf(x, y, max_lag: int) -> np.ndarray:
     """Sample cross-correlation rho(k) = corr(x_{t+k}, y_t) for k = -L..L.
 
+    Returns rho(-L..L), rho(k) at index L + k, as theoretical_ccf does.
     Uses global means and (ddof=0) standard deviations with divisor
     T - |k|, so rho(0) of a series with itself is exactly 1.  Requires
     T > 2L.
@@ -171,7 +139,7 @@ def sample_ccf(x, y, max_lag: int) -> CcfSeries:
         n = T - k
         values[L + k] = (xc[k:] @ yc[: n]) / (n * sx * sy)
         values[L - k] = (xc[: n] @ yc[k:]) / (n * sx * sy)
-    return CcfSeries(lags=np.arange(-L, L + 1), values=values, T=T)
+    return values
 
 
 def _profile(z: np.ndarray) -> np.ndarray:
@@ -327,41 +295,13 @@ def ols(x, y) -> tuple[float, float, float]:
     return float(slope), float(intercept), float(stderr)
 
 
-def powerlaw_fit(scales, values) -> ScalingFit:
-    """OLS of log(value) on log(scale); exponent field holds the raw slope.
-
-    Requires at least 4 strictly positive values; callers with possibly
-    negative fluctuations must filter first (see fit_hurst).
-    """
-    scales = np.asarray(scales, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if scales.shape != values.shape or scales.ndim != 1:
-        raise ValueError("scales and values must be 1-d arrays of equal length")
-    if scales.size < MIN_FIT_POINTS:
-        raise InsufficientDataError(
-            f"power-law fit needs >= {MIN_FIT_POINTS} points, got {scales.size}"
-        )
-    if np.any(scales <= 0.0):
-        raise ValueError("scales must be positive")
-    if np.any(values <= 0.0):
-        raise ValueError("values must be positive; filter non-positive entries first")
-    slope, intercept, stderr = ols(np.log(scales), np.log(values))
-    return ScalingFit(
-        exponent=slope,
-        intercept=intercept,
-        stderr=stderr,
-        n_points=scales.size,
-        range=(int(scales.min()), int(scales.max())),
-    )
-
-
 def fit_hurst(fluct: FluctuationSeries) -> ScalingFit:
     """Hurst estimate from a fluctuation series: H = slope/2 in log-log.
 
-    F^2 scales as s^(2H) and K as tau^(2H), so the fitted slope is
-    halved (stderr too).  Non-positive fluctuation values cannot enter
-    the log fit; they are dropped with a warning, and fewer than 4
-    surviving points raises InsufficientData.
+    F^2 scales as s^(2H) and K as tau^(2H), so the ols slope of
+    log(value) on log(scale) is halved (stderr too).  Non-positive
+    fluctuation values cannot enter the log fit; they are dropped with a
+    warning, and fewer than 4 surviving points raises InsufficientData.
     """
     keep = fluct.values > 0.0
     dropped = int(np.count_nonzero(~keep))
@@ -377,11 +317,11 @@ def fit_hurst(fluct: FluctuationSeries) -> ScalingFit:
             f"{fluct.method}: only {scales.size} positive fluctuation values, "
             f"need >= {MIN_FIT_POINTS} for a fit"
         )
-    fit = powerlaw_fit(scales, values)
+    slope, intercept, stderr = ols(np.log(scales), np.log(values))
     return ScalingFit(
-        exponent=0.5 * fit.exponent,
-        intercept=fit.intercept,
-        stderr=0.5 * fit.stderr,
-        n_points=fit.n_points,
-        range=fit.range,
+        exponent=0.5 * slope,
+        intercept=intercept,
+        stderr=0.5 * stderr,
+        n_points=scales.size,
+        range=(int(scales[0]), int(scales[-1])),
     )

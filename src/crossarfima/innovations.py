@@ -27,11 +27,13 @@ class CovarianceSpec:
     ``variances`` are the diagonal entries sigma^2_1..sigma^2_4;
     ``covariances`` maps 1-based slot pairs (i, j) with i < j to sigma_ij.
     Missing pairs are zero.  A matrix that is not positive semi-definite
-    raises NotPositiveSemiDefiniteError (see cholesky_factor).
+    raises NotPositiveSemiDefiniteError (see cholesky_factor); ``factor``
+    is the lower-triangular factor, computed once at construction.
     """
 
     variances: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
     covariances: Mapping[tuple[int, int], float] = field(default_factory=dict)
+    factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = tuple(float(x) for x in self.variances)
@@ -52,7 +54,9 @@ class CovarianceSpec:
                 cov[(i, j)] = s
         object.__setattr__(self, "variances", v)
         object.__setattr__(self, "covariances", cov)
-        cholesky_factor(self)
+        factor = cholesky_factor(self)
+        factor.setflags(write=False)
+        object.__setattr__(self, "factor", factor)
 
     def matrix(self) -> np.ndarray:
         """The assembled symmetric 4x4 covariance matrix."""
@@ -116,8 +120,7 @@ def sample(spec: CovarianceSpec, length: int, seed: int) -> np.ndarray:
     """
     if length < 1:
         raise ValueError(f"length must be positive, got {length}")
-    factor = cholesky_factor(spec)
     rng = np.random.default_rng(seed)
-    streams = factor @ rng.standard_normal((N_STREAMS, length))
+    streams = spec.factor @ rng.standard_normal((N_STREAMS, length))
     streams.setflags(write=False)
     return streams

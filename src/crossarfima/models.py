@@ -31,9 +31,9 @@ class ComponentSpec:
     """One additive term of a series: a filtered innovation stream.
 
     ``param`` is the memory parameter d (fractional), the AR coefficient
-    theta (ar1) or ignored (white).  ``weight`` is the mixing coefficient
-    (one of alpha, beta, gamma, delta) and ``slot`` the 1-based innovation
-    stream index in 1..4.
+    theta (ar1) or 0 (white, which has none).  ``weight`` is the mixing
+    coefficient (one of alpha, beta, gamma, delta) and ``slot`` the 1-based
+    innovation stream index in 1..4.
     """
 
     kind: str
@@ -52,6 +52,8 @@ class ComponentSpec:
             raise ValueError(f"fractional component needs 0 <= d < 0.5, got {self.param}")
         if self.kind == AR1 and not (np.isfinite(self.param) and abs(self.param) < 1.0):
             raise ValueError(f"ar1 component needs |theta| < 1, got {self.param}")
+        if self.kind == WHITE and self.param != 0.0:
+            raise ValueError(f"white component takes no param, got {self.param}")
 
     @property
     def memory(self) -> float:

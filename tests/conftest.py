@@ -69,7 +69,7 @@ def study():
                 curves[key].append(f.values)
                 rows[EXPONENT_KEYS[key]].append(_quiet_fit(f))
             if name == "model1":
-                ccfs.append(sample_ccf(s.x, s.y, CCF_MAX_LAG).values)
+                ccfs.append(sample_ccf(s.x, s.y, CCF_MAX_LAG))
         out[name] = {k: np.asarray(v) for k, v in rows.items()}
         out[name]["fluct"] = {k: np.vstack(v) for k, v in curves.items()}
         out[name]["scales"] = {k: f.scales for k, f in fluct.items()}
@@ -85,13 +85,14 @@ def study():
 def model3_long_ccf():
     """One long preset-3 realization (T = 1e6, seed 42).
 
-    Yields its sample CCF out to lag 100 (``ccf``), the ddof-0 standard
-    deviations ``sigma_x`` and ``sigma_y`` that normalize it, and the
-    simulation truncation M (``truncation``).
+    Yields its sample CCF at lags -100..100 (``ccf``), its length
+    (``T``), the ddof-0 standard deviations ``sigma_x`` and ``sigma_y``
+    that normalize it, and the simulation truncation M (``truncation``).
     """
     s = simulate(PRESETS["model3"](), T=1_000_000, seed=42)
     return {
         "ccf": sample_ccf(s.x, s.y, 100),
+        "T": len(s),
         "sigma_x": float(np.std(s.x)),
         "sigma_y": float(np.std(s.y)),
         "truncation": s.truncation,

@@ -162,17 +162,18 @@ def test_criterion_4_model3_long_run_ccf(model3_long_ccf):
     """
     run = model3_long_ccf
     ccf = run["ccf"]
-    T = ccf.T
+    L = ccf.size // 2
+    T = run["T"]
     model = model3()
     cov = protocol_covariances(model, T, run["truncation"])
     near = np.array([-1, 0, 1])
     e_cov = expected_lagged_products(cov["xy"], T, near) / (T - np.abs(near))
     target = float(e_cov[1] - 0.5 * (e_cov[0] + e_cov[2]))
-    jump = (ccf.at(0) - 0.5 * (ccf.at(1) + ccf.at(-1))) * run["sigma_x"] * run["sigma_y"]
-    off = np.array([ccf.at(k) for k in range(-100, 101) if k != 0])
+    jump = (ccf[L] - 0.5 * (ccf[L + 1] + ccf[L - 1])) * run["sigma_x"] * run["sigma_y"]
+    off = np.array([ccf[L + k] for k in range(-L, L + 1) if k != 0])
     spread = float(np.std(off))
     band = 3.0 / math.sqrt(T)
-    r0 = ccf.at(0)
+    r0 = ccf[L]
     limit = float(limit_ccf(model, [0])[0])
     expected = float(expected_sample_ccf(cov, T, [0])[0])
     ok = abs(jump - target) < 0.01 and spread < band

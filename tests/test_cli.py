@@ -159,6 +159,20 @@ def test_inadmissible_covariance_is_a_config_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_param_on_a_white_component_is_a_config_error(tmp_path, capsys):
+    # a white component has no param: one given would have no effect
+    ini = tmp_path / "white.ini"
+    ini.write_text(
+        INADMISSIBLE_INI.replace("sigma_23 = 1.5", "sigma_23 = 0.5").replace(
+            "kind = white\nweight = 0.0\n", "kind = white\nweight = 0.0\nparam = 0.3\n", 1
+        )
+    )
+    out = tmp_path / "o"
+    assert main(["experiment", "--config", str(ini), "--output", str(out)]) == 1
+    assert "config error: [component.x1]: white component takes no param, got 0.3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------------
 # estimate
 # ----------------------------------------------------------------------
@@ -544,7 +558,7 @@ def test_experiment_failed_simulation_becomes_failed_rows(tmp_path, monkeypatch)
     assert len(summary) == 4 and all(row[2] == "2" for row in summary)
     # the CCF mean is over the two replications that ran
     _, ccf = read_csv(tmp_path / "w1" / "ccf_mean.csv")
-    lag0 = [sample_ccf(s.x, s.y, 100).at(0) for s in (real(model1(), 2000, seed) for seed in (42, 44))]
+    lag0 = [sample_ccf(s.x, s.y, 100)[100] for s in (real(model1(), 2000, seed) for seed in (42, 44))]
     assert float(ccf[100][1]) == pytest.approx(np.mean(lag0), rel=1e-11)
 
 

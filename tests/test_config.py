@@ -215,6 +215,13 @@ def test_rejects_bad_inline_model():
         parse_config(INLINE + "rho = 1.0\n")
 
 
+def test_rejects_param_on_white_component():
+    # the white y1 has no param: a given one is an error, not dropped
+    with pytest.raises(ConfigError, match=r"\[component.y1\]: white component takes no param, got 0.3"):
+        parse_config(with_line("component.y1", "param = 0.3"))
+    assert parse_config(with_line("component.y1", "param = 0")) == parse_config(INLINE)
+
+
 def with_line(section, line):
     """INLINE with one more line in the given section."""
     header = f"[{section}]\n"

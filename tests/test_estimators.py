@@ -10,14 +10,12 @@ from scipy.stats import linregress
 from crossarfima import estimators
 from crossarfima.errors import DegenerateSeriesError, InsufficientDataError
 from crossarfima.estimators import (
-    CcfSeries,
     FluctuationSeries,
     dcca,
     dfa,
     fit_hurst,
     hxa,
     ols,
-    powerlaw_fit,
     sample_ccf,
 )
 from crossarfima.filters import ma_weights
@@ -104,22 +102,22 @@ def arfima_draw(d, T, seed):
 def test_sample_ccf_hand_case():
     # x = y = 1..4: rho(0) = 1 and rho(+-1) = 1.25/3.75 = 1/3 by hand
     ccf = sample_ccf([1, 2, 3, 4], [1, 2, 3, 4], max_lag=1)
-    assert np.array_equal(ccf.lags, [-1, 0, 1])
-    assert np.allclose(ccf.values, [1 / 3, 1.0, 1 / 3], rtol=0, atol=1e-15)
-    assert ccf.T == 4
+    # one float per lag -1, 0, 1
+    assert ccf.dtype == float and ccf.shape == (3,)
+    assert np.allclose(ccf, [1 / 3, 1.0, 1 / 3], rtol=0, atol=1e-15)
 
 
 def test_sample_ccf_hand_case_reversed():
     # y = 5 - x flips every sign: (-1/3, -1, -1/3)
     ccf = sample_ccf([1, 2, 3, 4], [4, 3, 2, 1], max_lag=1)
-    assert np.allclose(ccf.values, [-1 / 3, -1.0, -1 / 3], rtol=0, atol=1e-15)
+    assert np.allclose(ccf, [-1 / 3, -1.0, -1 / 3], rtol=0, atol=1e-15)
 
 
 def test_self_ccf_is_one_at_lag_zero():
     x = np.random.default_rng(0).standard_normal(500)
     ccf = sample_ccf(x, x, max_lag=5)
-    assert ccf.at(0) == pytest.approx(1.0, abs=1e-14)
-    assert np.all(np.abs(ccf.values) <= 1.0 + 1e-12)
+    assert ccf[5] == pytest.approx(1.0, abs=1e-14)
+    assert np.all(np.abs(ccf) <= 1.0 + 1e-12)
 
 
 def test_ccf_lag_convention_positive_lag_leads_x():
@@ -131,9 +129,10 @@ def test_ccf_lag_convention_positive_lag_leads_x():
     rng = np.random.default_rng(21)
     y = rng.standard_normal(5000)
     x = np.concatenate([rng.standard_normal(3), y[:-3]])
-    ccf = sample_ccf(x, y, max_lag=10)
-    assert ccf.at(3) > 0.99
-    others = [ccf.at(k) for k in range(-10, 11) if k != 3]
+    L = 10
+    ccf = sample_ccf(x, y, max_lag=L)
+    assert ccf[L + 3] > 0.99
+    others = [ccf[L + k] for k in range(-L, L + 1) if k != 3]
     assert np.max(np.abs(others)) < 0.1
 
 
@@ -143,7 +142,7 @@ def test_ccf_white_noise_within_bartlett_band():
     for seed in range(10):
         rng = np.random.default_rng(seed)
         ccf = sample_ccf(rng.standard_normal(T), rng.standard_normal(T), max_lag=20)
-        assert np.max(np.abs(ccf.values)) < 5.0 / np.sqrt(T)
+        assert np.max(np.abs(ccf)) < 5.0 / np.sqrt(T)
 
 
 def test_ccf_invariant_under_positive_affine_maps():
@@ -152,7 +151,7 @@ def test_ccf_invariant_under_positive_affine_maps():
     y = rng.standard_normal(800)
     a = sample_ccf(x, y, 10)
     b = sample_ccf(3.0 * x + 7.0, 0.5 * y - 2.0, 10)
-    assert np.allclose(a.values, b.values, rtol=0, atol=1e-12)
+    assert np.allclose(a, b, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -165,8 +164,8 @@ def test_ccf_swapping_the_series_mirrors_the_lags(T, lag_frac, seed, mix, scale)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(T)
     y = scale * (mix * x + rng.standard_normal(T)) + 5.0
-    xy = sample_ccf(x, y, L).values
-    yx = sample_ccf(y, x, L).values
+    xy = sample_ccf(x, y, L)
+    yx = sample_ccf(y, x, L)
     np.testing.assert_allclose(xy, yx[::-1], rtol=1e-15, atol=0)
 
 
@@ -182,19 +181,6 @@ def test_ccf_preconditions():
         sample_ccf(np.ones(50), x[:5].repeat(10), 2)
     with pytest.raises(ValueError, match="finite"):
         sample_ccf([1.0, np.nan, 2.0, 0.0, 1.0], np.arange(5.0), 1)
-
-
-def test_ccf_series_lookup():
-    ccf = sample_ccf(np.random.default_rng(1).standard_normal(100), np.zeros(100) + np.random.default_rng(2).standard_normal(100), 4)
-    assert ccf.max_lag == 4
-    assert ccf.at(-4) == ccf.values[0]
-    with pytest.raises(IndexError):
-        ccf.at(5)
-
-
-def test_ccf_series_validation():
-    with pytest.raises(ValueError):
-        CcfSeries(lags=np.arange(3), values=np.zeros(2), T=10)
 
 
 # ----------------------------------------------------------------------
@@ -530,9 +516,10 @@ def test_ols_edge_cases_follow_linregress():
 
 
 def test_powerlaw_fit_exact():
-    s = np.array([10.0, 20.0, 40.0, 80.0, 160.0])
-    fit = powerlaw_fit(s, 3.0 * s**0.8)
-    assert fit.exponent == pytest.approx(0.8, abs=1e-12)
+    # F = 3 s^0.8: the log-log line has slope 0.8, so H = 0.4
+    s = np.array([10, 20, 40, 80, 160])
+    fit = fit_hurst(FluctuationSeries(scales=s, values=3.0 * s**0.8, method="dfa"))
+    assert fit.exponent == pytest.approx(0.4, abs=1e-12)
     assert fit.intercept == pytest.approx(np.log(3.0), abs=1e-12)
     assert fit.stderr == pytest.approx(0.0, abs=1e-12)
     assert fit.n_points == 5
@@ -542,30 +529,19 @@ def test_powerlaw_fit_exact():
 def test_powerlaw_fit_matches_normal_equations():
     """Slope, intercept and slope standard error from first principles."""
     rng = np.random.default_rng(55)
-    s = np.geomspace(8, 512, 12)
+    # integer scales, as FluctuationSeries holds them
+    s = np.geomspace(8, 512, 12).round().astype(int)
     v = 2.0 * s**0.6 * np.exp(0.05 * rng.standard_normal(12))
-    fit = powerlaw_fit(s, v)
+    fit = fit_hurst(FluctuationSeries(scales=s, values=v, method="dcca"))
     ls, lv = np.log(s), np.log(v)
     sxx = np.sum((ls - ls.mean()) ** 2)
     slope = np.sum((ls - ls.mean()) * (lv - lv.mean())) / sxx
     intercept = lv.mean() - slope * ls.mean()
     resid = lv - (intercept + slope * ls)
     stderr = np.sqrt(np.sum(resid**2) / (len(s) - 2) / sxx)
-    assert fit.exponent == pytest.approx(slope, abs=1e-10)
+    assert fit.exponent == pytest.approx(slope / 2, abs=1e-10)
     assert fit.intercept == pytest.approx(intercept, abs=1e-10)
-    assert fit.stderr == pytest.approx(stderr, abs=1e-10)
-
-
-def test_powerlaw_fit_refusals():
-    s = np.array([1.0, 2.0, 3.0, 4.0])
-    with pytest.raises(InsufficientDataError):
-        powerlaw_fit(s[:3], s[:3])
-    with pytest.raises(ValueError, match="positive"):
-        powerlaw_fit(s, np.array([1.0, -1.0, 1.0, 1.0]))
-    with pytest.raises(ValueError, match="positive"):
-        powerlaw_fit(np.array([0.0, 2.0, 3.0, 4.0]), s)
-    with pytest.raises(ValueError, match="equal length"):
-        powerlaw_fit(s, s[:3])
+    assert fit.stderr == pytest.approx(stderr / 2, abs=1e-10)
 
 
 def test_fit_hurst_halves_the_slope():

@@ -1,5 +1,7 @@
 """Covariance specs, the tolerant Cholesky factor, and stream sampling."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,16 @@ def test_sample_shape_and_determinism():
     assert a.shape == (4, 500)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_spec_keeps_its_factor_through_a_pickle():
+    # the process pool pickles the spec: the copy must equal it and draw the same streams
+    spec = CovarianceSpec(variances=(1.0, 4.0, 1.0, 1.0), covariances={(2, 3): 0.9, (1, 4): -0.5})
+    assert np.array_equal(spec.factor, cholesky_factor(spec))
+    again = pickle.loads(pickle.dumps(spec))
+    assert again == spec
+    assert np.array_equal(again.factor, spec.factor)
+    assert np.array_equal(sample(again, 300, seed=5), sample(spec, 300, seed=5))
 
 
 def test_sample_streams_are_read_only():

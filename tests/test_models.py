@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from crossarfima import innovations
 from crossarfima.errors import NotPositiveSemiDefiniteError
 from crossarfima.estimators import sample_ccf
 from crossarfima.filters import ar1_weights, ma_weights
-from crossarfima.innovations import CovarianceSpec, sample
+from crossarfima.innovations import CovarianceSpec, cholesky_factor, sample
 from crossarfima.models import (
     PRESETS,
     ComponentSpec,
@@ -114,6 +115,12 @@ def test_component_validation():
     for slot in (0, 5):
         with pytest.raises(ValueError):
             white(1.0, slot=slot)
+
+
+def test_white_component_takes_no_param():
+    with pytest.raises(ValueError, match="white component takes no param, got 0.3"):
+        ComponentSpec("white", 1.0, 2, param=0.3)
+    assert ComponentSpec("white", 1.0, 2, param=0.0) == white(1.0, slot=2)
 
 
 def test_ma_coefficients_white_is_one_tap():
@@ -302,6 +309,23 @@ def test_simulate_matches_direct_convolution(name, T):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def test_simulate_reuses_the_factor_of_a_built_model(monkeypatch):
+    # the spec is factored once, when it is built; no draw factors it again
+    model = model1()
+    calls = []
+
+    def counting(spec, *args, **kwargs):
+        calls.append(spec)
+        return cholesky_factor(spec, *args, **kwargs)
+
+    monkeypatch.setattr(innovations, "cholesky_factor", counting)
+    simulate(model, 500, seed=1)
+    simulate(model, 500, seed=2)
+    assert calls == []
+    CovarianceSpec()  # the counter sees a construction
+    assert len(calls) == 1
+
+
 def test_simulate_x_independent_of_y_definition():
     # same seed, same covariance: redefining the y side cannot move x
     base = model3()
@@ -457,9 +481,11 @@ def test_comparison_model2_tails():
     s = simulate(model2(), T=10_000, seed=42)
     sample = sample_ccf(s.x, s.y, 100)
     theory = theoretical_ccf(s.model, max_lag=100)
-    tail = np.abs(sample.lags) > 30
+    # one float per lag -100..100 in both
+    assert sample.dtype == theory.dtype == float and sample.shape == theory.shape == (201,)
+    tail = np.abs(np.arange(-100, 101)) > 30
     assert np.max(np.abs(theory[tail])) < 0.02
-    assert np.max(np.abs(sample.values[tail])) < 0.12
+    assert np.max(np.abs(sample[tail])) < 0.12
 
 
 def test_comparison_model3_spike_dominates_noise():
@@ -476,14 +502,14 @@ def test_comparison_model3_spike_dominates_noise():
     s = simulate(model3(), T=100_000, seed=7)
     sample = sample_ccf(s.x, s.y, 50)
     theory = theoretical_ccf(s.model, max_lag=50)
-    off = sample.lags != 0
+    off = np.arange(-50, 51) != 0
     assert np.all(theory[off] == 0.0)
-    assert np.max(np.abs(sample.values[off])) < 0.05
-    assert sample.values[50] > 0.25
+    assert np.max(np.abs(sample[off])) < 0.05
+    assert sample[50] > 0.25
     cov = protocol_covariances(s.model, len(s), s.truncation)
     bias = expected_sample_ccf(cov, len(s), [0])[0] - theory[50]
     assert 0.0 < bias < 0.03
-    assert abs(sample.values[50] - theory[50]) < 3 / math.sqrt(len(s)) + bias
+    assert abs(sample[50] - theory[50]) < 3 / math.sqrt(len(s)) + bias
 
 
 # ----------------------------------------------------------------------
