@@ -27,12 +27,8 @@ ESTIMATOR_NAMES = ("dfa", "dcca", "hxa", "ccf")
 INLINE = "inline"
 MIN_T = 100
 
-_COMPONENT_SECTIONS = (
-    ("component.x1", 1),
-    ("component.x2", 2),
-    ("component.y1", 3),
-    ("component.y2", 4),
-)
+# the inline model's components, in stream order: section i is driven by stream i
+_COMPONENT_SECTIONS = ("component.x1", "component.x2", "component.y1", "component.y2")
 
 
 @dataclass(frozen=True)
@@ -134,7 +130,7 @@ _COVARIANCE_KEYS = {f"var_{i}": (i, i) for i in range(1, N_STREAMS + 1)} | {
 }
 # the sections read only for an inline model, with their keys
 _MODEL_SECTIONS = {"covariance": set(_COVARIANCE_KEYS)} | {
-    name: {"kind", "weight", "param"} for name, _ in _COMPONENT_SECTIONS
+    name: {"kind", "weight", "param"} for name in _COMPONENT_SECTIONS
 }
 # every section a config may hold, with the keys it may hold
 _SCHEMA = {
@@ -183,7 +179,7 @@ def _parse_model(parser: configparser.ConfigParser, model_name: str) -> ModelSpe
                 raise ConfigError(f"[{section}] is read only for model = {INLINE}, not {model_name}")
         return PRESETS[model_name]()
     comps = []
-    for section, slot in _COMPONENT_SECTIONS:
+    for section in _COMPONENT_SECTIONS:
         if not parser.has_section(section):
             raise ConfigError(f"inline model needs a [{section}] section")
         kind = _read(parser, section, "kind", str.lower)
@@ -191,7 +187,7 @@ def _parse_model(parser: configparser.ConfigParser, model_name: str) -> ModelSpe
         given = parser.has_option(section, "param")  # read, so that a white kind refuses it
         param = _read(parser, section, "param", float) if given or kind != WHITE else 0.0
         try:
-            comps.append(ComponentSpec(kind=kind, weight=weight, slot=slot, param=param))
+            comps.append(ComponentSpec(kind=kind, weight=weight, param=param))
         except ValueError as e:
             raise ConfigError(f"[{section}]: {e}") from None
     keys = parser.options("covariance") if parser.has_section("covariance") else ()
@@ -284,7 +280,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     for name, s in SETTINGS.items():
         body.setdefault(s.section, {})[s.key] = s.render(getattr(cfg, name))
     if cfg.model_name == INLINE:
-        for (section, _), comp in zip(_COMPONENT_SECTIONS, cfg.model.components):
+        for section, comp in zip(_COMPONENT_SECTIONS, cfg.model.components):
             body[section] = {"kind": comp.kind, "weight": repr(comp.weight)}
             if comp.kind != WHITE:
                 body[section]["param"] = repr(comp.param)

@@ -52,6 +52,10 @@ class FluctuationSeries:
         object.__setattr__(self, "scales", scales)
         object.__setattr__(self, "values", values)
 
+    def __reduce__(self):
+        # rebuild through __init__, so that unpickled arrays are read-only again
+        return FluctuationSeries, (self.scales, self.values, self.method)
+
 
 @dataclass(frozen=True)
 class ScalingFit:

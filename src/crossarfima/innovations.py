@@ -25,7 +25,7 @@ class CovarianceSpec:
     """Contemporaneous covariance of the four innovation streams.
 
     ``variances`` are the diagonal entries sigma^2_1..sigma^2_4;
-    ``covariances`` maps 1-based slot pairs (i, j) with i < j to sigma_ij.
+    ``covariances`` maps 1-based stream pairs (i, j) with i < j to sigma_ij.
     Missing pairs are zero.  A matrix that is not positive semi-definite
     raises NotPositiveSemiDefiniteError (see cholesky_factor); ``factor``
     is the lower-triangular factor, computed once at construction.
@@ -58,6 +58,10 @@ class CovarianceSpec:
         factor.setflags(write=False)
         object.__setattr__(self, "factor", factor)
 
+    def __reduce__(self):
+        # rebuild through __init__, so that an unpickled factor is read-only again
+        return CovarianceSpec, (self.variances, self.covariances)
+
     def matrix(self) -> np.ndarray:
         """The assembled symmetric 4x4 covariance matrix."""
         m = np.diag(np.asarray(self.variances, dtype=float))
@@ -66,7 +70,7 @@ class CovarianceSpec:
         return m
 
     def sigma(self, i: int, j: int) -> float:
-        """sigma_ij for 1-based slots (order-insensitive; i = j gives the variance)."""
+        """sigma_ij for 1-based streams (order-insensitive; i = j gives the variance)."""
         if i == j:
             return self.variances[i - 1]
         key = (i, j) if i < j else (j, i)

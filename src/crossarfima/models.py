@@ -1,13 +1,14 @@
 """Bivariate long-memory model specifications and their theory.
 
 A model pairs two series, each a weighted sum of two filtered innovation
-streams: x uses streams 1-2, y uses streams 3-4.  Components are
-fractionally integrated, AR(1) or plain white noise; all cross-dependence
-between x and y enters through the contemporaneous innovation covariances
-sigma_ij.  This module builds such specifications (including the three
-published presets), simulates realizations, and computes theoretical
-quantities: Hurst exponents, process variances, the cross-correlation
-function and the cross-power spectrum.
+streams: x's components use streams 1 and 2 and y's use 3 and 4, in
+order.  Components are fractionally integrated, AR(1) or plain white
+noise; all cross-dependence between x and y enters through the
+contemporaneous innovation covariances sigma_ij.  This module builds such
+specifications (including the three published presets), simulates
+realizations, and computes theoretical quantities: Hurst exponents,
+process variances, the cross-correlation function and the cross-power
+spectrum.
 """
 
 from __future__ import annotations
@@ -17,13 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .estimators import check_max_lag
 from .filters import AR1, FRACTIONAL, WHITE, ar1_weights, fft_convolve, ma_weights
 from .innovations import CovarianceSpec, sample
 
 DEFAULT_SIM_TRUNCATION = 10_000
-
-X_SLOTS = (1, 2)
-Y_SLOTS = (3, 4)
 
 
 @dataclass(frozen=True)
@@ -32,13 +31,12 @@ class ComponentSpec:
 
     ``param`` is the memory parameter d (fractional), the AR coefficient
     theta (ar1) or 0 (white, which has none).  ``weight`` is the mixing
-    coefficient (one of alpha, beta, gamma, delta) and ``slot`` the 1-based
-    innovation stream index in 1..4.
+    coefficient (one of alpha, beta, gamma, delta).  Its innovation stream
+    is fixed by its position in the model (see ModelSpec).
     """
 
     kind: str
     weight: float
-    slot: int
     param: float = 0.0
 
     def __post_init__(self):
@@ -46,8 +44,6 @@ class ComponentSpec:
             raise ValueError(f"unknown component kind {self.kind!r}; use {FRACTIONAL}, {AR1} or {WHITE}")
         if not np.isfinite(self.weight):
             raise ValueError("component weight must be finite")
-        if self.slot not in (1, 2, 3, 4):
-            raise ValueError(f"innovation slot must be in 1..4, got {self.slot}")
         if self.kind == FRACTIONAL and not (np.isfinite(self.param) and 0.0 <= self.param < 0.5):
             raise ValueError(f"fractional component needs 0 <= d < 0.5, got {self.param}")
         if self.kind == AR1 and not (np.isfinite(self.param) and abs(self.param) < 1.0):
@@ -80,21 +76,21 @@ class ComponentSpec:
         return np.ones(1)
 
 
-def fractional(d: float, weight: float, slot: int) -> ComponentSpec:
-    return ComponentSpec(FRACTIONAL, weight, slot, d)
+def fractional(d: float, weight: float) -> ComponentSpec:
+    return ComponentSpec(FRACTIONAL, weight, d)
 
 
-def ar1(theta: float, weight: float, slot: int) -> ComponentSpec:
-    return ComponentSpec(AR1, weight, slot, theta)
+def ar1(theta: float, weight: float) -> ComponentSpec:
+    return ComponentSpec(AR1, weight, theta)
 
 
-def white(weight: float, slot: int) -> ComponentSpec:
-    return ComponentSpec(WHITE, weight, slot)
+def white(weight: float) -> ComponentSpec:
+    return ComponentSpec(WHITE, weight)
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Two 2-component series plus the 4x4 innovation covariance."""
+    """Two 2-component series plus the 4x4 innovation covariance; stream i drives components[i - 1]."""
 
     x_components: tuple[ComponentSpec, ComponentSpec]
     y_components: tuple[ComponentSpec, ComponentSpec]
@@ -103,25 +99,23 @@ class ModelSpec:
     def __post_init__(self):
         object.__setattr__(self, "x_components", tuple(self.x_components))
         object.__setattr__(self, "y_components", tuple(self.y_components))
-        x_slots = tuple(c.slot for c in self.x_components)
-        y_slots = tuple(c.slot for c in self.y_components)
-        if x_slots != X_SLOTS or y_slots != Y_SLOTS:
-            raise ValueError(
-                f"x components must use slots {X_SLOTS} and y components {Y_SLOTS} "
-                f"in order, got x={x_slots}, y={y_slots}"
-            )
+        sizes = (len(self.x_components), len(self.y_components))
+        if sizes != (2, 2):
+            raise ValueError(f"x and y need two components each, got {sizes[0]} and {sizes[1]}")
 
     @property
     def components(self) -> tuple[ComponentSpec, ...]:
         return self.x_components + self.y_components
 
-    def coupled_pairs(self, left, right):
-        """(w_i w_j sigma_ij, c_i, c_j) for every pair with a nonzero factor."""
-        for ci in left:
-            for cj in right:
-                w = ci.weight * cj.weight * self.covariance.sigma(ci.slot, cj.slot)
+    def coupled_pairs(self, left=(1, 2), right=(3, 4)):
+        """(w_i w_j sigma_ij, c_i, c_j, (i, j)) for each pair of streams i in left,
+        j in right with a nonzero factor; the defaults pair x's streams with y's."""
+        for i in left:
+            for j in right:
+                ci, cj = self.components[i - 1], self.components[j - 1]
+                w = ci.weight * cj.weight * self.covariance.sigma(i, j)
                 if w != 0.0:
-                    yield w, ci, cj
+                    yield w, ci, cj, (i, j)
 
 
 @dataclass(frozen=True)
@@ -156,6 +150,10 @@ class BivariateSeries:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
+    def __reduce__(self):
+        # rebuild through __init__, so that unpickled arrays are read-only again
+        return BivariateSeries, (self.x, self.y, self.seed, self.model, self.truncation)
+
     def __len__(self) -> int:
         return self.x.size
 
@@ -169,11 +167,11 @@ def model1() -> ModelSpec:
 
     F(d) is a fractionally integrated stream; unit innovation variances,
     sigma_23 = 0.9.  Long-range cross-correlated: H_x = H_y = 0.9 while
-    H_xy = 0.8, dominated by the correlated d=0.3 pair in slots (2, 3).
+    H_xy = 0.8, dominated by the correlated d=0.3 pair in streams (2, 3).
     """
     return ModelSpec(
-        x_components=(fractional(0.4, 0.2, slot=1), fractional(0.3, 1.0, slot=2)),
-        y_components=(fractional(0.3, 1.0, slot=3), fractional(0.4, 0.2, slot=4)),
+        x_components=(fractional(0.4, 0.2), fractional(0.3, 1.0)),
+        y_components=(fractional(0.3, 1.0), fractional(0.4, 0.2)),
         covariance=_standard_covariance(),
     )
 
@@ -185,8 +183,8 @@ def model2() -> ModelSpec:
     but only short-range cross-correlated: H_x = H_y = 0.9, H_xy = 0.5.
     """
     return ModelSpec(
-        x_components=(fractional(0.4, 1.0, slot=1), ar1(0.8, 1.0, slot=2)),
-        y_components=(ar1(0.8, 1.0, slot=3), fractional(0.4, 1.0, slot=4)),
+        x_components=(fractional(0.4, 1.0), ar1(0.8, 1.0)),
+        y_components=(ar1(0.8, 1.0), fractional(0.4, 1.0)),
         covariance=_standard_covariance(),
     )
 
@@ -199,8 +197,8 @@ def model3() -> ModelSpec:
     rho_xy(0) = sigma_23/(sigma_x*sigma_y) and rho_xy(k) = 0 for k != 0.
     """
     return ModelSpec(
-        x_components=(fractional(0.4, 1.0, slot=1), white(1.0, slot=2)),
-        y_components=(white(1.0, slot=3), fractional(0.4, 1.0, slot=4)),
+        x_components=(fractional(0.4, 1.0), white(1.0)),
+        y_components=(white(1.0), fractional(0.4, 1.0)),
         covariance=_standard_covariance(),
     )
 
@@ -244,10 +242,10 @@ def lead_lag_sums(lead: ComponentSpec, lag: ComponentSpec, max_lag: int) -> np.n
 
 
 def _cross_covariance(model: ModelSpec, left, right, max_lag: int) -> np.ndarray:
-    """Cov(u_{t+k}, v_t) at k = -L..L for the sides u, v with components left, right."""
+    """Cov(u_{t+k}, v_t) at k = -L..L for the sides u, v driven by the streams left, right."""
     L = int(max_lag)
     out = np.zeros(2 * L + 1)
-    for w, ci, cj in model.coupled_pairs(left, right):
+    for w, ci, cj, _ in model.coupled_pairs(left, right):
         out[L:] += w * lead_lag_sums(ci, cj, L)
         out[:L] += w * lead_lag_sums(cj, ci, L)[:0:-1]
     return out
@@ -264,8 +262,8 @@ def theoretical_exponents(model: ModelSpec) -> ExponentReport:
     sigma_x^2 = sum_{i,j} w_i w_j sigma_ij sum_k a_k^(i) a_k^(j).
     """
 
-    def side_sigma(comps):
-        return math.sqrt(max(_cross_covariance(model, comps, comps, 0)[0], 0.0))
+    def side_sigma(streams):
+        return math.sqrt(max(_cross_covariance(model, streams, streams, 0)[0], 0.0))
 
     def side_hurst(comps):
         hs = [c.hurst for c in comps if c.weight != 0.0]
@@ -273,18 +271,18 @@ def theoretical_exponents(model: ModelSpec) -> ExponentReport:
 
     best = None
     best_pair = None
-    for _, ci, cj in model.coupled_pairs(model.x_components, model.y_components):
+    for _, ci, cj, pair in model.coupled_pairs():
         h = 0.5 * (ci.hurst + cj.hurst)
         if best is None or h > best:
             best = h
-            best_pair = (ci.slot, cj.slot)
+            best_pair = pair
 
     return ExponentReport(
         H_x=side_hurst(model.x_components),
         H_y=side_hurst(model.y_components),
         H_xy=max(best, 0.5) if best is not None else 0.5,
-        sigma_x=side_sigma(model.x_components),
-        sigma_y=side_sigma(model.y_components),
+        sigma_x=side_sigma((1, 2)),
+        sigma_y=side_sigma((3, 4)),
         dominating_pair=best_pair,
     )
 
@@ -303,24 +301,14 @@ def simulate(model: ModelSpec, T: int, seed: int) -> BivariateSeries:
     M = max(T, DEFAULT_SIM_TRUNCATION)
     streams = sample(model.covariance, T + M, seed)
 
-    def build(comps):
-        out = np.zeros(T)
-        for c in comps:
-            if c.weight == 0.0:
-                continue
-            w = c.ma_coefficients(M)
-            stream = streams[c.slot - 1]
-            # the T outputs whose window of w.size samples lies inside the stream
-            out += c.weight * fft_convolve(stream[M + 1 - w.size :], w)[w.size - 1 : w.size - 1 + T]
-        return out
+    x, y = np.zeros(T), np.zeros(T)
+    for i, c in enumerate(model.components, 1):
+        if c.weight != 0.0:
+            side = x if i <= 2 else y
+            # outputs M..M+T-1: their windows of at most M + 1 weights lie inside the stream
+            side += c.weight * fft_convolve(streams[i - 1], c.ma_coefficients(M))[M : M + T]
 
-    return BivariateSeries(
-        x=build(model.x_components),
-        y=build(model.y_components),
-        seed=seed,
-        model=model,
-        truncation=M,
-    )
+    return BivariateSeries(x=x, y=y, seed=seed, model=model, truncation=M)
 
 
 def theoretical_ccf(model: ModelSpec, max_lag: int = 1000) -> np.ndarray:
@@ -332,13 +320,12 @@ def theoretical_ccf(model: ModelSpec, max_lag: int = 1000) -> np.ndarray:
     infinite one (see lead_lag_sums), so all values lie in [-1, 1].
     """
     L = int(max_lag)
-    if L < 0:
-        raise ValueError(f"max_lag must be >= 0, got {L}")
+    check_max_lag(L)
     rep = theoretical_exponents(model)
     denom = rep.sigma_x * rep.sigma_y
     if denom == 0.0:
         raise ValueError("model has zero process variance; cross-correlations undefined")
-    return _cross_covariance(model, model.x_components, model.y_components, L) / denom
+    return _cross_covariance(model, (1, 2), (3, 4), L) / denom
 
 
 def cross_spectrum(model: ModelSpec, freq) -> complex | np.ndarray:
@@ -356,7 +343,7 @@ def cross_spectrum(model: ModelSpec, freq) -> complex | np.ndarray:
     plus = np.exp(1j * lam)
     minus = np.exp(-1j * lam)
     out = np.zeros(lam.shape, dtype=complex)
-    for w, ci, cj in model.coupled_pairs(model.x_components, model.y_components):
+    for w, ci, cj, _ in model.coupled_pairs():
         out += w * ci.transfer(plus) * cj.transfer(minus)
     out /= 2.0 * np.pi
     return out[0] if scalar else out

@@ -34,10 +34,18 @@ def _component_weights(comp, M):
     return np.ones(1)  # white noise: the one-tap identity filter
 
 
+# the innovation streams of each side: stream i drives component i of
+# x_components + y_components, as in the model definition
+_STREAMS = {"x": (1, 2), "y": (3, 4)}
+
+
 def _pair_factors(model, left, right):
-    for ci in left:
-        for cj in right:
-            w = ci.weight * cj.weight * model.covariance.sigma(ci.slot, cj.slot)
+    """(w_i w_j sigma_ij, c_i, c_j) over streams i of side left, j of side right ("x" or "y")."""
+    comps = model.x_components + model.y_components
+    for i in _STREAMS[left]:
+        for j in _STREAMS[right]:
+            ci, cj = comps[i - 1], comps[j - 1]
+            w = ci.weight * cj.weight * model.covariance.sigma(i, j)
             if w != 0.0:
                 yield w, ci, cj
 
@@ -45,7 +53,7 @@ def _pair_factors(model, left, right):
 def truncated_cross_cov(model, left, right, M, T):
     """gamma_uv(k), k = -(T-1)..(T-1), of the MA process with weights cut at M.
 
-    ``left`` and ``right`` are the component tuples of u and v.  Each
+    ``left`` and ``right`` name the sides u and v, "x" or "y".  Each
     pair contributes w_i w_j sigma_ij sum_n a^(i)_{n+k} a^(j)_n, which is
     the exact cross-covariance of what a simulation with truncation M
     produces.
@@ -63,11 +71,10 @@ def truncated_cross_cov(model, left, right, M, T):
 
 def protocol_covariances(model, T, M):
     """Truncated auto- and cross-covariances of x and y out to lag T - 1."""
-    x, y = model.x_components, model.y_components
     return {
-        "xx": truncated_cross_cov(model, x, x, M, T),
-        "yy": truncated_cross_cov(model, y, y, M, T),
-        "xy": truncated_cross_cov(model, x, y, M, T),
+        "xx": truncated_cross_cov(model, "x", "x", M, T),
+        "yy": truncated_cross_cov(model, "y", "y", M, T),
+        "xy": truncated_cross_cov(model, "x", "y", M, T),
     }
 
 
@@ -124,10 +131,9 @@ def limit_cross_cov(model, left, right, lags):
 
 def limit_ccf(model, lags):
     """rho(k) of the untruncated process."""
-    x, y = model.x_components, model.y_components
-    var_x = limit_cross_cov(model, x, x, [0])[0]
-    var_y = limit_cross_cov(model, y, y, [0])[0]
-    return limit_cross_cov(model, x, y, lags) / np.sqrt(var_x * var_y)
+    var_x = limit_cross_cov(model, "x", "x", [0])[0]
+    var_y = limit_cross_cov(model, "y", "y", [0])[0]
+    return limit_cross_cov(model, "x", "y", lags) / np.sqrt(var_x * var_y)
 
 
 def truncated_cross_spectrum(model, lam, N):
@@ -138,7 +144,7 @@ def truncated_cross_spectrum(model, lam, N):
     """
     phase = np.exp(1j * lam * np.arange(N + 1))
     out = 0j
-    for w, ci, cj in _pair_factors(model, model.x_components, model.y_components):
+    for w, ci, cj in _pair_factors(model, "x", "y"):
         a = _component_weights(ci, N)
         b = _component_weights(cj, N)
         out += w * (a @ phase[: a.size]) * (b @ phase[: b.size].conj())

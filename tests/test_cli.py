@@ -117,7 +117,7 @@ def test_abbreviated_or_removed_flag_is_usage_error(tmp_path, capsys, argv):
     assert not (tmp_path / "o").exists()
 
 
-# x = F(0.3) in slot 2 and y = F(0.3) in slot 3 with |sigma_23| > sigma_2 sigma_3
+# x = F(0.3) on stream 2 and y = F(0.3) on stream 3 with |sigma_23| > sigma_2 sigma_3
 INADMISSIBLE_INI = """
 [experiment]
 model = inline
@@ -401,6 +401,20 @@ def test_estimate_degenerate_input_fails_cleanly(tmp_path, capsys):
     assert "failed" in capsys.readouterr().err
 
 
+def test_estimate_constant_x_writes_a_failed_ccf_row(tmp_path, capsys):
+    # x is constant, so corr(x_{t+k}, y_t) has a zero denominator
+    path = tmp_path / "flat_x.csv"
+    y = np.random.default_rng(1).standard_normal(500).tolist()
+    path.write_text("x,y\n" + "".join(f"1.0,{v!r}\n" for v in y))
+    out = tmp_path / "o"
+    assert main(["estimate", "--estimators", "hxa,ccf", "--output", str(out), str(path)]) == 2
+    assert "all estimations failed" in capsys.readouterr().err
+    _, rows = read_csv(out / "estimates.csv")
+    assert rows[-1] == [str(path), "ccf", "rho", "failed", "", "", "0",
+                        "zero-variance input, cross-correlation undefined"]
+    assert sorted(p.name for p in out.iterdir()) == ["estimates.csv"]
+
+
 # ----------------------------------------------------------------------
 # theory
 # ----------------------------------------------------------------------
@@ -456,6 +470,14 @@ def test_theory_spectrum_written_for_mixed_models(tmp_path):
     assert np.allclose([float(r[2]) for r in spec], ref.imag, rtol=1e-11, atol=1e-13)
     # each cell is the 12-digit text of the value, |f| as Python's abs gives it
     assert [r[1:] for r in spec] == [[cli._fmt(v.real), cli._fmt(v.imag), cli._fmt(abs(v))] for v in ref]
+
+
+def test_theory_output_on_an_existing_file_is_an_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    assert main(["theory", "--output", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 17] File exists")
+    assert taken.read_text() == "kept"
 
 
 @pytest.mark.parametrize("flag", ["--ccf-truncation", "--truncation", "--spectrum"])
@@ -560,6 +582,18 @@ def test_experiment_failed_simulation_becomes_failed_rows(tmp_path, monkeypatch)
     _, ccf = read_csv(tmp_path / "w1" / "ccf_mean.csv")
     lag0 = [sample_ccf(s.x, s.y, 100)[100] for s in (real(model1(), 2000, seed) for seed in (42, 44))]
     assert float(ccf[100][1]) == pytest.approx(np.mean(lag0), rel=1e-11)
+
+
+def test_experiment_with_every_replication_failed_exits_2(tmp_path, monkeypatch, capsys):
+    def broken(model, T, seed):
+        raise ValueError("simulation blew up")
+
+    monkeypatch.setattr(cli, "simulate", broken)
+    assert run_experiment(tmp_path / "o", 1) == 2
+    assert "all replications failed" in capsys.readouterr().err
+    _, reps = read_csv(tmp_path / "o" / "replications.csv")
+    assert len(reps) == 15 and {r[4] for r in reps} == {"failed"}
+    assert not (tmp_path / "o" / "ccf_mean.csv").exists()
 
 
 def replication_file(tmp_path, preset, T, estimators):
@@ -699,6 +733,25 @@ def test_misspelled_config_key_is_a_config_error(tmp_path, capsys, command):
     assert main(argv) == 1
     assert "config error: [experiment] unknown key 'repliactions'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edit, flags, message",
+    [
+        (("weight = 0.0\n", ""), [], "[component.x1] missing required key 'weight'"),
+        (None, ["--seed", "-1"], "base_seed: must be >= 0, got -1"),
+        (None, ["--output", ""], "output_dir: must be non-empty"),
+    ],
+    ids=["missing-weight", "negative-seed", "empty-output"],
+)
+def test_config_value_errors_exit_1(tmp_path, monkeypatch, capsys, edit, flags, message):
+    monkeypatch.chdir(tmp_path)
+    text = INADMISSIBLE_INI.replace("sigma_23 = 1.5", "sigma_23 = 0.5")
+    Path("run.ini").write_text(text.replace(*edit, 1) if edit else text)
+    argv = ["experiment", "--config", "run.ini", "--output", "o", *flags]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert os.listdir(tmp_path) == ["run.ini"]
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Sample CCF, DFA/DCCA/HXA fluctuation functions, and power-law fitting."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -208,6 +210,15 @@ def test_dcca_incomplete_tail_boxes_are_dropped():
     got = dcca(x, y, s_min=10, s_max=10, step=1)
     ref = brute_dcca(x, y, [10], 1)
     assert got.values[0] == pytest.approx(ref[0], rel=1e-10)
+
+
+def test_fluctuation_series_stays_read_only_through_a_pickle():
+    # the process pool pickles results; the copy must stay frozen like the original
+    f = dfa(np.random.default_rng(3).standard_normal(500), s_min=10, s_max=50, step=10)
+    again = pickle.loads(pickle.dumps(f))
+    assert np.array_equal(again.scales, f.scales) and np.array_equal(again.values, f.values)
+    assert again.method == f.method
+    assert not again.scales.flags.writeable and not again.values.flags.writeable
 
 
 def test_dfa_equals_self_dcca_exactly():

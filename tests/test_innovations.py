@@ -139,6 +139,7 @@ def test_spec_keeps_its_factor_through_a_pickle():
     assert again == spec
     assert np.array_equal(again.factor, spec.factor)
     assert np.array_equal(sample(again, 300, seed=5), sample(spec, 300, seed=5))
+    assert not again.factor.flags.writeable
 
 
 def test_sample_streams_are_read_only():

@@ -1,6 +1,8 @@
 """Model presets, theoretical exponents/CCF/spectrum, and simulation."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -47,8 +49,8 @@ def mixed_model():
     fractional-ar1, fractional-white, and d = 0 against ar1 and white.
     """
     return ModelSpec(
-        x_components=(fractional(0.35, 1.0, slot=1), fractional(0.0, 0.7, slot=2)),
-        y_components=(ar1(-0.6, 1.5, slot=3), white(0.8, slot=4)),
+        x_components=(fractional(0.35, 1.0), fractional(0.0, 0.7)),
+        y_components=(ar1(-0.6, 1.5), white(0.8)),
         covariance=CovarianceSpec(
             covariances={(1, 2): 0.2, (1, 3): 0.3, (1, 4): -0.2, (2, 3): 0.25, (2, 4): 0.1}
         ),
@@ -58,8 +60,9 @@ def mixed_model():
 def brute_cross_cov(model, left, right, max_lag, truncation):
     """Slice-and-dot sums sum_{m<=K} a^(i)_{m+k} a^(j)_m at lags -L..L.
 
-    For ar1 and white components only, where a finite sum is exact to
-    rounding once theta^K is negligible.
+    ``left`` and ``right`` are stream numbers; stream i drives component i
+    of x_components + y_components.  For ar1 and white components only,
+    where a finite sum is exact to rounding once theta^K is negligible.
     """
     L, K = max_lag, truncation
     n = np.arange(K + L + 1, dtype=float)
@@ -68,10 +71,12 @@ def brute_cross_cov(model, left, right, max_lag, truncation):
         assert comp.kind in ("ar1", "white")
         return comp.param**n if comp.kind == "ar1" else (n == 0).astype(float)
 
+    comps = model.x_components + model.y_components
     values = np.zeros(2 * L + 1)
-    for ci in left:
-        for cj in right:
-            w = ci.weight * cj.weight * model.covariance.sigma(ci.slot, cj.slot)
+    for p in left:
+        for q in right:
+            ci, cj = comps[p - 1], comps[q - 1]
+            w = ci.weight * cj.weight * model.covariance.sigma(p, q)
             a, b = coefficients(ci), coefficients(cj)
             values[L] += w * float(a[: K + 1] @ b[: K + 1])
             for i in range(1, L + 1):
@@ -86,68 +91,63 @@ def brute_cross_cov(model, left, right, max_lag, truncation):
 
 
 def test_component_constructors():
-    f = fractional(0.4, 0.2, slot=1)
-    assert (f.kind, f.param, f.weight, f.slot) == ("fractional", 0.4, 0.2, 1)
-    a = ar1(0.8, 1.0, slot=2)
+    f = fractional(0.4, 0.2)
+    assert (f.kind, f.param, f.weight) == ("fractional", 0.4, 0.2)
+    assert [f.name for f in dataclasses.fields(ComponentSpec)] == ["kind", "weight", "param"]
+    a = ar1(0.8, 1.0)
     assert (a.kind, a.param) == ("ar1", 0.8)
-    w = white(1.0, slot=3)
+    w = white(1.0)
     assert (w.kind, w.param) == ("white", 0.0)
 
 
 def test_component_hurst():
-    assert fractional(0.4, 1.0, slot=1).hurst == 0.9
-    assert fractional(0.0, 1.0, slot=1).hurst == 0.5
-    assert ar1(0.8, 1.0, slot=2).hurst == 0.5
-    assert white(1.0, slot=2).hurst == 0.5
+    assert fractional(0.4, 1.0).hurst == 0.9
+    assert fractional(0.0, 1.0).hurst == 0.5
+    assert ar1(0.8, 1.0).hurst == 0.5
+    assert white(1.0).hurst == 0.5
 
 
 def test_component_validation():
     with pytest.raises(ValueError):
-        ComponentSpec(kind="garch", weight=1.0, slot=1)
+        ComponentSpec(kind="garch", weight=1.0)
     with pytest.raises(ValueError):
-        fractional(0.5, 1.0, slot=1)
+        fractional(0.5, 1.0)
     with pytest.raises(ValueError):
-        fractional(-0.1, 1.0, slot=1)
+        fractional(-0.1, 1.0)
     with pytest.raises(ValueError):
-        ar1(1.0, 1.0, slot=1)
+        ar1(1.0, 1.0)
     with pytest.raises(ValueError):
-        fractional(0.3, np.inf, slot=1)
-    for slot in (0, 5):
-        with pytest.raises(ValueError):
-            white(1.0, slot=slot)
+        fractional(0.3, np.inf)
 
 
 def test_white_component_takes_no_param():
     with pytest.raises(ValueError, match="white component takes no param, got 0.3"):
-        ComponentSpec("white", 1.0, 2, param=0.3)
-    assert ComponentSpec("white", 1.0, 2, param=0.0) == white(1.0, slot=2)
+        ComponentSpec("white", 1.0, param=0.3)
+    assert ComponentSpec("white", 1.0, param=0.0) == white(1.0)
 
 
 def test_ma_coefficients_white_is_one_tap():
     # a white component's kernel is the one tap [1] at every horizon
-    c = white(1.0, slot=2)
+    c = white(1.0)
     assert np.array_equal(c.ma_coefficients(5), [1.0])
-    f = fractional(0.3, 1.0, slot=1)
+    f = fractional(0.3, 1.0)
     assert f.ma_coefficients(5).shape == (6,)
     assert f.ma_coefficients(5)[1] == pytest.approx(0.3, abs=1e-15)
 
 
-def test_model_spec_slot_layout_enforced():
+def test_model_spec_needs_two_components_a_side():
     good = model1()
-    assert tuple(c.slot for c in good.x_components) == (1, 2)
-    assert tuple(c.slot for c in good.y_components) == (3, 4)
-    with pytest.raises(ValueError):
-        ModelSpec(
-            x_components=(fractional(0.4, 1.0, slot=1), fractional(0.3, 1.0, slot=3)),
-            y_components=good.y_components,
-            covariance=CovarianceSpec(),
-        )
-    with pytest.raises(ValueError):
-        ModelSpec(
-            x_components=(good.x_components[1], good.x_components[0]),
-            y_components=good.y_components,
-            covariance=CovarianceSpec(),
-        )
+    x, y = good.x_components, good.y_components
+    for sides in ((x[:1], y), (x + y[:1], y), (x, y[:1]), (x, y + x[:1])):
+        with pytest.raises(ValueError, match="two components each"):
+            ModelSpec(*sides, covariance=good.covariance)
+    # a component's stream is its position: swapping x's two is another model
+    swapped = ModelSpec((x[1], x[0]), y, good.covariance)
+    assert swapped.components == (x[1], x[0]) + y
+    # sigma_23 now couples x's 0.2 F(0.4) with y's F(0.3) in place of F(0.3) with F(0.3)
+    assert theoretical_exponents(good).H_xy == pytest.approx(0.8)
+    assert theoretical_exponents(swapped).H_xy == pytest.approx(0.85)
+    assert theoretical_exponents(swapped).dominating_pair == (2, 3)
 
 
 def test_presets_match_published_setup():
@@ -192,8 +192,8 @@ def test_exponents_models_2_and_3():
 
 def test_exponents_ignore_zero_weight_components():
     m = ModelSpec(
-        x_components=(fractional(0.45, 0.0, slot=1), fractional(0.2, 1.0, slot=2)),
-        y_components=(fractional(0.2, 1.0, slot=3), white(1.0, slot=4)),
+        x_components=(fractional(0.45, 0.0), fractional(0.2, 1.0)),
+        y_components=(fractional(0.2, 1.0), white(1.0)),
         covariance=CovarianceSpec(covariances={(2, 3): 0.5}),
     )
     rep = theoretical_exponents(m)
@@ -204,8 +204,8 @@ def test_exponents_ignore_zero_weight_components():
 
 def test_exponents_without_cross_coupling():
     m = ModelSpec(
-        x_components=(fractional(0.4, 1.0, slot=1), white(1.0, slot=2)),
-        y_components=(white(1.0, slot=3), fractional(0.4, 1.0, slot=4)),
+        x_components=(fractional(0.4, 1.0), white(1.0)),
+        y_components=(white(1.0), fractional(0.4, 1.0)),
         covariance=CovarianceSpec(),
     )
     rep = theoretical_exponents(m)
@@ -252,10 +252,9 @@ def test_process_sigma_approaches_weight_sum_limit():
 def test_theory_matches_oracle(make):
     """sigma and rho(k) at lags -1000..1000 against the scipy closed forms."""
     model = make()
-    x, y = model.x_components, model.y_components
     rep = theoretical_exponents(model)
-    assert rep.sigma_x == pytest.approx(math.sqrt(limit_cross_cov(model, x, x, [0])[0]), abs=1e-12)
-    assert rep.sigma_y == pytest.approx(math.sqrt(limit_cross_cov(model, y, y, [0])[0]), abs=1e-12)
+    assert rep.sigma_x == pytest.approx(math.sqrt(limit_cross_cov(model, "x", "x", [0])[0]), abs=1e-12)
+    assert rep.sigma_y == pytest.approx(math.sqrt(limit_cross_cov(model, "y", "y", [0])[0]), abs=1e-12)
     got = theoretical_ccf(model, max_lag=1000)
     assert np.max(np.abs(got - limit_ccf(model, np.arange(-1000, 1001)))) <= 1e-12
 
@@ -300,11 +299,12 @@ def test_simulate_matches_direct_convolution(name, T):
             return ar1_weights(c.param, M)
         return ma_weights(c.memory, M)
 
-    def direct(comps):
-        return sum(c.weight * np.convolve(streams[c.slot - 1], taps(c), "valid") for c in comps)
+    def direct(comps, first):
+        # stream i drives component i of x_components + y_components
+        return sum(c.weight * np.convolve(streams[i - 1], taps(c), "valid") for i, c in enumerate(comps, first))
 
     s = simulate(model, T, seed)
-    for got, ref in ((s.x, direct(model.x_components)), (s.y, direct(model.y_components))):
+    for got, ref in ((s.x, direct(model.x_components, 1)), (s.y, direct(model.y_components, 3))):
         assert got.shape == ref.shape == (T,)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -331,7 +331,7 @@ def test_simulate_x_independent_of_y_definition():
     base = model3()
     other = ModelSpec(
         x_components=base.x_components,
-        y_components=(ar1(0.7, 2.0, slot=3), fractional(0.1, 1.0, slot=4)),
+        y_components=(ar1(0.7, 2.0), fractional(0.1, 1.0)),
         covariance=base.covariance,
     )
     a = simulate(base, T=400, seed=9)
@@ -353,6 +353,15 @@ def test_series_is_read_only():
         s.x[0] = 0.0
 
 
+def test_series_stays_read_only_through_a_pickle():
+    # the process pool pickles each result back to the parent
+    s = simulate(model2(), T=50, seed=1)
+    again = pickle.loads(pickle.dumps(s))
+    assert np.array_equal(again.x, s.x) and np.array_equal(again.y, s.y)
+    assert (again.seed, again.model, again.truncation) == (s.seed, s.model, s.truncation)
+    assert not again.x.flags.writeable and not again.y.flags.writeable
+
+
 def test_simulated_variance_short_memory():
     """Sample variances of purely short-memory builds hit their closed forms.
 
@@ -360,8 +369,8 @@ def test_simulated_variance_short_memory():
     Short memory means the sample variance concentrates fast.
     """
     m = ModelSpec(
-        x_components=(white(1.0, slot=1), white(0.5, slot=2)),
-        y_components=(ar1(0.5, 1.0, slot=3), white(0.0, slot=4)),
+        x_components=(white(1.0), white(0.5)),
+        y_components=(ar1(0.5, 1.0), white(0.0)),
         covariance=CovarianceSpec(),
     )
     acc_x = acc_y = 0.0
@@ -376,7 +385,7 @@ def test_simulated_variance_short_memory():
 def test_simulated_variance_fractional():
     # long memory inflates the variance estimator noise, so average seeds
     # and compare against the truncated weight sum, not the K = inf limit
-    target = float(np.sum(np.asarray(fractional(0.4, 1.0, 1).ma_coefficients(20_000)) ** 2))
+    target = float(np.sum(np.asarray(fractional(0.4, 1.0).ma_coefficients(20_000)) ** 2))
     acc = 0.0
     for seed in range(10):
         s = simulate(model3(), T=20_000, seed=seed)
@@ -405,7 +414,7 @@ def test_theoretical_ccf_matches_brute_force(make):
     model = make()
     rep = theoretical_exponents(model)
     got = theoretical_ccf(model, max_lag=10) * rep.sigma_x * rep.sigma_y
-    ref = brute_cross_cov(model, model.x_components[1:], model.y_components[:1], 10, 300)
+    ref = brute_cross_cov(model, (2,), (3,), 10, 300)
     assert np.allclose(got, ref, rtol=1e-12, atol=1e-14)
 
 
@@ -413,13 +422,13 @@ def test_theoretical_ccf_brute_force_all_pairs_coupled():
     # every cross pair at once, with negative thetas and covariances; ar1 and
     # white only, so the brute-force sigmas are exact as well
     m = ModelSpec(
-        x_components=(ar1(0.7, 1.0, slot=1), white(0.5, slot=2)),
-        y_components=(ar1(-0.4, 2.0, slot=3), ar1(0.3, 1.0, slot=4)),
+        x_components=(ar1(0.7, 1.0), white(0.5)),
+        y_components=(ar1(-0.4, 2.0), ar1(0.3, 1.0)),
         covariance=CovarianceSpec(
             covariances={(1, 2): 0.4, (1, 3): 0.3, (1, 4): -0.2, (2, 3): 0.5, (2, 4): 0.1}
         ),
     )
-    x, y = m.x_components, m.y_components
+    x, y = (1, 2), (3, 4)
     ref = brute_cross_cov(m, x, y, 7, 250) / math.sqrt(
         brute_cross_cov(m, x, x, 0, 250)[0] * brute_cross_cov(m, y, y, 0, 250)[0]
     )
@@ -441,7 +450,7 @@ def test_theoretical_ccf_limit_value_model3():
 
 
 def test_theoretical_ccf_model1_symmetry():
-    # mirrored composition (slots 2,3 share d = 0.3) makes rho even in the lag
+    # mirrored composition (streams 2,3 share d = 0.3) makes rho even in the lag
     vals = theoretical_ccf(model1(), max_lag=50)
     assert np.allclose(vals, vals[::-1], rtol=1e-12, atol=1e-14)
 
@@ -462,12 +471,18 @@ def test_theoretical_ccf_power_decay():
 
 def test_theoretical_ccf_rejects_zero_variance():
     m = ModelSpec(
-        x_components=(white(0.0, slot=1), white(0.0, slot=2)),
-        y_components=(white(1.0, slot=3), white(1.0, slot=4)),
+        x_components=(white(0.0), white(0.0)),
+        y_components=(white(1.0), white(1.0)),
         covariance=CovarianceSpec(),
     )
     with pytest.raises(ValueError, match="variance"):
         theoretical_ccf(m, max_lag=0)
+
+
+def test_theoretical_ccf_rejects_negative_max_lag():
+    # the check sample_ccf and the config make, with the same message
+    with pytest.raises(ValueError, match=r"^max_lag: must be >= 0, got -1$"):
+        theoretical_ccf(model1(), max_lag=-1)
 
 
 def test_comparison_model2_tails():
@@ -520,9 +535,9 @@ def test_comparison_model3_spike_dominates_noise():
 def polar_spectrum(model, lam):
     """Independent closed form via 1 - e^{il} = 2 sin(l/2) e^{i(l-pi)/2}."""
     out = 0j
-    for ci in model.x_components:
-        for cj in model.y_components:
-            s = model.covariance.sigma(ci.slot, cj.slot)
+    for i, ci in enumerate(model.x_components, 1):
+        for j, cj in enumerate(model.y_components, 3):
+            s = model.covariance.sigma(i, j)
             w = ci.weight * cj.weight * s
             if w == 0.0:
                 continue
@@ -536,8 +551,8 @@ def polar_spectrum(model, lam):
 def test_cross_spectrum_matches_polar_form():
     base = model1()
     skew = ModelSpec(  # asymmetric memory so the spectrum picks up a phase
-        x_components=(fractional(0.4, 1.0, slot=1), fractional(0.1, 0.5, slot=2)),
-        y_components=(fractional(0.2, 1.0, slot=3), fractional(0.0, 1.0, slot=4)),
+        x_components=(fractional(0.4, 1.0), fractional(0.1, 0.5)),
+        y_components=(fractional(0.2, 1.0), fractional(0.0, 1.0)),
         covariance=CovarianceSpec(covariances={(1, 3): 0.6, (2, 4): -0.3}),
     )
     for model in (base, skew):
@@ -582,8 +597,8 @@ def test_cross_spectrum_domain_checks():
 def fractional_ar1_model():
     # fractional x shell coupled to an ar1 y core, both lag directions
     return ModelSpec(
-        x_components=(fractional(0.3, 1.0, slot=1), white(0.5, slot=2)),
-        y_components=(ar1(0.6, 1.0, slot=3), white(1.0, slot=4)),
+        x_components=(fractional(0.3, 1.0), white(0.5)),
+        y_components=(ar1(0.6, 1.0), white(1.0)),
         covariance=CovarianceSpec(covariances={(1, 3): 0.7}),
     )
 

@@ -18,10 +18,12 @@ on a 150-row file beside one of them, and on inputs that fail (header
 only, empty, four columns, 50 rows, a directory, a missing file);
 ``theory`` at the defaults and at ``--max-lag 1000``; ``experiment``
 at T = 1e4 (10 replications, 1 and 2 workers) and at T = 300;
-``theory`` and ``experiment`` (T = 1000, 2 replications) on a ``--config``
-file holding the README's inline model with detrend order 2; and the
-CCF alone at ``--max-lag 7``, by ``estimate`` on the model1 999-row
-files and by ``experiment`` at T = 300 (3 replications).  Each
+``theory``, and ``simulate`` and ``experiment`` at T = 1000 with 2
+replications, on a ``--config`` file holding the README's inline model
+with detrend order 2 (its AR(1) and white terms and sigma_14 make the
+series a check that each component reads its own innovation stream);
+and the CCF alone at ``--max-lag 7``, by ``estimate`` on the model1
+999-row files and by ``experiment`` at T = 300 (3 replications).  Each
 ``estimate`` input gets the windows of its own length.  A run takes
 about 5 s on a 2-core VM.
 """
@@ -122,6 +124,7 @@ def calls() -> list[list[str]]:
         out.append(["experiment", "--model", m, "--T", "300", "--reps", "3", "--seed", "7",
                     "--estimators", ALL_ESTIMATORS, "--output", f"exp-{m}-300"])
     out += [
+        ["simulate", "--config", INLINE_CONFIG, "--T", "1000", "--reps", "2", "--output", "sim-inline"],
         ["theory", "--config", INLINE_CONFIG, "--output", "theory-inline"],
         ["experiment", "--config", INLINE_CONFIG, "--reps", "2", "--T", "1000", "--output", "exp-inline"],
         # a CCF length other than the default, which the lag columns follow
