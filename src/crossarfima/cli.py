@@ -24,7 +24,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .config import ESTIMATOR_NAMES, SETTINGS, ExperimentConfig, parse_config
+from .config import SETTINGS, WINDOWS, ExperimentConfig, check_windows, parse_config
 from .errors import ConfigError, CrossArfimaError
 from .estimators import dcca, dfa, fit_hurst, hxa, sample_ccf
 from .models import cross_spectrum, simulate, theoretical_ccf, theoretical_exponents
@@ -104,13 +104,10 @@ def _fit_row(estimator: str, target: str, make_fluct) -> EstimateRow:
 # call).  The calls look dfa/dcca/hxa up in this module's globals when they
 # run, so a rebinding of those names (a tracer, say) is seen.
 ESTIMATES = (
-    ("dfa", "hx", "H_x", lambda x, y, c: dfa(x, c.dfa_s_min, c.dfa_s_max, c.dfa_step, c.detrend_order)),
-    ("dfa", "hy", "H_y", lambda x, y, c: dfa(y, c.dfa_s_min, c.dfa_s_max, c.dfa_step, c.detrend_order)),
-    (
-        "dcca", "hxy", "H_xy",
-        lambda x, y, c: dcca(x, y, c.dcca_s_min, c.dcca_s_max, c.dcca_step, c.detrend_order),
-    ),
-    ("hxa", "hxy", "H_xy", lambda x, y, c: hxa(x, y, c.hxa_tau_min, c.hxa_tau_max)),
+    ("dfa", "hx", "H_x", lambda x, y, c: dfa(x, **c.window("dfa"))),
+    ("dfa", "hy", "H_y", lambda x, y, c: dfa(y, **c.window("dfa"))),
+    ("dcca", "hxy", "H_xy", lambda x, y, c: dcca(x, y, **c.window("dcca"))),
+    ("hxa", "hxy", "H_xy", lambda x, y, c: hxa(x, y, **c.window("hxa"))),
 )
 
 
@@ -145,7 +142,7 @@ def _pair_rows(cfg: ExperimentConfig, make_pair):
     ccf = None
     if "ccf" in cfg.estimators:
         try:
-            ccf = sample_ccf(x, y, cfg.ccf_max_lag)
+            ccf = sample_ccf(x, y, **cfg.window("ccf"))
         except (CrossArfimaError, ValueError) as e:
             rows.append(EstimateRow("ccf", "rho", False, np.nan, np.nan, 0, str(e)))
     return rows, ccf
@@ -219,9 +216,10 @@ def _ccf_table_name(path: str) -> str:
 
 def cmd_estimate(config_at, inputs: list[str]) -> int:
     # A file's row count is its T.  Every length check only relaxes as T grows
-    # and every T-scaled default grows with T, so the config fails at an
-    # unbounded length exactly when no length can fix it: a config error.
+    # and every T-scaled default grows with T, so the windows fail at an
+    # unbounded length exactly when no length can fix them: a config error.
     cfg = config_at(sys.maxsize)
+    check_windows(cfg)
     if "ccf" in cfg.estimators:
         # one CCF table per file stem: two inputs must not share a stem
         owners: dict[str, str] = {}
@@ -235,7 +233,9 @@ def cmd_estimate(config_at, inputs: list[str]) -> int:
 
         def make_pair():
             x, y = _load_series_file(path)
-            return config_at(x.size), x, y
+            sized = config_at(x.size)
+            check_windows(sized)
+            return sized, x, y
 
         rows, ccf = _pair_rows(cfg, make_pair)
         table.append(([path], rows, ccf))
@@ -273,6 +273,7 @@ def _replication_worker(job: tuple[ExperimentConfig, int]):
 
 
 def cmd_experiment(cfg: ExperimentConfig, workers: int) -> int:
+    check_windows(cfg)
     if workers < 1:
         raise ConfigError(f"workers: must be >= 1, got {workers}")
     # a fork pool starts all max_workers processes at the first submit
@@ -343,7 +344,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-_WINDOWS = ("estimators", *(n for n, s in SETTINGS.items() if s.section in {*ESTIMATOR_NAMES, "fluctuation"}))
+_WINDOWS = ("estimators", *(n for n, s in SETTINGS.items() if any(s.section in w[1] for w in WINDOWS.values())))
 # the settings each subcommand reads, which it takes as flags in the table's
 # order; theory reads T through the default max_lag, estimate from each file
 COMMAND_SETTINGS = {
@@ -401,7 +402,7 @@ def _config_reader(args: argparse.Namespace):
         text = "[experiment]\n"
     overrides = {}
     for s in SETTINGS.values():
-        # argparse stores --dfa-s-min as dfa_s_min
+        # argparse stores --max-lag as max_lag
         value = getattr(args, s.flag[2:].replace("-", "_"), None)
         if value is not None:
             overrides[s.section, s.key] = str(value)

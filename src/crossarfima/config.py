@@ -23,7 +23,15 @@ from .filters import WHITE
 from .innovations import N_STREAMS, PAIRS, CovarianceSpec
 from .models import PRESETS, ComponentSpec, ModelSpec
 
-ESTIMATOR_NAMES = ("dfa", "dcca", "hxa", "ccf")
+# Each estimator's window check and the sections of its settings, whose keys name
+# parameters of the estimator (dfa, dcca, hxa, sample_ccf) and of the check alike.
+WINDOWS = {
+    "dfa": (check_scales, ("dfa", "fluctuation")),
+    "dcca": (check_scales, ("dcca", "fluctuation")),
+    "hxa": (check_taus, ("hxa",)),
+    "ccf": (check_max_lag, ("ccf",)),
+}
+ESTIMATOR_NAMES = tuple(WINDOWS)
 INLINE = "inline"
 MIN_T = 100
 
@@ -119,6 +127,10 @@ class ExperimentConfig:
     def seeds(self) -> list[int]:
         """Replication seed schedule: base_seed, base_seed+1, ..."""
         return [self.base_seed + r for r in range(self.replications)]
+
+    def window(self, name: str) -> dict[str, int]:
+        """Estimator ``name``'s settings as keyword arguments of it and of its check."""
+        return {s.key: getattr(self, f) for f, s in SETTINGS.items() if s.section in WINDOWS[name][1]}
 
 
 SETTINGS: dict[str, Setting] = {
@@ -240,7 +252,7 @@ def parse_config(
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    """Check run-level invariants and every estimator's preconditions."""
+    """Check the run-level settings; a window is checked by check_windows, where it runs."""
 
     def bad(field, message):
         raise ConfigError(f"{field}: {message}")
@@ -253,19 +265,19 @@ def validate_config(cfg: ExperimentConfig) -> None:
         bad("base_seed", f"must be >= 0, got {cfg.base_seed}")
     if cfg.detrend_order < 0:
         bad("fluctuation.detrend_order", f"must be >= 0, got {cfg.detrend_order}")
-    for section, check, *args in (
-        ("dcca", check_scales, cfg.dcca_s_min, cfg.dcca_s_max, cfg.dcca_step, cfg.detrend_order, cfg.T),
-        ("dfa", check_scales, cfg.dfa_s_min, cfg.dfa_s_max, cfg.dfa_step, cfg.detrend_order, cfg.T),
-        ("hxa", check_taus, cfg.hxa_tau_min, cfg.hxa_tau_max, cfg.T),
-        # the length check applies only where the sample CCF is computed
-        ("ccf", check_max_lag, cfg.ccf_max_lag, cfg.T if "ccf" in cfg.estimators else None),
-    ):
-        try:
-            check(*args)
-        except ValueError as e:
-            raise ConfigError(f"{section}.{e}") from None
+    if cfg.ccf_max_lag < 0:
+        bad("ccf.max_lag", f"must be >= 0, got {cfg.ccf_max_lag}")
     if not cfg.output_dir:
         bad("output_dir", "must be non-empty")
+
+
+def check_windows(cfg: ExperimentConfig) -> None:
+    """Check the window of each of cfg.estimators, in table order, at length cfg.T."""
+    for name in cfg.estimators:
+        try:
+            WINDOWS[name][0](**cfg.window(name), T=cfg.T)
+        except ValueError as e:
+            raise ConfigError(f"{name}.{e}") from None
 
 
 def default_config(model_name: str = "model1", **overrides: str) -> ExperimentConfig:

@@ -220,9 +220,9 @@ def dcca(
     s_min, s_max, step, order = int(s_min), int(s_max), int(step), int(detrend_order)
     check_scales(s_min, s_max, step, order, T)
 
+    same = np.array_equal(xc, yc)
     X = _profile(xc)
-    Y = _profile(yc)
-    same = xc is yc or np.array_equal(xc, yc)
+    Y = X if same else _profile(yc)
 
     scales, values = [], []
     for s in range(s_min, s_max + 1, step):

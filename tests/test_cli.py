@@ -754,6 +754,60 @@ def test_config_value_errors_exit_1(tmp_path, monkeypatch, capsys, edit, flags, 
     assert os.listdir(tmp_path) == ["run.ini"]
 
 
+# a DCCA window that no length in these runs can fit
+PINNED_INI = "[experiment]\n[dcca]\ns_max = 999999\n"
+
+
+@pytest.mark.parametrize(
+    "ini, argv",
+    [
+        (PINNED_INI, ["simulate", "--T", "1000", "--reps", "1"]),
+        (PINNED_INI, ["theory"]),
+        (PINNED_INI, ["experiment", "--estimators", "hxa", "--T", "1000", "--reps", "2"]),
+        ("[experiment]\n[dcca]\nstep = 0\n", ["experiment", "--estimators", "hxa", "--T", "1000", "--reps", "2"]),
+    ],
+    ids=["simulate", "theory", "experiment-hxa", "experiment-hxa-step-0"],
+)
+def test_a_window_binds_only_where_its_estimator_runs(tmp_path, ini, argv):
+    # a command that runs no DCCA ignores its window: the outputs are those without it
+    (tmp_path / "run.ini").write_text(ini)
+    assert main([*argv, "--config", str(tmp_path / "run.ini"), "--output", str(tmp_path / "o")]) == 0
+    assert main([*argv, "--output", str(tmp_path / "ref")]) == 0
+    names = sorted(os.listdir(tmp_path / "ref"))
+    assert sorted(os.listdir(tmp_path / "o")) == names and names
+    for name in names:
+        assert read_bytes(tmp_path / "o" / name) == read_bytes(tmp_path / "ref" / name), name
+
+
+def test_a_pinned_window_still_binds_its_estimator(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("run.ini").write_text(PINNED_INI)
+    argv = ["experiment", "--config", "run.ini", "--estimators", "dcca", "--T", "1000", "--reps", "2"]
+    assert main(argv + ["--output", "o"]) == 1
+    assert capsys.readouterr().err == "config error: dcca.s_max = 999999 exceeds T/2 = 500\n"
+    assert os.listdir(tmp_path) == ["run.ini"]
+    # estimate checks it at each file's length: a 1000-row file fails its rows
+    path = simulate_files(tmp_path, T=1000)[0]
+    assert main(["estimate", "--config", "run.ini", "--output", "est", path]) == 2
+    _, rows = read_csv(tmp_path / "est" / "estimates.csv")
+    note = "dcca.s_max = 999999 exceeds T/2 = 500"
+    assert [r[1:] for r in rows] == [
+        [name, target, "failed", "", "", "0", note]
+        for name, target in (("dfa", "hx"), ("dfa", "hy"), ("dcca", "hxy"), ("hxa", "hxy"))
+    ]
+
+
+def test_theory_checks_max_lag_at_no_length(tmp_path, capsys):
+    # theory computes no sample CCF, so T > 2*max_lag does not bind it; max_lag >= 0 does
+    assert main(["theory", "--T", "1000", "--max-lag", "1000", "--output", str(tmp_path / "o")]) == 0
+    _, rows = read_csv(tmp_path / "o" / "theoretical_ccf.csv")
+    assert len(rows) == 2001
+    capsys.readouterr()
+    assert main(["theory", "--max-lag", "-1", "--output", str(tmp_path / "bad")]) == 1
+    assert capsys.readouterr().err == "config error: ccf.max_lag: must be >= 0, got -1\n"
+    assert not (tmp_path / "bad").exists()
+
+
 def test_missing_config_file(tmp_path, capsys):
     rc = main(["simulate", "--config", str(tmp_path / "nope.ini"), "--output",
                str(tmp_path / "o")])

@@ -1,19 +1,25 @@
 """INI experiment configs: parsing, defaults, validation, round-trips."""
 
+import inspect
 import re
+from dataclasses import replace
 
 import pytest
 
 from crossarfima.cli import COMMAND_SETTINGS, _config_from_args, build_parser
 from crossarfima.config import (
+    ESTIMATOR_NAMES,
     SETTINGS,
+    WINDOWS,
     ExperimentConfig,
+    check_windows,
     default_config,
     parse_config,
     serialize_config,
     validate_config,
 )
 from crossarfima.errors import ConfigError
+from crossarfima.estimators import dcca, dfa, hxa, sample_ccf
 from crossarfima.models import model2
 
 MINIMAL = "[experiment]\nmodel = model1\n"
@@ -164,16 +170,44 @@ def test_rejects_bad_estimators():
 
 
 def test_rejects_inconsistent_scales():
+    # a window parses, and check_windows refuses it where its estimator runs
     with pytest.raises(ConfigError, match="dcca.s_max"):
-        parse_config(MINIMAL + "[dcca]\ns_max = 6000\n")  # above T/2
+        check_windows(parse_config(MINIMAL + "[dcca]\ns_max = 6000\n"))  # above T/2
     with pytest.raises(ConfigError, match="dfa.s_min"):
-        parse_config(MINIMAL + "[dfa]\ns_min = 2\n")
+        check_windows(parse_config(MINIMAL + "[dfa]\ns_min = 2\n"))
     with pytest.raises(ConfigError, match="hxa.tau_max"):
-        parse_config(MINIMAL + "[hxa]\ntau_max = 1500\n")
+        check_windows(parse_config(MINIMAL + "[hxa]\ntau_max = 1500\n"))
     with pytest.raises(ConfigError, match="ccf.max_lag"):
-        parse_config("[experiment]\nestimators = ccf\nt = 1000\n[ccf]\nmax_lag = 600\n")
+        check_windows(parse_config("[experiment]\nestimators = ccf\nt = 1000\n[ccf]\nmax_lag = 600\n"))
     with pytest.raises(ConfigError, match="fluctuation.detrend_order: must be >= 0"):
         parse_config(MINIMAL + "[fluctuation]\ndetrend_order = -1\n")
+
+
+def test_windows_are_checked_only_for_the_estimators_that_run():
+    both = parse_config(MINIMAL + "[dfa]\ns_min = 2\n[dcca]\nstep = 0\n")
+    with pytest.raises(ConfigError, match=r"^dfa.s_min: must be >= detrend_order \+ 2 = 3, got 2$"):
+        check_windows(both)  # the table's order: DFA's message wins over DCCA's
+    with pytest.raises(ConfigError, match=r"^dcca.step: must be >= 1, got 0$"):
+        check_windows(replace(both, estimators=("dcca", "hxa")))
+    check_windows(replace(both, estimators=("hxa", "ccf")))
+    # a negative max_lag is refused whichever estimators run: theory reads it
+    with pytest.raises(ConfigError, match=r"^ccf.max_lag: must be >= 0, got -1$"):
+        parse_config(MINIMAL + "[ccf]\nmax_lag = -1\n")
+    parse_config(MINIMAL + "[ccf]\nmax_lag = 5000\n")  # T > 2*max_lag only where the CCF runs
+
+
+def test_window_gives_each_estimator_its_keyword_arguments():
+    cfg = parse_config(MINIMAL + "[fluctuation]\ndetrend_order = 2\n")
+    assert cfg.window("dfa") == {"s_min": 10, "s_max": 500, "step": 10, "detrend_order": 2}
+    assert cfg.window("dcca") == {"s_min": 10, "s_max": 2000, "step": 10, "detrend_order": 2}
+    assert cfg.window("hxa") == {"tau_min": 1, "tau_max": 100}
+    assert cfg.window("ccf") == {"max_lag": 100}
+    # each key names a parameter of the estimator and of its check
+    calls = {"dfa": dfa, "dcca": dcca, "hxa": hxa, "ccf": sample_ccf}
+    assert tuple(WINDOWS) == ESTIMATOR_NAMES == tuple(calls)
+    for name, (check, _) in WINDOWS.items():
+        assert set(cfg.window(name)) <= set(inspect.signature(calls[name]).parameters), name
+        assert set(inspect.signature(check).parameters) == {*cfg.window(name), "T"}, name
 
 
 def test_rejects_removed_theory_section():

@@ -241,6 +241,18 @@ def test_dfa_equals_self_dcca_exactly():
         assert a.method == "dfa" and b.method == "dcca"
 
 
+def test_dfa_builds_one_profile(monkeypatch):
+    # one series passed twice is profiled once; two series twice
+    calls = []
+    profile = estimators._profile
+    monkeypatch.setattr(estimators, "_profile", lambda z: calls.append(z.size) or profile(z))
+    x, y = np.random.default_rng(4).standard_normal((2, 300))
+    dfa(x, s_min=4, s_max=40, step=4)
+    assert calls == [300]
+    dcca(x, y, s_min=4, s_max=40, step=4)
+    assert calls == [300, 300, 300]
+
+
 def test_dcca_sign_flip_negates_values():
     x = np.random.default_rng(12).standard_normal(500)
     assert np.array_equal(dcca(x, -x).values, -dfa(x).values)

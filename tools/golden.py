@@ -22,9 +22,13 @@ at T = 1e4 (10 replications, 1 and 2 workers) and at T = 300;
 replications, on a ``--config`` file holding the README's inline model
 with detrend order 2 (its AR(1) and white terms and sigma_14 make the
 series a check that each component reads its own innovation stream);
-and the CCF alone at ``--max-lag 7``, by ``estimate`` on the model1
-999-row files and by ``experiment`` at T = 300 (3 replications).  Each
-``estimate`` input gets the windows of its own length.  A run takes
+the CCF alone at ``--max-lag 7``, by ``estimate`` on the model1
+999-row files and by ``experiment`` at T = 300 (3 replications); and, on
+a ``--config`` file that pins ``[dcca] s_max = 999999``, ``simulate`` and
+``theory``, which run no estimator, and ``experiment`` at T = 1000 with
+``--estimators hxa`` and with ``--estimators dcca`` (a window is checked
+only where its estimator runs, so only the last is a config error).
+Each ``estimate`` input gets the windows of its own length.  A run takes
 about 5 s on a 2-core VM.
 """
 
@@ -53,6 +57,9 @@ ALL_ESTIMATORS = "dfa,dcca,hxa,ccf"
 BAD_INPUTS = ("inputs/header_only.csv", "inputs/empty.csv", "inputs/four_columns.csv",
               "inputs/fifty_rows.csv", "inputs/adir")
 INLINE_CONFIG = "inputs/inline.ini"
+# a DCCA window that no T = 1000 or T = 1e4 call can fit
+PINNED_CONFIG = "inputs/pinned.ini"
+PINNED_INI = "[experiment]\n\n[dcca]\ns_max = 999999\n"
 # the README's inline model; write_inputs adds the detrend order
 INLINE_INI = """[experiment]
 model = inline
@@ -132,13 +139,19 @@ def calls() -> list[list[str]]:
          *_series("model1", 999)],
         ["experiment", "--model", "model1", "--T", "300", "--reps", "3", "--seed", "7",
          "--estimators", "ccf", "--max-lag", "7", "--output", "exp-model1-lag7"],
+        ["simulate", "--config", PINNED_CONFIG, "--T", "1000", "--reps", "1", "--output", "sim-pinned"],
+        ["theory", "--config", PINNED_CONFIG, "--output", "theory-pinned"],
     ]
+    for estimators in ("hxa", "dcca"):
+        out.append(["experiment", "--config", PINNED_CONFIG, "--estimators", estimators,
+                    "--T", "1000", "--reps", "2", "--output", f"exp-pinned-{estimators}"])
     return out
 
 
 def write_inputs(detrend_section: str) -> None:
     os.makedirs("inputs/adir")
     Path(INLINE_CONFIG).write_text(f"{INLINE_INI}\n[{detrend_section}]\ndetrend_order = 2\n")
+    Path(PINNED_CONFIG).write_text(PINNED_INI)
     Path("inputs/header_only.csv").write_text("t,x,y\n")
     Path("inputs/empty.csv").write_text("")
     np.savetxt("inputs/four_columns.csv", np.ones((3000, 4)), delimiter=",")
@@ -175,11 +188,12 @@ def main() -> int:
     os.chdir(args.output)
     start = time.perf_counter()
     # detrend_order goes in the section this tree declares for it ([fluctuation],
-    # formerly [dcca]); the config file is removed after the calls, so that
+    # formerly [dcca]); the config files are removed after the calls, so that
     # trees which differ only in that section compare equal by their outputs
     write_inputs(cli.SETTINGS["detrend_order"].section)
     results = [run(cli, argv) for argv in calls()]
     os.remove(INLINE_CONFIG)
+    os.remove(PINNED_CONFIG)
     with open("calls.json", "w") as f:
         json.dump(results, f, indent=1)
         f.write("\n")

@@ -77,10 +77,10 @@ def layer_rows(T: int, workdir: str) -> dict:
     calls = {
         "innovation draw": lambda: sample(model.covariance, T + series.truncation, SEED),
         "simulate": lambda: simulate(model, T, SEED),
-        "dfa": lambda: dfa(x, cfg.dfa_s_min, cfg.dfa_s_max, cfg.dfa_step, cfg.detrend_order),
-        "dcca": lambda: dcca(x, y, cfg.dcca_s_min, cfg.dcca_s_max, cfg.dcca_step, cfg.detrend_order),
-        "hxa": lambda: hxa(x, y, cfg.hxa_tau_min, cfg.hxa_tau_max),
-        "sample_ccf": lambda: sample_ccf(x, y, cfg.ccf_max_lag),
+        "dfa": lambda: dfa(x, **cfg.window("dfa")),
+        "dcca": lambda: dcca(x, y, **cfg.window("dcca")),
+        "hxa": lambda: hxa(x, y, **cfg.window("hxa")),
+        "sample_ccf": lambda: sample_ccf(x, y, **cfg.window("ccf")),
         "csv write": lambda: _write_series(cfg, series),
         "csv read": lambda: cli._load_series_file(path),
     }
