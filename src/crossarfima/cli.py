@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 import warnings
@@ -26,7 +27,7 @@ import numpy as np
 
 from .config import SETTINGS, WINDOWS, ExperimentConfig, check_windows, parse_config
 from .errors import ConfigError, CrossArfimaError
-from .estimators import dcca, dfa, fit_hurst, hxa, sample_ccf
+from .estimators import dcca, fit_hurst, fluctuations, hxa, sample_ccf  # noqa: F401 (dcca: see ESTIMATES)
 from .models import cross_spectrum, simulate, theoretical_ccf, theoretical_exponents
 
 SPECTRUM_GRID = (1e-4, float(np.pi), 200)
@@ -101,13 +102,14 @@ def _fit_row(estimator: str, target: str, make_fluct) -> EstimateRow:
 
 
 # One row per Hurst estimate: (estimator, target, theory attribute, fluctuation
-# call).  The calls look dfa/dcca/hxa up in this module's globals when they
-# run, so a rebinding of those names (a tracer, say) is seen.
+# call); a call takes the pair, its config and fluct(), the pair's one DFA/DCCA
+# pass.  Calls look fluctuations/hxa up in this module's globals when they run,
+# so a rebinding (a tracer, say) is seen; dcca stays bound for perfbench's tests.
 ESTIMATES = (
-    ("dfa", "hx", "H_x", lambda x, y, c: dfa(x, **c.window("dfa"))),
-    ("dfa", "hy", "H_y", lambda x, y, c: dfa(y, **c.window("dfa"))),
-    ("dcca", "hxy", "H_xy", lambda x, y, c: dcca(x, y, **c.window("dcca"))),
-    ("hxa", "hxy", "H_xy", lambda x, y, c: hxa(x, y, **c.window("hxa"))),
+    ("dfa", "hx", "H_x", lambda x, y, c, fluct: fluct()["x"]),
+    ("dfa", "hy", "H_y", lambda x, y, c, fluct: fluct()["y"]),
+    ("dcca", "hxy", "H_xy", lambda x, y, c, fluct: fluct()["xy"]),
+    ("hxa", "hxy", "H_xy", lambda x, y, c, fluct: hxa(x, y, **c.window("hxa"))),
 )
 
 
@@ -134,8 +136,10 @@ def _pair_rows(cfg: ExperimentConfig, make_pair):
         raise
     except (CrossArfimaError, ValueError, OSError) as e:
         return _failed_rows(cfg, str(e)), None
+    windows = {name: cfg.window(name) for name in ("dfa", "dcca") if name in cfg.estimators}
+    fluct = functools.cache(lambda: fluctuations(x, y, **windows))
     rows = [
-        _fit_row(name, target, lambda: call(x, y, cfg))
+        _fit_row(name, target, lambda: call(x, y, cfg, fluct))
         for name, target, _, call in ESTIMATES
         if name in cfg.estimators
     ]

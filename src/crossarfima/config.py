@@ -280,10 +280,10 @@ def check_windows(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"{name}.{e}") from None
 
 
-def default_config(model_name: str = "model1", **overrides: str) -> ExperimentConfig:
-    """Config with all defaults for a named preset; kwargs patch [experiment] keys."""
+def default_config(model_name: str = "model1", **overrides) -> ExperimentConfig:
+    """Config with all defaults for a named preset; kwargs patch [experiment] keys, as text or as values."""
     text = f"[experiment]\nmodel = {model_name}\n"
-    return parse_config(text, overrides={("experiment", k): v for k, v in overrides.items()})
+    return parse_config(text, overrides={("experiment", k): str(v) for k, v in overrides.items()})
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

@@ -3,10 +3,12 @@
 All estimators are pure functions of their inputs.  DFA/DCCA/HXA operate
 on profiles (cumulative sums of demeaned series) and return fluctuation
 series whose log-log slope against scale gives the Hurst estimate; the
-slope-to-H mapping lives in fit_hurst.  Fluctuation values are kept as
-computed, including negative detrended covariances; sign filtering
-happens only at the fitting step, with a warning, never via absolute
-values.
+slope-to-H mapping lives in fit_hurst.  DFA and DCCA share one per-scale
+loop, fluctuations, which gives DFA of x and of y and DCCA of the pair
+from one set of box projections; dfa and dcca are thin calls into it.
+Fluctuation values are kept as computed, including negative detrended
+covariances; sign filtering happens only at the fitting step, with a
+warning, never via absolute values.
 """
 
 from __future__ import annotations
@@ -151,8 +153,16 @@ def _profile(z: np.ndarray) -> np.ndarray:
 
 
 def _box_vander(s: int, order: int) -> np.ndarray:
-    """Powers 0..order of in-box time, rescaled to u in [-1, 1]."""
-    return np.vander(np.linspace(-1.0, 1.0, s), order + 1, increasing=True)
+    """Powers 0..order of in-box time, rescaled to u in [-1, 1]: the bits of
+    np.vander(np.linspace(-1, 1, s), order + 1, increasing=True), whose call
+    overhead was a large share of a pass over many small boxes."""
+    u = np.arange(s, dtype=float) * (2.0 / (s - 1)) - 1.0
+    u[-1] = 1.0
+    V = np.empty((s, order + 1))
+    V[:, 0] = 1.0
+    for k in range(1, order + 1):
+        np.multiply(V[:, k - 1], u, out=V[:, k])
+    return V
 
 
 # One small entry per (s, order): a default DCCA window at T = 1e6 has
@@ -183,71 +193,86 @@ def _basis_factor(s: int, order: int) -> np.ndarray:
     return factor
 
 
-def _anchored_boxes(profile: np.ndarray, n_boxes: int, s: int) -> np.ndarray:
-    """The profile's complete boxes of size s, each minus its middle value."""
+def _anchored_boxes(profile: np.ndarray, n_boxes: int, s: int, out: np.ndarray) -> np.ndarray:
+    """The profile's complete boxes of size s, each minus its middle value, written to the head of out."""
     boxes = profile[: n_boxes * s].reshape(n_boxes, s)
-    return boxes - boxes[:, s // 2, None]
+    return np.subtract(boxes, boxes[:, s // 2, None], out=out[: n_boxes * s].reshape(n_boxes, s))
+
+
+def _grid(T: int, s_min=10, s_max=None, step=10, detrend_order=1) -> set[tuple[int, int]]:
+    """A dfa or dcca window's (box size, detrend order) pairs at length T; s_max defaults to T//5."""
+    s_min, s_max, step, order = int(s_min), int(T // 5 if s_max is None else s_max), int(step), int(detrend_order)
+    check_scales(s_min, s_max, step, order, T)
+    return {(s, order) for s in range(s_min, s_max + 1, step)}
+
+
+class Fluctuations(dict):
+    """DFA of x and y and DCCA of the pair by key "x", "y", "xy"; a key whose series failed raises its error."""
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        if isinstance(value, ValueError):
+            raise value
+        return value
+
+
+def fluctuations(x, y=None, dfa: dict | None = None, dcca: dict | None = None) -> Fluctuations:
+    """DFA of x and of y over the dfa window and DCCA of the pair over the
+    dcca window, in one loop over the box sizes of both.
+
+    A window holds the keyword arguments of dfa or dcca, or None to skip
+    it.  The result holds "x" and, given y, "y" for a dfa window, and "xy"
+    for a dcca window and a y.  A series that fails its check fails only
+    the keys that use it.  At each box size, each profile's complete boxes
+    from the start are anchored at their middle point (b - b[s//2], which
+    the detrend removes but which keeps values near s^H, not T^H) and
+    projected once on Q, an orthonormal basis of the in-box polynomials;
+    the residuals then sum in closed form, sum r_x r_y = sum X'Y' - (Q^T X') . (Q^T Y').
+    """
+    series = {"x": x} if y is None else {"x": x, "y": y}
+    windows = {k: w for k, w in (("x", dfa), ("y", dfa), ("xy", dcca)) if w is not None and set(k) <= series.keys()}
+    out, profiles = Fluctuations(), {}
+    for name, z in series.items():
+        try:
+            profiles[name] = _profile(_demean(z, name))
+        except ValueError as e:
+            out.update((key, e) for key in windows if name in key and key not in out)
+    windows = {key: w for key, w in windows.items() if key not in out}
+    if not windows:
+        return out
+    T = len(next(iter(profiles.values())))
+    if any(P.size != T for P in profiles.values()):
+        raise ValueError("x and y must have equal length")
+    grids = {key: _grid(T, **w) for key, w in windows.items()}
+    buffers = {name: np.empty(T) for name in profiles}
+    values = {key: [] for key in grids}
+    for s, order in sorted(set().union(*grids.values())):
+        Q = _box_vander(s, order) @ _basis_factor(s, order)
+        boxes = {name: _anchored_boxes(P, T // s, s, buffers[name]) for name, P in profiles.items()}
+        proj = {name: b @ Q for name, b in boxes.items()}
+        for key in grids:
+            if (s, order) in grids[key]:
+                bx, by, px, py = boxes[key[0]], boxes[key[-1]], proj[key[0]], proj[key[-1]]
+                values[key].append(float((np.einsum("ij,ij->", bx, by) - np.einsum("ij,ij->", px, py)) / bx.size))
+    for key, grid in grids.items():
+        out[key] = FluctuationSeries(sorted(s for s, _ in grid), values[key], DCCA if key == "xy" else DFA)
+    return out
 
 
 def dcca(
-    x,
-    y,
-    s_min: int = 10,
-    s_max: int | None = None,
-    step: int = 10,
-    detrend_order: int = 1,
+    x, y, s_min: int = 10, s_max: int | None = None, step: int = 10, detrend_order: int = 1
 ) -> FluctuationSeries:
-    """Detrended cross-covariance F^2(s) over box sizes s.
-
-    Profiles are cumulative sums of the demeaned inputs, partitioned
-    into non-overlapping boxes from the start of the series (no second
-    backward pass).  Each box gets an independent polynomial detrend of
-    the given order; F^2(s) is the mean over all boxes and in-box points
-    of the product of the two residual profiles.  Values may be
-    negative for anti-correlated inputs.  s_max defaults to T//5 and
-    must not exceed T//2.
-
-    The residuals are never formed.  Each box is first anchored at its
-    middle point (b - b[s//2]), which the detrend removes anyway but
-    which keeps the box values near s^H instead of T^H.  With Q an
-    orthonormal basis of the in-box polynomials of the given order,
-    the residual product sums in closed form per box:
-    sum r_x r_y = sum X'Y' - (Q^T X') . (Q^T Y').
-    """
-    xc, yc, T = _centred_pair(x, y)
-    if s_max is None:
-        s_max = T // 5
-    s_min, s_max, step, order = int(s_min), int(s_max), int(step), int(detrend_order)
-    check_scales(s_min, s_max, step, order, T)
-
-    same = np.array_equal(xc, yc)
-    X = _profile(xc)
-    Y = X if same else _profile(yc)
-
-    scales, values = [], []
-    for s in range(s_min, s_max + 1, step):
-        n_boxes = T // s
-        Q = _box_vander(s, order) @ _basis_factor(s, order)
-        bx = _anchored_boxes(X, n_boxes, s)
-        by = bx if same else _anchored_boxes(Y, n_boxes, s)
-        px = bx @ Q
-        py = px if same else by @ Q
-        cov = np.einsum("ij,ij->", bx, by) - np.einsum("ij,ij->", px, py)
-        scales.append(s)
-        values.append(float(cov / (n_boxes * s)))
-    return FluctuationSeries(scales=np.array(scales), values=np.array(values), method=DCCA)
+    """Detrended cross-covariance F^2(s): the mean product of the two profiles' residuals
+    over all complete boxes of size s (see fluctuations).  Values may be negative for
+    anti-correlated inputs.  s_max defaults to T//5 and must not exceed T//2."""
+    return fluctuations(x, y, dcca=dict(s_min=s_min, s_max=s_max, step=step, detrend_order=detrend_order))["xy"]
 
 
 def dfa(
-    x,
-    s_min: int = 10,
-    s_max: int | None = None,
-    step: int = 10,
-    detrend_order: int = 1,
+    x, s_min: int = 10, s_max: int | None = None, step: int = 10, detrend_order: int = 1
 ) -> FluctuationSeries:
     """Detrended fluctuation F^2(s): the x = y special case of dcca."""
-    out = dcca(x, x, s_min=s_min, s_max=s_max, step=step, detrend_order=detrend_order)
-    return FluctuationSeries(scales=out.scales, values=out.values, method=DFA)
+    return fluctuations(x, dfa=dict(s_min=s_min, s_max=s_max, step=step, detrend_order=detrend_order))["x"]
 
 
 def hxa(x, y, tau_min: int = 1, tau_max: int = 100) -> FluctuationSeries:

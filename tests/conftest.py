@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from crossarfima.errors import CrossArfimaError
-from crossarfima.estimators import dcca, dfa, fit_hurst, hxa, sample_ccf
+from crossarfima.estimators import fit_hurst, fluctuations, hxa, sample_ccf
 from crossarfima.models import PRESETS, simulate
 
 N_REPS = 100
@@ -59,10 +59,12 @@ def study():
         ccfs = []
         for rep in range(N_REPS):
             s = simulate(model, T=SERIES_LENGTH, seed=BASE_SEED + rep)
+            # DFA of both margins and DCCA in the CLI's one pass
+            pair = fluctuations(s.x, s.y, dfa=DFA_WINDOW, dcca=DCCA_WINDOW)
             fluct = {
-                "dfa_x": dfa(s.x, **DFA_WINDOW),
-                "dfa_y": dfa(s.y, **DFA_WINDOW),
-                "dcca": dcca(s.x, s.y, **DCCA_WINDOW),
+                "dfa_x": pair["x"],
+                "dfa_y": pair["y"],
+                "dcca": pair["xy"],
                 "hxa": hxa(s.x, s.y, **HXA_WINDOW),
             }
             for key, f in fluct.items():

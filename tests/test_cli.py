@@ -401,6 +401,43 @@ def test_estimate_degenerate_input_fails_cleanly(tmp_path, capsys):
     assert "failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad, good", [("y", "hx"), ("x", "hy")])
+def test_a_non_finite_series_fails_only_the_rows_that_use_it(tmp_path, bad, good):
+    # each failed row names the series it estimates, and the other margin's DFA stands
+    s = simulate(model1(), 2000, seed=42)
+    pair = {"x": s.x.copy(), "y": s.y.copy()}
+    pair[bad][100] = np.nan
+    path = tmp_path / "pair.csv"
+    path.write_text("x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(pair["x"].tolist(), pair["y"].tolist())))
+    out = tmp_path / "o"
+    assert main(["estimate", "--estimators", "dfa,dcca,hxa,ccf", "--output", str(out), str(path)]) == 0
+    _, rows = read_csv(out / "estimates.csv")
+    status = {r[2] if r[1] == "dfa" else r[1]: r[3:] for r in rows}
+    assert status.pop(good)[0] == "ok"
+    assert status == {
+        key: ["failed", "", "", "0", f"{bad} contains non-finite values"]
+        for key in ({"hx", "hy"} - {good}) | {"dcca", "hxa", "ccf"}
+    }
+
+
+def test_the_fluctuation_pass_runs_once_per_pair_and_only_where_asked(tmp_path, monkeypatch):
+    # one pass per replication for the windows of the estimators named; none for hxa,ccf
+    calls = []
+    real = cli.fluctuations
+
+    def counted(x, y, **windows):
+        calls.append(sorted(windows))
+        return real(x, y, **windows)
+
+    monkeypatch.setattr(cli, "fluctuations", counted)
+    base = ["experiment", "--T", "1000", "--reps", "2"]
+    for estimators, want in (("hxa,ccf", []), ("dfa,dcca,hxa", [["dcca", "dfa"]] * 2), ("dfa,hxa", [["dfa"]] * 2),
+                             ("dcca", [["dcca"]] * 2)):
+        calls.clear()
+        assert main([*base, "--estimators", estimators, "--output", str(tmp_path / estimators)]) == 0
+        assert calls == want, estimators
+
+
 def test_estimate_constant_x_writes_a_failed_ccf_row(tmp_path, capsys):
     # x is constant, so corr(x_{t+k}, y_t) has a zero denominator
     path = tmp_path / "flat_x.csv"

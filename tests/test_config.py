@@ -127,6 +127,13 @@ def test_default_config_helper():
     assert cfg.T == 2000
 
 
+def test_default_config_takes_values_as_well_as_text():
+    assert default_config("model2", t=2000) == default_config("model2", t="2000")
+    assert default_config(t=10000).window("dfa") == {"s_min": 10, "s_max": 500, "step": 10, "detrend_order": 1}
+    with pytest.raises(ConfigError, match=r"^\[experiment\] t: expected an integer, got 'None'$"):
+        default_config(t=None)
+
+
 # ----------------------------------------------------------------------
 # rejections
 # ----------------------------------------------------------------------

@@ -10,12 +10,14 @@ from hypothesis.extra.numpy import arrays
 from scipy.stats import linregress
 
 from crossarfima import estimators
+from crossarfima.config import default_config
 from crossarfima.errors import DegenerateSeriesError, InsufficientDataError
 from crossarfima.estimators import (
     FluctuationSeries,
     dcca,
     dfa,
     fit_hurst,
+    fluctuations,
     hxa,
     ols,
     sample_ccf,
@@ -239,6 +241,60 @@ def test_dfa_equals_self_dcca_exactly():
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.scales, b.scales)
         assert a.method == "dfa" and b.method == "dcca"
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize(
+    "T, dfa_window, dcca_window",
+    [
+        (10_000, {}, {}),
+        # the defaults at T = 100: DFA's scales 10-40 are not inside DCCA's 10-20
+        (100, {}, {}),
+        (3000, dict(s_min=7, s_max=300, step=7), dict(s_min=12, s_max=600, step=25)),
+    ],
+    ids=["defaults-T10000", "defaults-T100", "own-windows"],
+)
+def test_one_pass_equals_separate_dfa_and_dcca_calls(T, dfa_window, dcca_window, order):
+    # the pass runs the union of both windows' scales, and keeps each sum at its own
+    cfg = default_config(t=T)
+    wd = {**cfg.window("dfa"), **dfa_window, "detrend_order": order}
+    wc = {**cfg.window("dcca"), **dcca_window, "detrend_order": order}
+    s = simulate(PRESETS["model1"](), T, seed=42)
+    got = fluctuations(s.x, s.y, dfa=wd, dcca=wc)
+    for key, want in (("x", dfa(s.x, **wd)), ("y", dfa(s.y, **wd)), ("xy", dcca(s.x, s.y, **wc))):
+        assert got[key].method == want.method
+        assert np.array_equal(got[key].scales, want.scales)
+        assert np.array_equal(got[key].values, want.values), key
+    if T == 100:
+        assert got["x"].scales.tolist() == [10, 20, 30, 40] and got["xy"].scales.tolist() == [10, 20]
+
+
+def test_a_failed_series_fails_only_the_keys_that_use_it():
+    x, y = np.random.default_rng(5).standard_normal((2, 300))
+    w = dict(s_min=10, s_max=60, step=10)
+    for bad, good in (("x", "y"), ("y", "x")):
+        pair = {"x": x.copy(), "y": y.copy()}
+        pair[bad][7] = np.nan
+        got = fluctuations(pair["x"], pair["y"], dfa=w, dcca=w)
+        assert np.array_equal(got[good].values, dfa(pair[good], **w).values)
+        for key in (bad, "xy"):
+            with pytest.raises(ValueError, match=f"^{bad} contains non-finite values$"):
+                got[key]
+    # the result holds only the keys its windows ask for
+    assert set(fluctuations(x, y, dfa=w)) == {"x", "y"}
+    assert set(fluctuations(x, y, dcca=w)) == {"xy"}
+    assert set(fluctuations(x, dfa=w, dcca=w)) == {"x"}
+    assert fluctuations(x, y) == {}
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_box_vander_keeps_the_bits_of_vander_and_linspace(order):
+    for s in [*range(order + 2, 3000), *range(3000, 200_001, 997)]:
+        V = np.vander(np.linspace(-1.0, 1.0, s), order + 1, increasing=True)
+        lean = estimators._box_vander(s, order)
+        assert np.array_equal(lean, V), s
+        factor = estimators._basis_factor(s, order)
+        assert np.array_equal(lean @ factor, V @ factor), s
 
 
 def test_dfa_builds_one_profile(monkeypatch):

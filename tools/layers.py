@@ -1,11 +1,13 @@
 """Time each layer of crossarfima at T = 1e4 and 1e5 and write the table as JSON.
 
-The layers are the innovation draw, ``simulate``, ``dfa``, ``dcca``,
-``hxa``, ``sample_ccf`` and ``theoretical_ccf``, plus the write and the
-read of one series file as the CLI does them.  Every timing is of model1
-with fixed seeds, estimator windows are the CLI's T-scaled defaults, and
-each row reports the median and the best of its runs after one untimed
-warm-up call.  BLAS runs on one thread.
+The layers are the innovation draw, ``simulate``, ``dfa``, ``dcca``, the
+pair pass (``fluctuations``: DFA of x and of y and DCCA of the pair in one
+loop, as the CLI runs them), ``hxa``, ``sample_ccf`` and
+``theoretical_ccf``, plus the write and the read of one series file as the
+CLI does them.  Every timing is of model1 with fixed seeds, estimator
+windows are the CLI's T-scaled defaults, and each row reports the median
+and the best of its runs after one untimed warm-up call.  BLAS runs on one
+thread.
 
 Run from the repository root; it times the ``src/`` tree beside this
 directory and takes well under a minute on a 2-core VM:
@@ -37,7 +39,7 @@ import numpy as np  # noqa: E402
 import crossarfima  # noqa: E402
 from crossarfima import cli  # noqa: E402
 from crossarfima.config import default_config  # noqa: E402
-from crossarfima.estimators import dcca, dfa, hxa, sample_ccf  # noqa: E402
+from crossarfima.estimators import dcca, dfa, fluctuations, hxa, sample_ccf  # noqa: E402
 from crossarfima.innovations import sample  # noqa: E402
 from crossarfima.models import model1, simulate, theoretical_ccf  # noqa: E402
 
@@ -79,6 +81,7 @@ def layer_rows(T: int, workdir: str) -> dict:
         "simulate": lambda: simulate(model, T, SEED),
         "dfa": lambda: dfa(x, **cfg.window("dfa")),
         "dcca": lambda: dcca(x, y, **cfg.window("dcca")),
+        "pair pass": lambda: fluctuations(x, y, dfa=cfg.window("dfa"), dcca=cfg.window("dcca")),
         "hxa": lambda: hxa(x, y, **cfg.window("hxa")),
         "sample_ccf": lambda: sample_ccf(x, y, **cfg.window("ccf")),
         "csv write": lambda: _write_series(cfg, series),
