@@ -193,10 +193,10 @@ def _basis_factor(s: int, order: int) -> np.ndarray:
     return factor
 
 
-def _anchored_boxes(profile: np.ndarray, n_boxes: int, s: int, out: np.ndarray) -> np.ndarray:
-    """The profile's complete boxes of size s, each minus its middle value, written to the head of out."""
-    boxes = profile[: n_boxes * s].reshape(n_boxes, s)
-    return np.subtract(boxes, boxes[:, s // 2, None], out=out[: n_boxes * s].reshape(n_boxes, s))
+def _anchored_boxes(profiles: np.ndarray, n_boxes: int, s: int, out: np.ndarray) -> np.ndarray:
+    """Each row's complete boxes of size s, each minus its middle value, written to the head of out as (k, n_boxes, s)."""
+    boxes = profiles[:, : n_boxes * s].reshape(len(profiles), n_boxes, s)
+    return np.subtract(boxes, boxes[:, :, s // 2, None], out=out[: boxes.size].reshape(boxes.shape))
 
 
 def _grid(T: int, s_min=10, s_max=None, step=10, detrend_order=1) -> set[tuple[int, int]]:
@@ -244,15 +244,18 @@ def fluctuations(x, y=None, dfa: dict | None = None, dcca: dict | None = None) -
     if any(P.size != T for P in profiles.values()):
         raise ValueError("x and y must have equal length")
     grids = {key: _grid(T, **w) for key, w in windows.items()}
-    buffers = {name: np.empty(T) for name in profiles}
+    row = {name: i for i, name in enumerate(profiles)}
+    stack = np.stack(list(profiles.values()))
+    buffer = np.empty(stack.size)
     values = {key: [] for key in grids}
     for s, order in sorted(set().union(*grids.values())):
         Q = _box_vander(s, order) @ _basis_factor(s, order)
-        boxes = {name: _anchored_boxes(P, T // s, s, buffers[name]) for name, P in profiles.items()}
-        proj = {name: b @ Q for name, b in boxes.items()}
+        boxes = _anchored_boxes(stack, T // s, s, buffer)
+        proj = boxes @ Q
         for key in grids:
             if (s, order) in grids[key]:
-                bx, by, px, py = boxes[key[0]], boxes[key[-1]], proj[key[0]], proj[key[-1]]
+                i, j = row[key[0]], row[key[-1]]
+                bx, by, px, py = boxes[i], boxes[j], proj[i], proj[j]
                 values[key].append(float((np.einsum("ij,ij->", bx, by) - np.einsum("ij,ij->", px, py)) / bx.size))
     for key, grid in grids.items():
         out[key] = FluctuationSeries(sorted(s for s, _ in grid), values[key], DCCA if key == "xy" else DFA)

@@ -13,13 +13,14 @@ spectrum.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .estimators import check_max_lag
-from .filters import AR1, FRACTIONAL, WHITE, ar1_weights, fft_convolve, ma_weights
+from .filters import AR1, FRACTIONAL, WHITE, _smooth_length, ar1_weights, ma_weights
 from .innovations import CovarianceSpec, sample
 
 DEFAULT_SIM_TRUNCATION = 10_000
@@ -287,26 +288,48 @@ def theoretical_exponents(model: ModelSpec) -> ExponentReport:
     )
 
 
+# keyed on plain values (a ModelSpec is unhashable); 4 entries hold one model's components
+@functools.lru_cache(maxsize=4)
+def _weight_spectrum(kind: str, param: float, M: int, nfft: int) -> np.ndarray:
+    """Read-only rfft at length nfft of a component's MA weights a_0..a_M."""
+    spectrum = np.fft.rfft(ComponentSpec(kind, 1.0, param).ma_coefficients(M), nfft)
+    spectrum.setflags(write=False)
+    return spectrum
+
+
 def simulate(model: ModelSpec, T: int, seed: int) -> BivariateSeries:
     """Draw one realization of length T from the model.
 
     One innovation block of length T + M is sampled, M = max(T, 10000),
     and each component convolves its stream with its MA weights cut at
-    M.  Only the T outputs whose window lies inside the stream are kept,
-    so the first M samples are burn-in.  Deterministic given
-    (model, T, seed).
+    M, as fft_convolve does; the weights' rfft is cached per (component,
+    M, nfft) across draws.  Only the T outputs whose window lies inside
+    the stream are kept, so the first M samples are burn-in.
+    Deterministic given (model, T, seed).
     """
     if T < 1:
         raise ValueError(f"series length T must be >= 1, got {T}")
     M = max(T, DEFAULT_SIM_TRUNCATION)
+    nfft = _smooth_length(T + 2 * M)
+    # spectra first: their build temporaries are freed before the streams exist
+    terms = [
+        (i, c, None if c.kind == WHITE else _weight_spectrum(c.kind, c.param, M, nfft))
+        for i, c in enumerate(model.components)
+        if c.weight != 0.0
+    ]
     streams = sample(model.covariance, T + M, seed)
 
     x, y = np.zeros(T), np.zeros(T)
-    for i, c in enumerate(model.components, 1):
-        if c.weight != 0.0:
-            side = x if i <= 2 else y
-            # outputs M..M+T-1: their windows of at most M + 1 weights lie inside the stream
-            side += c.weight * fft_convolve(streams[i - 1], c.ma_coefficients(M))[M : M + T]
+    f, r = np.empty(nfft // 2 + 1, dtype=complex), np.empty(nfft)
+    for i, c, spectrum in terms:
+        side = x if i < 2 else y
+        filtered = streams[i]
+        if spectrum is not None:
+            np.fft.rfft(filtered, nfft, out=f)
+            np.multiply(f, spectrum, out=f)
+            filtered = np.fft.irfft(f, nfft, out=r)
+        # outputs M..M+T-1: their windows of at most M + 1 weights lie inside the stream
+        side += c.weight * filtered[M : M + T]
 
     return BivariateSeries(x=x, y=y, seed=seed, model=model, truncation=M)
 

@@ -7,10 +7,10 @@ import pickle
 import numpy as np
 import pytest
 
-from crossarfima import innovations
+from crossarfima import innovations, models
 from crossarfima.errors import NotPositiveSemiDefiniteError
 from crossarfima.estimators import sample_ccf
-from crossarfima.filters import ar1_weights, ma_weights
+from crossarfima.filters import ar1_weights, fft_convolve, ma_weights
 from crossarfima.innovations import CovarianceSpec, cholesky_factor, sample
 from crossarfima.models import (
     PRESETS,
@@ -307,6 +307,46 @@ def test_simulate_matches_direct_convolution(name, T):
     for got, ref in ((s.x, direct(model.x_components, 1)), (s.y, direct(model.y_components, 3))):
         assert got.shape == ref.shape == (T,)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+# the README's inline model: AR(1) and white terms, and sigma_14 as well as sigma_23
+README_MODEL = ModelSpec(
+    x_components=(fractional(0.35, 1.0), ar1(-0.2, 0.5)),
+    y_components=(white(2.0), fractional(0.1, 1.0)),
+    covariance=CovarianceSpec(variances=(1.0, 4.0, 1.0, 1.0), covariances={(2, 3): 0.25, (1, 4): -0.1}),
+)
+
+
+@pytest.mark.parametrize("sizes", [(999, 3000, 100_000), (100_000, 3000, 999)])
+@pytest.mark.parametrize("name", [*sorted(PRESETS), "readme"])
+def test_simulate_is_the_fft_convolve_formula_to_the_bit(name, sizes):
+    """Each series is sum_c w_c fft_convolve(stream_c, a_c)[M : M + T], bit for bit.
+
+    One model is drawn at three lengths in a row, in both orders, so a
+    weight spectrum cached for one T, M or nfft and reused at another fails.
+    """
+    model = README_MODEL if name == "readme" else PRESETS[name]()
+    seed = 5
+    for T in sizes:
+        M = max(T, 10_000)
+        streams = sample(model.covariance, T + M, seed)
+        ref = [
+            sum(c.weight * fft_convolve(streams[i], c.ma_coefficients(M))[M : M + T] for i, c in comps)
+            for comps in (enumerate(model.components[:2]), enumerate(model.components[2:], 2))
+        ]
+        s = simulate(model, T, seed)
+        assert np.array_equal(s.x, ref[0]) and np.array_equal(s.y, ref[1])
+
+
+def test_weight_spectra_are_read_only_and_one_model_at_most():
+    for make in PRESETS.values():
+        simulate(make(), 999, seed=1)
+    info = models._weight_spectrum.cache_info()
+    assert 0 < info.currsize <= 4
+    spectrum = models._weight_spectrum("fractional", 0.4, 10_000, 21_600)
+    assert not spectrum.flags.writeable
+    with pytest.raises(ValueError):
+        spectrum[0] = 0.0
 
 
 def test_simulate_reuses_the_factor_of_a_built_model(monkeypatch):

@@ -18,10 +18,12 @@ on a 150-row file beside one of them, and on inputs that fail (header
 only, empty, four columns, 50 rows, a directory, a missing file);
 ``theory`` at the defaults and at ``--max-lag 1000``; ``experiment``
 at T = 1e4 (10 replications, 1 and 2 workers) and at T = 300;
-``theory``, and ``simulate`` and ``experiment`` at T = 1000 with 2
-replications, on a ``--config`` file holding the README's inline model
-with detrend order 2 (its AR(1) and white terms and sigma_14 make the
-series a check that each component reads its own innovation stream);
+``experiment`` on 2 workers, then ``simulate``, ``theory`` and
+``experiment`` at T = 1000 with 2 replications, on a ``--config`` file
+holding the README's inline model with detrend order 2 (its AR(1) and
+white terms and sigma_14 make the series a check that each component
+reads its own innovation stream; the first call's pool children draw
+the model before this process has built its weight spectra);
 the CCF alone at ``--max-lag 7``, by ``estimate`` on the model1
 999-row files and by ``experiment`` at T = 300 (3 replications); and, on
 a ``--config`` file that pins ``[dcca] s_max = 999999``, ``simulate`` and
@@ -131,6 +133,10 @@ def calls() -> list[list[str]]:
         out.append(["experiment", "--model", m, "--T", "300", "--reps", "3", "--seed", "7",
                     "--estimators", ALL_ESTIMATORS, "--output", f"exp-{m}-300"])
     out += [
+        # before any draw of the inline model in this process: the pool's children
+        # build its weight spectra themselves
+        ["experiment", "--config", INLINE_CONFIG, "--reps", "2", "--T", "1000", "--workers", "2",
+         "--output", "exp-inline-w2"],
         ["simulate", "--config", INLINE_CONFIG, "--T", "1000", "--reps", "2", "--output", "sim-inline"],
         ["theory", "--config", INLINE_CONFIG, "--output", "theory-inline"],
         ["experiment", "--config", INLINE_CONFIG, "--reps", "2", "--T", "1000", "--output", "exp-inline"],
