@@ -177,9 +177,9 @@ def _basis_factor(s: int, order: int) -> np.ndarray:
     polynomials of degree <= order: R^-1 of its thin QR, up to signs.
     The monic polynomials follow p_{k+1} = u p_k - beta_k p_{k-1} with
     beta_k = k^2 (s^2 - k^2) / ((s - 1)^2 (4k^2 - 1)), and
-    |p_k|^2 = s beta_1 ... beta_k.  Only this (order+1)^2 factor is
-    cached, never the s x (order+1) basis, whose size summed over a
-    window's scales grows as T^2.
+    |p_k|^2 = s beta_1 ... beta_k.  This (order+1)^2 factor is cached
+    per (s, order); the s x (order+1) bases, whose size summed over a
+    window's scales grows as T^2/step, are kept only by _window_bases.
     """
     beta = [k * k * (s * s - k * k) / ((s - 1) ** 2 * (4 * k * k - 1)) for k in range(order + 1)]
     monic = np.zeros((order + 1, order + 1))
@@ -191,6 +191,26 @@ def _basis_factor(s: int, order: int) -> np.ndarray:
     factor = monic / np.sqrt(s * np.cumprod([1.0, *beta[1:]]))
     factor.setflags(write=False)
     return factor
+
+
+# 3.07 MiB holds the default windows' bases at T = 1e4 and order 1; they fit up to T of about 11,400
+_BASES_CAP = 4 << 20
+
+
+@functools.lru_cache(maxsize=1)
+def _window_bases(grid: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, ...] | None:
+    """Each Q = _box_vander(s, order) @ _basis_factor(s, order) of a pass grid, as read-only views
+    of one block; None if they take more than _BASES_CAP bytes (their size grows as T^2/step)."""
+    sizes = [s * (order + 1) for s, order in grid]
+    if 8 * sum(sizes) > _BASES_CAP:
+        return None
+    block = np.empty(sum(sizes))
+    bases = tuple(b.reshape(s, order + 1) for b, (s, order) in zip(np.split(block, np.cumsum(sizes)[:-1]), grid))
+    for (s, order), Q in zip(grid, bases):
+        np.matmul(_box_vander(s, order), _basis_factor(s, order), out=Q)
+        Q.setflags(write=False)
+    block.setflags(write=False)
+    return bases
 
 
 def _anchored_boxes(profiles: np.ndarray, n_boxes: int, s: int, out: np.ndarray) -> np.ndarray:
@@ -228,6 +248,8 @@ def fluctuations(x, y=None, dfa: dict | None = None, dcca: dict | None = None) -
     the detrend removes but which keeps values near s^H, not T^H) and
     projected once on Q, an orthonormal basis of the in-box polynomials;
     the residuals then sum in closed form, sum r_x r_y = sum X'Y' - (Q^T X') . (Q^T Y').
+    Repeated passes over one grid share its Q (_window_bases); a grid too
+    large to keep them builds each Q at its box size, with the same bits.
     """
     series = {"x": x} if y is None else {"x": x, "y": y}
     windows = {k: w for k, w in (("x", dfa), ("y", dfa), ("xy", dcca)) if w is not None and set(k) <= series.keys()}
@@ -248,8 +270,10 @@ def fluctuations(x, y=None, dfa: dict | None = None, dcca: dict | None = None) -
     stack = np.stack(list(profiles.values()))
     buffer = np.empty(stack.size)
     values = {key: [] for key in grids}
-    for s, order in sorted(set().union(*grids.values())):
-        Q = _box_vander(s, order) @ _basis_factor(s, order)
+    grid = tuple(sorted(set().union(*grids.values())))
+    bases = _window_bases(grid)
+    for n, (s, order) in enumerate(grid):
+        Q = _box_vander(s, order) @ _basis_factor(s, order) if bases is None else bases[n]
         boxes = _anchored_boxes(stack, T // s, s, buffer)
         proj = boxes @ Q
         for key in grids:

@@ -397,6 +397,8 @@ def test_dcca_factors_each_box_size_once(monkeypatch):
         return qr(*args, **kwargs)
 
     monkeypatch.setattr(estimators.np.linalg, "qr", counting_qr)
+    # a kept block of these bases would skip the factors this test counts
+    estimators._window_bases.cache_clear()
     estimators._basis_factor.cache_clear()
     x, y = np.random.default_rng(3).standard_normal((2, 2000))
     for order in (1, 2):
@@ -422,6 +424,77 @@ def test_basis_factor_is_the_inverse_qr_factor(s):
                            atol=1e-14 * np.max(np.abs(inv_r)))
         Q = V @ factor
         assert np.max(np.abs(Q.T @ Q - np.eye(order + 1))) <= 1e-13
+
+
+def _pass_grid(T, *windows):
+    return tuple(sorted(set().union(*(estimators._grid(T, **w) for w in windows))))
+
+
+def _bases_bytes(grid):
+    return 8 * sum(s * (order + 1) for s, order in grid)
+
+
+@pytest.mark.parametrize("dfa_order, dcca_order", [(0, 0), (1, 1), (2, 2), (0, 2)])
+def test_kept_bases_give_the_bits_of_bases_built_per_scale(monkeypatch, dfa_order, dcca_order):
+    # cold (the pass fills the block), warm (it reads it) and capped (it
+    # builds each Q at its box size): one set of values to the bit
+    T = 5000
+    cfg = default_config(t=T)
+    wd = {**cfg.window("dfa"), "detrend_order": dfa_order}
+    wc = {**cfg.window("dcca"), "detrend_order": dcca_order}
+    s = simulate(PRESETS["model1"](), T, seed=42)
+    grid = _pass_grid(T, wd, wc)
+    estimators._window_bases.cache_clear()
+    cold = fluctuations(s.x, s.y, dfa=wd, dcca=wc)
+    assert estimators._window_bases.cache_info().misses == 1
+    assert estimators._window_bases(grid) is not None
+    warm = fluctuations(s.x, s.y, dfa=wd, dcca=wc)
+    assert estimators._window_bases.cache_info().hits == 2
+    monkeypatch.setattr(estimators, "_BASES_CAP", _bases_bytes(grid) - 1)
+    estimators._window_bases.cache_clear()
+    capped = fluctuations(s.x, s.y, dfa=wd, dcca=wc)
+    assert estimators._window_bases(grid) is None
+    for key in ("x", "y", "xy"):
+        assert np.array_equal(cold[key].values, capped[key].values), key
+        assert np.array_equal(warm[key].values, capped[key].values), key
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_kept_bases_are_read_only_views_of_one_block_within_the_cap(order):
+    T = 10_000 if order < 2 else 8000
+    cfg = default_config(t=T)
+    windows = [{**cfg.window(name), "detrend_order": order} for name in ("dfa", "dcca")]
+    grid = _pass_grid(T, *windows)
+    estimators._window_bases.cache_clear()
+    bases = estimators._window_bases(grid)
+    assert len(bases) == len(grid)
+    block = bases[0].base
+    assert block.nbytes == _bases_bytes(grid) <= estimators._BASES_CAP
+    assert not block.flags.writeable
+    for (s, o), Q in zip(grid, bases):
+        assert Q.base is block and not Q.flags.writeable
+        assert np.array_equal(Q, estimators._box_vander(s, o) @ estimators._basis_factor(s, o)), s
+    with pytest.raises(ValueError, match="read-only"):
+        bases[-1][0, 0] = 0.0
+    if order == 1:
+        assert block.nbytes == 3_216_000
+
+
+def test_one_grid_of_bases_is_kept_at_most():
+    x, y = np.random.default_rng(6).standard_normal((2, 3000))
+    for call in (lambda: dfa(x), lambda: dcca(x, y), lambda: fluctuations(x, y, dfa={}, dcca={}),
+                 lambda: dfa(x[:1000], detrend_order=2), lambda: dcca(x, y, detrend_order=0)):
+        call()
+        assert estimators._window_bases.cache_info().currsize <= 1
+
+
+def test_a_grid_over_the_cap_gets_no_block():
+    # the default windows at T = 2e4 (12.8 MB), and at T = 1e4 with order 2 (4.8 MB)
+    for T, order in ((20_000, 1), (10_000, 2)):
+        cfg = default_config(t=T)
+        grid = _pass_grid(T, *({**cfg.window(name), "detrend_order": order} for name in ("dfa", "dcca")))
+        assert _bases_bytes(grid) > estimators._BASES_CAP
+        assert estimators._window_bases(grid) is None
 
 
 _values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)

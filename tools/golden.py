@@ -29,9 +29,11 @@ the CCF alone at ``--max-lag 7``, by ``estimate`` on the model1
 a ``--config`` file that pins ``[dcca] s_max = 999999``, ``simulate`` and
 ``theory``, which run no estimator, and ``experiment`` at T = 1000 with
 ``--estimators hxa`` and with ``--estimators dcca`` (a window is checked
-only where its estimator runs, so only the last is a config error).
-Each ``estimate`` input gets the windows of its own length.  A run takes
-about 5 s on a 2-core VM.
+only where its estimator runs, so only the last is a config error);
+and last, ``experiment`` on model2 at T = 2e4 (2 replications, DFA and
+DCCA), whose windows' box bases are too large to keep, so that the pass
+builds each at its box size.  Each ``estimate`` input gets the windows of
+its own length.  A run takes 3 to 5 s on a 2-core VM.
 """
 
 from __future__ import annotations
@@ -151,6 +153,9 @@ def calls() -> list[list[str]]:
     for estimators in ("hxa", "dcca"):
         out.append(["experiment", "--config", PINNED_CONFIG, "--estimators", estimators,
                     "--T", "1000", "--reps", "2", "--output", f"exp-pinned-{estimators}"])
+    # windows whose box bases (12.8 MB) are too large to keep: each is built per box size
+    out.append(["experiment", "--model", "model2", "--T", "20000", "--reps", "2", "--seed", "42",
+                "--estimators", "dfa,dcca", "--output", "exp-model2-20000"])
     return out
 
 
