@@ -19,7 +19,6 @@ import functools
 import os
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -269,6 +268,31 @@ def cmd_theory(cfg: ExperimentConfig, spectrum_points: int) -> int:
     columns = [grid, f.real, f.imag, np.hypot(f.real, f.imag)]
     _write_table(os.path.join(outdir, "spectrum.csv"), ["lambda", "re", "im", "abs"], columns)
     return 0
+
+
+class ProcessPoolExecutor:
+    """concurrent.futures.ProcessPoolExecutor, loaded when the first pool is made.
+
+    Only experiment --workers > 1 forks a pool, so no other run pays the
+    time and memory of importing concurrent.futures.process and
+    multiprocessing.  It stays a class of this module, so that a caller
+    can subclass it or swap in another.
+    """
+
+    def __init__(self, max_workers):
+        from concurrent.futures import ProcessPoolExecutor
+
+        self._executor = ProcessPoolExecutor(max_workers)
+
+    def __enter__(self):
+        self._executor.__enter__()
+        return self
+
+    def __exit__(self, *exc):
+        return self._executor.__exit__(*exc)
+
+    def map(self, fn, jobs):
+        return self._executor.map(fn, jobs)
 
 
 def _replication_worker(job: tuple[ExperimentConfig, int]):

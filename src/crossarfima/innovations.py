@@ -18,6 +18,8 @@ from .errors import NotPositiveSemiDefiniteError
 N_STREAMS = 4
 
 PAIRS = tuple((i, j) for i in range(1, 5) for j in range(i + 1, 5))
+# columns per in-place mix in sample: a 256 KiB block of the four streams
+_MIX_COLUMNS = 8192
 
 
 @dataclass(frozen=True)
@@ -124,7 +126,12 @@ def sample(spec: CovarianceSpec, length: int, seed: int) -> np.ndarray:
     """
     if length < 1:
         raise ValueError(f"length must be positive, got {length}")
-    rng = np.random.default_rng(seed)
-    streams = spec.factor @ rng.standard_normal((N_STREAMS, length))
+    streams = np.empty((N_STREAMS, length))
+    np.random.default_rng(seed).standard_normal(out=streams)
+    # mixed in place, so that only one block is held twice.  Even blocks of
+    # at most _MIX_COLUMNS columns give the bits of factor @ streams; a lone
+    # trailing column would not, as numpy takes its product by gemv, not gemm
+    for block in np.array_split(streams, -(-length // _MIX_COLUMNS), axis=1):
+        np.matmul(spec.factor, block, out=block)
     streams.setflags(write=False)
     return streams

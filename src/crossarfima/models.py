@@ -328,8 +328,9 @@ def simulate(model: ModelSpec, T: int, seed: int) -> BivariateSeries:
             np.fft.rfft(filtered, nfft, out=f)
             np.multiply(f, spectrum, out=f)
             filtered = np.fft.irfft(f, nfft, out=r)
-        # outputs M..M+T-1: their windows of at most M + 1 weights lie inside the stream
-        side += c.weight * filtered[M : M + T]
+        # outputs M..M+T-1: their windows of at most M + 1 weights lie inside the
+        # stream; scaled into r's head, which M >= T keeps clear of them
+        side += np.multiply(filtered[M : M + T], c.weight, out=r[:T])
 
     return BivariateSeries(x=x, y=y, seed=seed, model=model, truncation=M)
 

@@ -581,11 +581,23 @@ def test_experiment_summary_and_replication_tables(tmp_path, capsys):
     assert "dfa" in stdout and "hxy" in stdout  # summary table echoed
 
 
-def test_experiment_worker_count_does_not_change_results(tmp_path):
+def test_experiment_worker_count_does_not_change_results(tmp_path, monkeypatch):
+    # two workers run in cli's own pool, which forks real processes
+    pools = []
+
+    class CountedPool(cli.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers)
+            pools.append(max_workers)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     a = tmp_path / "w1"
     b = tmp_path / "w2"
     assert run_experiment(a, workers=1) == 0
+    assert pools == []
     assert run_experiment(b, workers=2) == 0
+    assert pools == [2]
     for name in ("replications.csv", "summary.csv", "ccf_mean.csv"):
         assert read_bytes(a / name) == read_bytes(b / name)
 

@@ -20,23 +20,29 @@ import crossarfima
 PACKAGE_DIR = Path(crossarfima.__file__).resolve().parent
 
 
-@functools.cache
-def modules_loaded_by_cli_import() -> tuple[str, ...]:
-    """sys.modules after `import crossarfima, crossarfima.cli` in a fresh
-    interpreter that takes the package from this source tree."""
+def modules_after(statement: str) -> tuple[str, ...]:
+    """sys.modules after `import crossarfima, crossarfima.cli` and statement,
+    in a fresh interpreter that takes the package from this source tree."""
     env = dict(os.environ)
     src = str(PACKAGE_DIR.parent)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     code = (
         "import sys, crossarfima, crossarfima.cli\n"
         "assert crossarfima.__file__.startswith(sys.argv[1]), crossarfima.__file__\n"
+        f"{statement}\n"
         "print(*sorted(sys.modules))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code, src], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    return tuple(proc.stdout.split())
+    # the modules are the last line, after anything the statement printed
+    return tuple(proc.stdout.splitlines()[-1].split())
+
+
+@functools.cache
+def modules_loaded_by_cli_import() -> tuple[str, ...]:
+    return modules_after("pass")
 
 
 def package_sources() -> list[Path]:
@@ -49,6 +55,15 @@ def package_sources() -> list[Path]:
 
 def test_cli_import_loads_no_scipy_module():
     assert [m for m in modules_loaded_by_cli_import() if m.split(".")[0] == "scipy"] == []
+
+
+def test_only_a_process_pool_loads_its_modules(tmp_path):
+    # experiment --workers > 1 alone forks a pool: importing the CLI, or a
+    # theory run, loads neither concurrent.futures.process nor multiprocessing
+    theory = f"crossarfima.cli.main(['theory', '--model', 'model1', '--output', {str(tmp_path)!r}])"
+    for modules in (modules_loaded_by_cli_import(), modules_after(theory)):
+        assert [m for m in modules if m.split(".")[0] == "multiprocessing" or m == "concurrent.futures.process"] == []
+    assert (tmp_path / "exponents.csv").exists()
 
 
 def test_all_lists_exactly_the_public_names():

@@ -422,7 +422,9 @@ def test_basis_factor_is_the_inverse_qr_factor(s):
         factor = estimators._basis_factor(s, order)
         assert np.allclose(factor, inv_r * np.sign(np.diag(inv_r)), rtol=0,
                            atol=1e-14 * np.max(np.abs(inv_r)))
-        Q = V @ factor
+        # the Gram matrix in long double: a float64 one rounds its 2e5-term
+        # sums by up to 1.4e-13, by an amount that depends on the BLAS threads
+        Q = (V @ factor).astype(np.longdouble)
         assert np.max(np.abs(Q.T @ Q - np.eye(order + 1))) <= 1e-13
 
 

@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+from crossarfima import innovations
 from crossarfima.errors import NotPositiveSemiDefiniteError
 from crossarfima.innovations import CovarianceSpec, cholesky_factor, sample
 
@@ -140,6 +141,16 @@ def test_spec_keeps_its_factor_through_a_pickle():
     assert np.array_equal(again.factor, spec.factor)
     assert np.array_equal(sample(again, 300, seed=5), sample(spec, 300, seed=5))
     assert not again.factor.flags.writeable
+
+
+def test_sample_is_the_factor_times_standard_normals_to_the_bit():
+    # sample mixes its normals in place by column blocks; every length, a
+    # lone column past the last full block included, gives factor @ z's bits
+    spec = CovarianceSpec(variances=(1.0, 4.0, 1.0, 2.0), covariances={(1, 2): 0.3, (2, 3): 0.9, (1, 4): -0.5})
+    cols = innovations._MIX_COLUMNS
+    for length in (1, 2, 3, cols - 1, cols + 1, cols + 2, 2 * cols + 1, 3 * cols + 777):
+        z = np.random.default_rng(7).standard_normal((4, length))
+        assert np.array_equal(sample(spec, length, seed=7), spec.factor @ z), length
 
 
 def test_sample_streams_are_read_only():

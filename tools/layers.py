@@ -13,7 +13,9 @@ reports the median and the best of its runs after one untimed warm-up
 call.  BLAS runs on one thread.  Per size, the output also records the
 bytes that the two caches hold after that size's rows: the pass grid's box
 bases (``estimators._window_bases``, 0 where the grid is too large to keep)
-and the model's weight spectra (``models._weight_spectrum``).
+and the model's weight spectra (``models._weight_spectrum``).  A last row
+times the start-up every CLI call pays: a fresh interpreter that imports
+``crossarfima.cli`` and builds one config, with its peak resident MB.
 
 Run from the repository root; it times the ``src/`` tree beside this
 directory and takes well under a minute on a 2-core VM:
@@ -30,6 +32,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -38,7 +41,8 @@ from pathlib import Path
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
 
 import numpy as np  # noqa: E402
 
@@ -54,6 +58,14 @@ SIZES = (10_000, 100_000)
 SEED = 42
 RUNS = 7
 CCF_LAGS = (100, 1000)
+# a CLI call's start: import the CLI and build its config (as perfbench's
+# setup_s does), then print the peak resident set in KiB
+STARTUP = (
+    "import resource\n"
+    "from crossarfima import cli\n"
+    "cli._config_from_args(cli.build_parser().parse_args(['experiment']))\n"
+    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+)
 
 
 def _time(call) -> dict:
@@ -106,6 +118,20 @@ def layer_rows(T: int, workdir: str) -> dict:
     return rows
 
 
+def startup_row() -> dict:
+    """_time of a fresh interpreter's STARTUP, plus the median of its peak resident MB."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    peaks = []
+
+    def start():
+        proc = subprocess.run([sys.executable, "-c", STARTUP], env=env, check=True, capture_output=True, text=True)
+        peaks.append(int(proc.stdout) / 1024)
+
+    row = _time(start)
+    row["MB"] = statistics.median(peaks)
+    return row
+
+
 def held_bytes(T: int) -> dict:
     """Bytes that the two caches hold after layer_rows(T), read back by the keys its calls used."""
     cfg = default_config("model1", t=str(T))
@@ -152,12 +178,14 @@ def main(argv=None) -> int:
     result["layers"]["theoretical_ccf"] = {
         f"L={L}": _time(lambda: theoretical_ccf(model1(), max_lag=L)) for L in CCF_LAGS
     }
+    result["layers"]["start-up"] = {"import cli + config": startup_row()}
     result["total_s"] = time.perf_counter() - started
 
     Path(args.output).write_text(json.dumps(result, indent=2) + "\n")
     for size, rows in result["layers"].items():
         for name, row in rows.items():
-            print(f"{size:>16s}  {name:22s}  median {row['median_ms']:9.2f} ms  best {row['best_ms']:9.2f} ms")
+            mb = f"  {row['MB']:.1f} MB" if "MB" in row else ""
+            print(f"{size:>16s}  {name:22s}  median {row['median_ms']:9.2f} ms  best {row['best_ms']:9.2f} ms{mb}")
     for size, held in result["held_bytes"].items():
         print(f"{size:>16s}  held bytes  " + "  ".join(f"{name} {n:,}" for name, n in held.items()))
     print(f"wrote {args.output} in {result['total_s']:.1f} s")
