@@ -27,12 +27,14 @@ import numpy as np
 from .config import SETTINGS, WINDOWS, ExperimentConfig, check_windows, parse_config
 from .errors import ConfigError, CrossArfimaError
 from .estimators import dcca, fit_hurst, fluctuations, hxa, sample_ccf  # noqa: F401 (dcca: see ESTIMATES)
-from .models import cross_spectrum, simulate, theoretical_ccf, theoretical_exponents
+from .models import cross_spectrum, simulate, theoretical_ccf, theoretical_exponents, weight_spectra
 
 SPECTRUM_GRID = (1e-4, float(np.pi), 200)
 # rows per write in _write_table; larger chunks write no faster and raise
 # the peak memory of a T = 1e5 simulate (by about 2 MB at 8192 rows)
 _CHUNK_ROWS = 1024
+# replications x T from which simulate draws and writes on a process pool
+SIMULATE_POOL_SAMPLES = 60_000
 
 
 def _fmt(v) -> str:
@@ -52,24 +54,31 @@ def _write_table(path: str, header, columns) -> None:
 
     An integer column prints as str does, any other as _fmt does ("%d"
     and "%.12g" give that text).  Such cells hold no comma, quote or
-    newline, so csv.writer would quote none of them, and each row is one
-    %-format of its cells, _CHUNK_ROWS rows per write.  A table with text
-    cells, such as the notes of estimates.csv, goes through _write_csv,
-    whose csv.writer quotes them.
+    newline, so csv.writer would quote none of them.  Each chunk of
+    _CHUNK_ROWS rows is one %-format of its cells, laid out row by row in
+    one flat list filled column by column, and one write.  A table with
+    text cells, such as the notes of estimates.csv, goes through
+    _write_csv, whose csv.writer quotes them.  Unlike _write_csv it
+    prints nothing, so a pool worker can write a file for its parent to
+    report.
     """
-    row = ",".join("%d" if c.dtype.kind in "iu" else "%.12g" for c in columns)
+    k, rows = len(columns), len(columns[0])
+    line = ",".join("%d" if c.dtype.kind in "iu" else "%.12g" for c in columns) + "\n"
     with open(path, "w", newline="") as f:
         f.write(",".join(header) + "\n")
-        for start in range(0, len(columns[0]), _CHUNK_ROWS):
-            cells = zip(*(c[start : start + _CHUNK_ROWS].tolist() for c in columns))
-            f.write("\n".join(map(row.__mod__, cells)) + "\n")
-    print(f"wrote {path}")
+        for start in range(0, rows, _CHUNK_ROWS):
+            n = min(_CHUNK_ROWS, rows - start)
+            cells = [None] * (n * k)
+            for j, column in enumerate(columns):
+                cells[j::k] = column[start : start + n].tolist()
+            f.write(line * n % tuple(cells))
 
 
 def _write_ccf(path: str, **columns) -> None:
     """_write_table of named CCF columns over lags -L..L, after a lag column."""
     L = len(next(iter(columns.values()))) // 2
     _write_table(path, ["lag", *columns], [np.arange(-L, L + 1), *columns.values()])
+    print(f"wrote {path}")
 
 
 def _ensure_outdir(cfg: ExperimentConfig) -> str:
@@ -179,15 +188,31 @@ def _write_estimates(path: str, prefix_columns: list[str], table) -> bool:
     return any(row.ok for _, rows, _ in table for row in rows) or any(ccf is not None for *_, ccf in table)
 
 
+def _simulate_worker(job: tuple[ExperimentConfig, int, int]) -> str:
+    """Draw replication rep at seed and write its series file; the file's path.
+
+    The draw is dropped when the call returns, before the next one is
+    made: held through the next simulate, a T = 1e5 draw raised the peak
+    memory by about 3 MB.
+    """
+    cfg, rep, seed = job
+    series = simulate(cfg.model, cfg.T, seed)
+    path = os.path.join(cfg.output_dir, f"series_r{rep:04d}.csv")
+    _write_table(path, ["t", "x", "y"], [np.arange(cfg.T), series.x, series.y])
+    return path
+
+
 def cmd_simulate(cfg: ExperimentConfig) -> int:
-    outdir = _ensure_outdir(cfg)
-    for rep, seed in enumerate(cfg.seeds()):
-        series = simulate(cfg.model, cfg.T, seed)
-        path = os.path.join(outdir, f"series_r{rep:04d}.csv")
-        _write_table(path, ["t", "x", "y"], [np.arange(cfg.T), series.x, series.y])
-        # drop this draw before the next one is made: held through the next
-        # simulate, a T = 1e5 draw raised the peak memory by about 3 MB
-        del series
+    _ensure_outdir(cfg)
+    workers = min(cfg.replications, _usable_cpus())
+    if cfg.replications * cfg.T < SIMULATE_POOL_SAMPLES:
+        workers = 1
+    if workers > 1:
+        # built before the fork, so that no child builds them again
+        weight_spectra(cfg.model, cfg.T)
+    jobs = [(cfg, rep, seed) for rep, seed in enumerate(cfg.seeds())]
+    for path in _map_replications(_simulate_worker, jobs, workers):
+        print(f"wrote {path}")
     return 0
 
 
@@ -266,17 +291,20 @@ def cmd_theory(cfg: ExperimentConfig, spectrum_points: int) -> int:
     f = cross_spectrum(cfg.model, grid)
     # |f| by hypot, as abs(complex) gives it; numpy's complex abs loop can differ in the last bit
     columns = [grid, f.real, f.imag, np.hypot(f.real, f.imag)]
-    _write_table(os.path.join(outdir, "spectrum.csv"), ["lambda", "re", "im", "abs"], columns)
+    path = os.path.join(outdir, "spectrum.csv")
+    _write_table(path, ["lambda", "re", "im", "abs"], columns)
+    print(f"wrote {path}")
     return 0
 
 
 class ProcessPoolExecutor:
     """concurrent.futures.ProcessPoolExecutor, loaded when the first pool is made.
 
-    Only experiment --workers > 1 forks a pool, so no other run pays the
-    time and memory of importing concurrent.futures.process and
-    multiprocessing.  It stays a class of this module, so that a caller
-    can subclass it or swap in another.
+    Only experiment --workers > 1 and a simulate large enough to gain
+    from one fork a pool, so no other run pays the time and memory of
+    importing concurrent.futures.process and multiprocessing.  It stays
+    a class of this module, so that a caller can subclass it or swap in
+    another.
     """
 
     def __init__(self, max_workers):
@@ -295,6 +323,28 @@ class ProcessPoolExecutor:
         return self._executor.map(fn, jobs)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS
+    has one (a taskset or cpuset narrows it), else the installed count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_replications(worker, jobs, workers: int):
+    """worker over jobs, yielding each result in job order as it arrives.
+
+    More than one worker runs the jobs on a ProcessPoolExecutor of that
+    many processes, open until the last result is taken; one runs them
+    here.  A job that raises raises here, at its place in the order.
+    """
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(worker, jobs)
+    else:
+        yield from map(worker, jobs)
+
+
 def _replication_worker(job: tuple[ExperimentConfig, int]):
     cfg, seed = job
     return _pair_rows(cfg, lambda: (cfg, *attrgetter("x", "y")(simulate(cfg.model, cfg.T, seed))))
@@ -305,16 +355,10 @@ def cmd_experiment(cfg: ExperimentConfig, workers: int) -> int:
     if workers < 1:
         raise ConfigError(f"workers: must be >= 1, got {workers}")
     # a fork pool starts all max_workers processes at the first submit
-    workers = min(workers, cfg.replications, os.cpu_count() or 1)
+    workers = min(workers, cfg.replications, _usable_cpus())
     outdir = _ensure_outdir(cfg)
     seeds = cfg.seeds()
-    jobs = [(cfg, seed) for seed in seeds]
-    # map gives the results in job order, whichever worker ran each job
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replication_worker, jobs))
-    else:
-        results = [_replication_worker(job) for job in jobs]
+    results = list(_map_replications(_replication_worker, [(cfg, seed) for seed in seeds], workers))
 
     table = [([str(rep), str(seed)], *result) for rep, (seed, result) in enumerate(zip(seeds, results))]
     any_result = _write_estimates(os.path.join(outdir, "replications.csv"), ["replication", "seed"], table)
@@ -412,7 +456,7 @@ def build_parser() -> _Parser:
     )
     parsers["experiment"].add_argument(
         "--workers", type=int, default=1,
-        help="parallel replication workers, >= 1; at most one per replication and CPU core",
+        help="parallel replication workers, >= 1; at most one per replication and usable CPU",
     )
     return parser
 

@@ -297,6 +297,22 @@ def _weight_spectrum(kind: str, param: float, M: int, nfft: int) -> np.ndarray:
     return spectrum
 
 
+def weight_spectra(model: ModelSpec, T: int):
+    """(M, nfft, terms) of a length-T draw: the MA cut M = max(T, 10000),
+    the FFT length, and (stream, component, weight spectrum or None for
+    white) per component of non-zero weight.  The spectra come from the
+    _weight_spectrum cache, so a call made before a process pool forks
+    leaves them built for every child's draws."""
+    M = max(T, DEFAULT_SIM_TRUNCATION)
+    nfft = _smooth_length(T + 2 * M)
+    terms = [
+        (i, c, None if c.kind == WHITE else _weight_spectrum(c.kind, c.param, M, nfft))
+        for i, c in enumerate(model.components)
+        if c.weight != 0.0
+    ]
+    return M, nfft, terms
+
+
 def simulate(model: ModelSpec, T: int, seed: int) -> BivariateSeries:
     """Draw one realization of length T from the model.
 
@@ -309,14 +325,8 @@ def simulate(model: ModelSpec, T: int, seed: int) -> BivariateSeries:
     """
     if T < 1:
         raise ValueError(f"series length T must be >= 1, got {T}")
-    M = max(T, DEFAULT_SIM_TRUNCATION)
-    nfft = _smooth_length(T + 2 * M)
     # spectra first: their build temporaries are freed before the streams exist
-    terms = [
-        (i, c, None if c.kind == WHITE else _weight_spectrum(c.kind, c.param, M, nfft))
-        for i, c in enumerate(model.components)
-        if c.weight != 0.0
-    ]
+    M, nfft, terms = weight_spectra(model, T)
     streams = sample(model.covariance, T + M, seed)
 
     x, y = np.zeros(T), np.zeros(T)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import crossarfima
-from crossarfima import cli
+from crossarfima import cli, models
 from crossarfima.cli import main
 from crossarfima.estimators import sample_ccf
 from crossarfima.models import cross_spectrum, model1, model2, simulate, theoretical_ccf
@@ -58,6 +58,117 @@ def test_simulate_is_deterministic(tmp_path):
     assert main(args + ["--output", str(tmp_path / "b")]) == 0
     for name in ("series_r0000.csv", "series_r0001.csv"):
         assert read_bytes(tmp_path / "a" / name) == read_bytes(tmp_path / "b" / name)
+
+
+def simulate_in(run_dir, capsys, T, reps):
+    """Exit code, stdout, stderr and {file name: bytes} of a simulate run
+    from run_dir into its relative "sims", so that two runs print alike."""
+    os.makedirs(run_dir)
+    cwd = os.getcwd()
+    os.chdir(run_dir)
+    try:
+        capsys.readouterr()
+        code = main(["simulate", "--model", "model2", "--T", str(T), "--reps", str(reps), "--seed", "42",
+                     "--output", "sims"])
+    finally:
+        os.chdir(cwd)
+    out, err = capsys.readouterr()
+    sims = Path(run_dir) / "sims"
+    return code, out, err, {p.name: read_bytes(p) for p in sorted(sims.iterdir())}
+
+
+def test_simulate_pool_gate_and_results(tmp_path, monkeypatch, capsys):
+    # simulate forks cli's own pool only for more than one replication and
+    # usable CPU and at least SIMULATE_POOL_SAMPLES samples; its files and
+    # stdout are the serial run's, byte for byte
+    pools = []
+
+    class CountedPool(cli.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers)
+            pools.append(max_workers)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    assert 3 * 200 < cli.SIMULATE_POOL_SAMPLES
+    assert simulate_in(tmp_path / "below", capsys, T=200, reps=3)[0] == 0
+    assert pools == []
+
+    monkeypatch.setattr(cli, "SIMULATE_POOL_SAMPLES", 1000)
+    assert simulate_in(tmp_path / "one", capsys, T=2000, reps=1)[0] == 0
+    assert pools == []
+    pooled = simulate_in(tmp_path / "pool", capsys, T=400, reps=3)
+    assert pools == [2]
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    serial = simulate_in(tmp_path / "serial", capsys, T=400, reps=3)
+    assert pools == [2]
+    assert pooled == serial
+    code, out, err, files = serial
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [f"wrote {os.path.join('sims', name)}" for name in files]
+    assert list(files) == ["series_r0000.csv", "series_r0001.csv", "series_r0002.csv"]
+
+
+def test_simulate_failed_draw_in_a_worker_exits_2(tmp_path, monkeypatch, capsys):
+    # a draw that raises in a pool child ends the run as it ends a serial
+    # one: exit 2 and the same message, after the files before it
+    real = cli.simulate
+
+    def flaky(model, T, seed):
+        if seed == 43:
+            raise ValueError("simulation blew up")
+        return real(model, T, seed)
+
+    monkeypatch.setattr(cli, "simulate", flaky)
+    monkeypatch.setattr(cli, "SIMULATE_POOL_SAMPLES", 0)
+    runs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda n=cpus: n)
+        runs[cpus] = simulate_in(tmp_path / f"cpus{cpus}", capsys, T=300, reps=4)
+    (code, out, err, files), (code2, out2, err2, files2) = runs[1], runs[2]
+    assert (code, out, err) == (code2, out2, err2) == (2, f"wrote {os.path.join('sims', 'series_r0000.csv')}\n",
+                                                         "error: simulation blew up\n")
+    assert list(files) == ["series_r0000.csv"]
+    # with workers, replications after the failed one may already be written
+    assert "series_r0001.csv" not in files2
+    assert files2["series_r0000.csv"] == files["series_r0000.csv"]
+
+
+def test_simulate_pool_children_find_their_weight_spectra_built(tmp_path, monkeypatch):
+    # the parent builds the draws' weight spectra before it forks, so no
+    # child misses the cache; each draw records its process and misses
+    real = cli.simulate
+
+    def counted(model, T, seed):
+        before = models._weight_spectrum.cache_info().misses
+        series = real(model, T, seed)
+        misses = models._weight_spectrum.cache_info().misses - before
+        (tmp_path / f"draw-{seed}").write_text(f"{os.getpid()} {misses}")
+        return series
+
+    monkeypatch.setattr(cli, "simulate", counted)
+    monkeypatch.setattr(cli, "SIMULATE_POOL_SAMPLES", 0)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    models._weight_spectrum.cache_clear()
+    assert main(["simulate", "--model", "model2", "--T", "300", "--reps", "4", "--seed", "42",
+                 "--output", str(tmp_path / "sims")]) == 0
+    draws = [tuple(map(int, (tmp_path / f"draw-{seed}").read_text().split())) for seed in range(42, 46)]
+    assert os.getpid() not in {pid for pid, _ in draws}
+    assert [misses for _, misses in draws] == [0, 0, 0, 0]
+    # model2's two distinct filtered components, built once, in this process
+    assert models._weight_spectrum.cache_info().misses == 2
+
+
+def test_usable_cpus_is_the_affinity_mask(monkeypatch):
+    # a taskset or cpuset mask leaves a process fewer CPUs than are installed;
+    # without a mask to read, the installed count stands in
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert cli._usable_cpus() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._usable_cpus() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._usable_cpus() == 1
 
 
 # the printed forms these take are the edge cases of "%.12g": signed zero,
@@ -591,7 +702,7 @@ def test_experiment_worker_count_does_not_change_results(tmp_path, monkeypatch):
             pools.append(max_workers)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", CountedPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     a = tmp_path / "w1"
     b = tmp_path / "w2"
     assert run_experiment(a, workers=1) == 0
@@ -732,7 +843,7 @@ def test_experiment_workers_validated_and_clamped(tmp_path, monkeypatch, capsys)
             return map(fn, jobs)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
     for i, (workers, reps) in enumerate((("500", "3"), ("500", "10"), ("2", "10"), ("8", "1"))):
         out = tmp_path / f"w{i}"
         assert main(base + ["--reps", reps, "--workers", workers, "--output", str(out)]) == 0

@@ -12,7 +12,9 @@ the same outputs when the two output directories compare equal:
     python tools/golden.py --src ../parent/src --output golden-old
     diff -r golden-old golden-new
 
-The calls are ``simulate`` for each preset at T = 999, 3000 and 1e5;
+The calls are ``simulate`` for each preset at T = 999, 3000 and 1e5 (2
+replications each; at 1e5 they draw on the process pool where 2 CPUs are
+usable);
 ``estimate`` on those files, on the 999- and 3000-row files together,
 on a 150-row file beside one of them, and on inputs that fail (header
 only, empty, four columns, 50 rows, a directory, a missing file);

@@ -7,15 +7,21 @@ pair pass (``fluctuations``: DFA of x and of y and DCCA of the pair in one
 loop, as the CLI runs them; a later call, which finds its box bases kept,
 and a first call, which clears them before each call), ``hxa``,
 ``sample_ccf`` and ``theoretical_ccf``, plus the write and the read of one
-series file as the CLI does them.  Every timing is of model1 with fixed
+series file as the CLI does them, and a ``simulate`` CLI call of 4
+replications run serially and on the process pool (the pool row only
+where at least 2 CPUs are usable).  Every timing is of model1 with fixed
 seeds, estimator windows are the CLI's T-scaled defaults, and each row
 reports the median and the best of its runs after one untimed warm-up
 call.  BLAS runs on one thread.  Per size, the output also records the
 bytes that the two caches hold after that size's rows: the pass grid's box
 bases (``estimators._window_bases``, 0 where the grid is too large to keep)
-and the model's weight spectra (``models._weight_spectrum``).  A last row
-times the start-up every CLI call pays: a fresh interpreter that imports
+and the model's weight spectra (``models._weight_spectrum``).  Two last
+rows time what a pool costs and what every CLI call pays: a 2-worker
+``cli.ProcessPoolExecutor`` started (by one no-op job per worker) and shut
+down, and the start-up of a fresh interpreter that imports
 ``crossarfima.cli`` and builds one config, with its peak resident MB.
+Together with the two ``simulate`` CLI rows they give the break-even of
+``cli.SIMULATE_POOL_SAMPLES`` on the machine at hand.
 
 Run from the repository root; it times the ``src/`` tree beside this
 directory and takes well under a minute on a 2-core VM:
@@ -58,6 +64,8 @@ SIZES = (10_000, 100_000)
 SEED = 42
 RUNS = 7
 CCF_LAGS = (100, 1000)
+# replications of the simulate CLI rows
+SIM_REPS = 4
 # a CLI call's start: import the CLI and build its config (as perfbench's
 # setup_s does), then print the peak resident set in KiB
 STARTUP = (
@@ -89,6 +97,26 @@ def _write_series(cfg, series):
         cli.simulate = draw
 
 
+def _simulate_cli(T: int, workdir: str, pool: bool) -> None:
+    """One simulate CLI call of SIM_REPS replications, on the pool or serially."""
+    argv = ["simulate", "--model", "model1", "--T", str(T), "--reps", str(SIM_REPS), "--seed", str(SEED),
+            "--output", os.path.join(workdir, "sims")]  # fmt: skip
+    gate = cli.SIMULATE_POOL_SAMPLES
+    cli.SIMULATE_POOL_SAMPLES = 0 if pool else sys.maxsize
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main(argv) != 0:
+                raise RuntimeError(f"simulate failed: {argv}")
+    finally:
+        cli.SIMULATE_POOL_SAMPLES = gate
+
+
+def _pool_start() -> None:
+    """A 2-worker cli.ProcessPoolExecutor, started by one no-op job per worker, and shut down."""
+    with cli.ProcessPoolExecutor(2) as pool:
+        list(pool.map(abs, (0, 0)))
+
+
 def layer_rows(T: int, workdir: str) -> dict:
     # empty caches, so that what they hold after the rows is this size's alone
     _weight_spectrum.cache_clear()
@@ -112,7 +140,10 @@ def layer_rows(T: int, workdir: str) -> dict:
         "sample_ccf": lambda: sample_ccf(x, y, **cfg.window("ccf")),
         "csv write": lambda: _write_series(cfg, series),
         "csv read": lambda: cli._load_series_file(path),
+        f"simulate CLI, {SIM_REPS} reps, serial": lambda: _simulate_cli(T, workdir, pool=False),
     }
+    if cli._usable_cpus() >= 2:
+        calls[f"simulate CLI, {SIM_REPS} reps, pool"] = lambda: _simulate_cli(T, workdir, pool=True)
     rows = {name: _time(call) for name, call in calls.items()}
     rows["csv write"]["bytes"] = os.path.getsize(path)
     return rows
@@ -156,6 +187,7 @@ def machine() -> dict:
     return {
         "cpu": cpu,
         "cores": os.cpu_count(),
+        "usable_cpus": cli._usable_cpus(),
         "platform": platform.platform(),
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -178,6 +210,7 @@ def main(argv=None) -> int:
     result["layers"]["theoretical_ccf"] = {
         f"L={L}": _time(lambda: theoretical_ccf(model1(), max_lag=L)) for L in CCF_LAGS
     }
+    result["layers"]["process pool"] = {"2 workers, start + stop": _time(_pool_start)}
     result["layers"]["start-up"] = {"import cli + config": startup_row()}
     result["total_s"] = time.perf_counter() - started
 
@@ -185,7 +218,7 @@ def main(argv=None) -> int:
     for size, rows in result["layers"].items():
         for name, row in rows.items():
             mb = f"  {row['MB']:.1f} MB" if "MB" in row else ""
-            print(f"{size:>16s}  {name:22s}  median {row['median_ms']:9.2f} ms  best {row['best_ms']:9.2f} ms{mb}")
+            print(f"{size:>16s}  {name:28s}  median {row['median_ms']:9.2f} ms  best {row['best_ms']:9.2f} ms{mb}")
     for size, held in result["held_bytes"].items():
         print(f"{size:>16s}  held bytes  " + "  ".join(f"{name} {n:,}" for name, n in held.items()))
     print(f"wrote {args.output} in {result['total_s']:.1f} s")
