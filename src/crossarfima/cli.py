@@ -33,8 +33,12 @@ SPECTRUM_GRID = (1e-4, float(np.pi), 200)
 # rows per write in _write_table; larger chunks write no faster and raise
 # the peak memory of a T = 1e5 simulate (by about 2 MB at 8192 rows)
 _CHUNK_ROWS = 1024
-# replications x T from which simulate draws and writes on a process pool
-SIMULATE_POOL_SAMPLES = 60_000
+# series rows, summed over a command's jobs, from which simulate and
+# estimate run their jobs on a process pool (see _pool_workers)
+POOL_ROWS = 60_000
+# bytes of one row of a t,x,y series file, about: estimate sizes its
+# inputs by their length on disk, without reading them
+SERIES_ROW_BYTES = 35
 
 
 def _fmt(v) -> str:
@@ -204,9 +208,7 @@ def _simulate_worker(job: tuple[ExperimentConfig, int, int]) -> str:
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     _ensure_outdir(cfg)
-    workers = min(cfg.replications, _usable_cpus())
-    if cfg.replications * cfg.T < SIMULATE_POOL_SAMPLES:
-        workers = 1
+    workers = _pool_workers(cfg.replications, cfg.replications * cfg.T)
     if workers > 1:
         # built before the fork, so that no child builds them again
         weight_spectra(cfg.model, cfg.T)
@@ -242,7 +244,25 @@ def _ccf_table_name(path: str) -> str:
     return f"ccf_{os.path.splitext(os.path.basename(path))[0]}.csv"
 
 
-def cmd_estimate(config_at, inputs: list[str]) -> int:
+def _estimate_worker(job: tuple[ExperimentConfig, functools.partial, str]):
+    """_pair_rows of one input file, at the windows of its own length."""
+    cfg, config_at, path = job
+
+    def make_pair():
+        x, y = _load_series_file(path)
+        sized = config_at(x.size)
+        check_windows(sized)
+        return sized, x, y
+
+    return _pair_rows(cfg, make_pair)
+
+
+def _input_rows(path: str) -> int:
+    """The rows a series file of path's size holds, about; 0 for a path that is no file."""
+    return os.path.getsize(path) // SERIES_ROW_BYTES if os.path.isfile(path) else 0
+
+
+def cmd_estimate(config_at: functools.partial, inputs: list[str]) -> int:
     # A file's row count is its T.  Every length check only relaxes as T grows
     # and every T-scaled default grows with T, so the windows fail at an
     # unbounded length exactly when no length can fix them: a config error.
@@ -256,16 +276,10 @@ def cmd_estimate(config_at, inputs: list[str]) -> int:
             if owners.setdefault(name, path) != path:
                 raise ConfigError(f"inputs {owners[name]} and {path} would both write {name}")
     outdir = _ensure_outdir(cfg)
+    workers = _pool_workers(len(inputs), sum(map(_input_rows, inputs)))
+    jobs = [(cfg, config_at, path) for path in inputs]
     table = []
-    for path in inputs:
-
-        def make_pair():
-            x, y = _load_series_file(path)
-            sized = config_at(x.size)
-            check_windows(sized)
-            return sized, x, y
-
-        rows, ccf = _pair_rows(cfg, make_pair)
+    for path, (rows, ccf) in zip(inputs, _map_replications(_estimate_worker, jobs, workers)):
         table.append(([path], rows, ccf))
         if ccf is not None:
             _write_ccf(os.path.join(outdir, _ccf_table_name(path)), rho=ccf)
@@ -300,9 +314,10 @@ def cmd_theory(cfg: ExperimentConfig, spectrum_points: int) -> int:
 class ProcessPoolExecutor:
     """concurrent.futures.ProcessPoolExecutor, loaded when the first pool is made.
 
-    Only experiment --workers > 1 and a simulate large enough to gain
-    from one fork a pool, so no other run pays the time and memory of
-    importing concurrent.futures.process and multiprocessing.  It stays
+    Only experiment --workers > 1 and a simulate or estimate large enough
+    to gain from one (_pool_workers) fork a pool, so no other run pays the
+    time and memory of importing concurrent.futures.process and
+    multiprocessing.  It stays
     a class of this module, so that a caller can subclass it or swap in
     another.
     """
@@ -329,6 +344,13 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _pool_workers(jobs: int, rows: int) -> int:
+    """Workers for a command's jobs: min(jobs, usable CPUs) when that is at
+    least 2 and the jobs hold POOL_ROWS series rows in all, else 1."""
+    workers = min(jobs, _usable_cpus())
+    return workers if workers > 1 and rows >= POOL_ROWS else 1
 
 
 def _map_replications(worker, jobs, workers: int):
@@ -461,9 +483,15 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _config_reader(args: argparse.Namespace):
-    """config_at(T): the config of the --config text, read here once, and
-    the flags at length T; T None keeps the config's own T."""
+def _config_at(text: str, overrides: dict, T: int | None = None) -> ExperimentConfig:
+    """The config of INI text and overrides at length T; T None keeps the text's own T."""
+    length = {} if T is None else {("experiment", "t"): str(T)}
+    return parse_config(text, overrides={**overrides, **length})
+
+
+def _config_reader(args: argparse.Namespace) -> functools.partial:
+    """config_at(T): _config_at of the --config text, read here once, and
+    the flags.  A partial, not a closure, so that it pickles into a pool."""
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as f:
@@ -478,12 +506,7 @@ def _config_reader(args: argparse.Namespace):
         value = getattr(args, s.flag[2:].replace("-", "_"), None)
         if value is not None:
             overrides[s.section, s.key] = str(value)
-
-    def config_at(T: int | None = None) -> ExperimentConfig:
-        length = {} if T is None else {("experiment", "t"): str(T)}
-        return parse_config(text, overrides={**overrides, **length})
-
-    return config_at
+    return functools.partial(_config_at, text, overrides)
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:

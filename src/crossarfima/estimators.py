@@ -123,6 +123,17 @@ def check_max_lag(max_lag: int, T: int | None = None) -> None:
         raise ValueError(f"max_lag: need T > 2*max_lag, got T={T}, max_lag={max_lag}")
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b by numpy's own loop, whose order of summation is fixed.
+
+    A 1-d ``a @ b`` is a BLAS dot product, which OpenBLAS splits across
+    its threads above about 1e4 elements: its last bits then depend on
+    the thread count, and the forked children of a pool, each running
+    such threads on the same cores, spin against each other.
+    """
+    return np.einsum("i,i->", a, b)
+
+
 def sample_ccf(x, y, max_lag: int) -> np.ndarray:
     """Sample cross-correlation rho(k) = corr(x_{t+k}, y_t) for k = -L..L.
 
@@ -143,8 +154,8 @@ def sample_ccf(x, y, max_lag: int) -> np.ndarray:
     for k in range(L + 1):
         # lag +k pairs x_{t+k} with y_t, lag -k pairs x_t with y_{t+k}
         n = T - k
-        values[L + k] = (xc[k:] @ yc[: n]) / (n * sx * sy)
-        values[L - k] = (xc[: n] @ yc[k:]) / (n * sx * sy)
+        values[L + k] = _dot(xc[k:], yc[:n]) / (n * sx * sy)
+        values[L - k] = _dot(xc[:n], yc[k:]) / (n * sx * sy)
     return values
 
 
@@ -320,7 +331,7 @@ def hxa(x, y, tau_min: int = 1, tau_max: int = 100) -> FluctuationSeries:
     for i, tau in enumerate(taus):
         dX = X[tau:] - X[:-tau]
         dY = Y[tau:] - Y[:-tau]
-        values[i] = (dX @ dY) / (T - tau)
+        values[i] = _dot(dX, dY) / (T - tau)
     return FluctuationSeries(scales=taus, values=values, method=HXA)
 
 

@@ -60,41 +60,51 @@ def test_simulate_is_deterministic(tmp_path):
         assert read_bytes(tmp_path / "a" / name) == read_bytes(tmp_path / "b" / name)
 
 
-def simulate_in(run_dir, capsys, T, reps):
-    """Exit code, stdout, stderr and {file name: bytes} of a simulate run
-    from run_dir into its relative "sims", so that two runs print alike."""
+def run_in(run_dir, capsys, argv, output):
+    """Exit code, stdout, stderr and {file name: bytes} of a CLI run from
+    run_dir into its relative output, so that two runs print alike."""
     os.makedirs(run_dir)
     cwd = os.getcwd()
     os.chdir(run_dir)
     try:
         capsys.readouterr()
-        code = main(["simulate", "--model", "model2", "--T", str(T), "--reps", str(reps), "--seed", "42",
-                     "--output", "sims"])
+        code = main([*argv, "--output", output])
     finally:
         os.chdir(cwd)
     out, err = capsys.readouterr()
-    sims = Path(run_dir) / "sims"
-    return code, out, err, {p.name: read_bytes(p) for p in sorted(sims.iterdir())}
+    return code, out, err, {p.name: read_bytes(p) for p in sorted((Path(run_dir) / output).iterdir())}
 
 
-def test_simulate_pool_gate_and_results(tmp_path, monkeypatch, capsys):
-    # simulate forks cli's own pool only for more than one replication and
-    # usable CPU and at least SIMULATE_POOL_SAMPLES samples; its files and
-    # stdout are the serial run's, byte for byte
-    pools = []
+def simulate_in(run_dir, capsys, T, reps):
+    """run_in of a model2 simulate into "sims"."""
+    argv = ["simulate", "--model", "model2", "--T", str(T), "--reps", str(reps), "--seed", "42"]
+    return run_in(run_dir, capsys, argv, "sims")
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The max_workers of each pool cli makes, with 2 usable CPUs; the pools fork real processes."""
+    made = []
 
     class CountedPool(cli.ProcessPoolExecutor):
         def __init__(self, max_workers):
             super().__init__(max_workers)
-            pools.append(max_workers)
+            made.append(max_workers)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", CountedPool)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    assert 3 * 200 < cli.SIMULATE_POOL_SAMPLES
+    return made
+
+
+def test_simulate_pool_gate_and_results(tmp_path, pools, monkeypatch, capsys):
+    # simulate forks cli's own pool only for more than one replication and
+    # usable CPU and at least POOL_ROWS samples; its files and
+    # stdout are the serial run's, byte for byte
+    assert 3 * 200 < cli.POOL_ROWS
     assert simulate_in(tmp_path / "below", capsys, T=200, reps=3)[0] == 0
     assert pools == []
 
-    monkeypatch.setattr(cli, "SIMULATE_POOL_SAMPLES", 1000)
+    monkeypatch.setattr(cli, "POOL_ROWS", 1000)
     assert simulate_in(tmp_path / "one", capsys, T=2000, reps=1)[0] == 0
     assert pools == []
     pooled = simulate_in(tmp_path / "pool", capsys, T=400, reps=3)
@@ -120,7 +130,7 @@ def test_simulate_failed_draw_in_a_worker_exits_2(tmp_path, monkeypatch, capsys)
         return real(model, T, seed)
 
     monkeypatch.setattr(cli, "simulate", flaky)
-    monkeypatch.setattr(cli, "SIMULATE_POOL_SAMPLES", 0)
+    monkeypatch.setattr(cli, "POOL_ROWS", 0)
     runs = {}
     for cpus in (1, 2):
         monkeypatch.setattr(cli, "_usable_cpus", lambda n=cpus: n)
@@ -147,7 +157,7 @@ def test_simulate_pool_children_find_their_weight_spectra_built(tmp_path, monkey
         return series
 
     monkeypatch.setattr(cli, "simulate", counted)
-    monkeypatch.setattr(cli, "SIMULATE_POOL_SAMPLES", 0)
+    monkeypatch.setattr(cli, "POOL_ROWS", 0)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     models._weight_spectrum.cache_clear()
     assert main(["simulate", "--model", "model2", "--T", "300", "--reps", "4", "--seed", "42",
@@ -494,6 +504,83 @@ def test_estimate_rejects_inputs_sharing_a_ccf_table(tmp_path, capsys):
     assert rc == 0
 
 
+def estimate_in(run_dir, capsys, inputs, *flags):
+    """run_in of an estimate of HXA and the CCF over inputs into "est"."""
+    return run_in(run_dir, capsys, ["estimate", "--estimators", "hxa,ccf", *flags, *inputs], "est")
+
+
+def test_estimate_pool_gate_and_results(tmp_path, pools, monkeypatch, capsys):
+    # estimate forks cli's own pool only for more than one input and usable
+    # CPU and inputs of at least POOL_ROWS rows in all, sized by their bytes
+    # on disk; its files and stdout are the serial run's, byte for byte
+    inputs = simulate_files(tmp_path, model="model2", T=400, reps=3)
+    assert 3 * 400 < cli.POOL_ROWS
+    assert estimate_in(tmp_path / "below", capsys, inputs)[0] == 0
+    assert pools == []
+
+    monkeypatch.setattr(cli, "POOL_ROWS", 1000)
+    assert estimate_in(tmp_path / "two", capsys, inputs[:2])[0] == 0
+    assert pools == []
+    pooled = estimate_in(tmp_path / "pool", capsys, inputs)
+    assert pools == [2]
+    monkeypatch.setattr(cli, "POOL_ROWS", 0)
+    assert estimate_in(tmp_path / "one", capsys, inputs[:1])[0] == 0
+    assert pools == [2]
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    serial = estimate_in(tmp_path / "serial", capsys, inputs)
+    assert pools == [2]
+    assert pooled == serial
+    code, out, err, files = serial
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [f"wrote {os.path.join('est', name)}" for name in files]
+    assert list(files) == ["ccf_series_r0000.csv", "ccf_series_r0001.csv", "ccf_series_r0002.csv", "estimates.csv"]
+
+
+def test_estimate_missing_input_on_a_pool_fails_at_its_place(tmp_path, pools, monkeypatch, capsys):
+    # a missing input is a config error at its place in the order, pooled as
+    # serially: the CCF tables of the inputs before it are written, no later
+    # one and no estimates.csv
+    good = simulate_files(tmp_path, model="model2", T=400, reps=2)
+    inputs = [good[0], str(tmp_path / "missing.csv"), good[1]]
+    monkeypatch.setattr(cli, "POOL_ROWS", 0)
+    pooled = estimate_in(tmp_path / "pool", capsys, inputs)
+    assert pools == [2]
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    assert estimate_in(tmp_path / "serial", capsys, inputs) == pooled
+    assert pooled == (
+        1,
+        f"wrote {os.path.join('est', 'ccf_series_r0000.csv')}\n",
+        f"config error: [Errno 2] No such file or directory: '{inputs[1]}'\n",
+        {"ccf_series_r0000.csv": read_bytes(tmp_path / "pool" / "est" / "ccf_series_r0000.csv")},
+    )
+
+
+def test_estimate_short_or_empty_input_fails_alone_on_a_pool(tmp_path, pools, monkeypatch, capsys):
+    # a file too short for the CCF, or with no rows, fails its own rows in
+    # its worker, and the good file between them is estimated
+    good = simulate_files(tmp_path, model="model2", T=400)[0]
+    short = tmp_path / "short.csv"
+    np.savetxt(short, np.random.default_rng(8).standard_normal((150, 2)), delimiter=",")
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    inputs = [str(short), good, str(empty)]
+    monkeypatch.setattr(cli, "POOL_ROWS", 0)
+    pooled = estimate_in(tmp_path / "pool", capsys, inputs, "--max-lag", "100")
+    assert pools == [2]
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    assert estimate_in(tmp_path / "serial", capsys, inputs, "--max-lag", "100") == pooled
+    code, _, err, files = pooled
+    assert (code, err) == (0, "")
+    assert list(files) == ["ccf_series_r0000.csv", "estimates.csv"]
+    _, rows = read_csv(tmp_path / "pool" / "est" / "estimates.csv")
+    short_note = "ccf.max_lag: need T > 2*max_lag, got T=150, max_lag=100"
+    assert [(r[0], r[1], r[3], r[7]) for r in rows] == [
+        (str(short), "hxa", "failed", short_note), (str(short), "ccf", "failed", short_note),
+        (good, "hxa", "ok", ""),
+        *((str(empty), name, "failed", f"{empty}: no data rows") for name in ("hxa", "ccf")),
+    ]
+
+
 @pytest.mark.parametrize("command", ["estimate", "experiment"])
 def test_a_ccf_alone_is_a_result(tmp_path, command):
     # both commands exit 2 only when no pair gave an ok estimate or a CCF
@@ -692,17 +779,8 @@ def test_experiment_summary_and_replication_tables(tmp_path, capsys):
     assert "dfa" in stdout and "hxy" in stdout  # summary table echoed
 
 
-def test_experiment_worker_count_does_not_change_results(tmp_path, monkeypatch):
+def test_experiment_worker_count_does_not_change_results(tmp_path, pools):
     # two workers run in cli's own pool, which forks real processes
-    pools = []
-
-    class CountedPool(cli.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            super().__init__(max_workers)
-            pools.append(max_workers)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountedPool)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     a = tmp_path / "w1"
     b = tmp_path / "w2"
     assert run_experiment(a, workers=1) == 0
@@ -986,6 +1064,27 @@ def test_unreadable_config_file_is_a_config_error(tmp_path, capsys, kind):
     assert main(["theory", "--config", str(path), "--output", str(out)]) == 1
     assert capsys.readouterr().err.startswith("config error: ")
     assert not out.exists()
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # hxa and sample_ccf reduce in numpy's own loop: a BLAS dot product
+    # splits a sum of more than about 1e4 terms across its threads, and
+    # its last bits, and some 12-digit cells, then follow the thread count
+    src = str(Path(crossarfima.__file__).resolve().parents[1])
+    argv = ["experiment", "--model", "model1", "--T", "50000", "--reps", "2", "--seed", "1",
+            "--estimators", "hxa,ccf", "--output", "out"]
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        run_dir = tmp_path / f"threads{threads}"
+        run_dir.mkdir()
+        proc = subprocess.run([sys.executable, "-m", "crossarfima.cli", *argv],
+                              cwd=run_dir, capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        runs.append((proc.stdout, {p.name: read_bytes(p) for p in sorted((run_dir / "out").iterdir())}))
+    assert list(runs[0][1]) == ["ccf_mean.csv", "replications.csv", "summary.csv"]
+    assert runs[0] == runs[1]
 
 
 def test_console_script_smoke(tmp_path):

@@ -58,18 +58,26 @@ def test_cli_import_loads_no_scipy_module():
 
 
 def test_only_a_process_pool_loads_its_modules(tmp_path):
-    # experiment --workers > 1 and a large simulate alone fork a pool:
-    # importing the CLI, a theory run, or a simulate below the pool's size
-    # loads neither concurrent.futures.process nor multiprocessing
+    # experiment --workers > 1 and a large simulate or estimate alone fork a
+    # pool: importing the CLI, a theory run, or a simulate or an estimate
+    # below the pool's size loads neither concurrent.futures.process nor
+    # multiprocessing
     theory = f"crossarfima.cli.main(['theory', '--model', 'model1', '--output', {str(tmp_path)!r}])"
     simulate = (
         "crossarfima.cli.main(['simulate', '--model', 'model1', '--T', '200', '--reps', '2',"
         f" '--output', {str(tmp_path / 'sims')!r}])"
     )
-    for modules in (modules_loaded_by_cli_import(), modules_after(theory), modules_after(simulate)):
+    sims = [str(tmp_path / "sims" / f"series_r000{r}.csv") for r in range(2)]
+    estimate = (
+        f"crossarfima.cli.main(['estimate', '--estimators', 'hxa', '--output', {str(tmp_path / 'est')!r}, *{sims!r}])"
+    )
+    # the simulate runs first, and writes the estimate's inputs
+    runs = (modules_after(theory), modules_after(simulate), modules_after(estimate))
+    for modules in (modules_loaded_by_cli_import(), *runs):
         assert [m for m in modules if m.split(".")[0] == "multiprocessing" or m == "concurrent.futures.process"] == []
     assert (tmp_path / "exponents.csv").exists()
     assert sorted(p.name for p in (tmp_path / "sims").iterdir()) == ["series_r0000.csv", "series_r0001.csv"]
+    assert (tmp_path / "est" / "estimates.csv").read_text().count(",ok,") == 2
 
 
 def test_all_lists_exactly_the_public_names():

@@ -1,41 +1,45 @@
 """Run a fixed list of crossarfima CLI calls and keep every output, for byte comparison.
 
-Each call runs in this process through ``crossarfima.cli.main``, with the
-package imported from ``--src`` (put first on ``sys.path``), BLAS on one
-thread and the working directory set to ``--output``.  Every path in the
-calls is relative, so the file columns of ``estimates.csv`` read the same
-in every run.  The script writes each call's argv, exit code, stdout and
-stderr to ``calls.json`` beside the output files.  Two source trees give
-the same outputs when the two output directories compare equal:
+Each call runs in this process through ``crossarfima.cli.main``, with
+the package imported from ``--src`` (put first on ``sys.path``), BLAS on
+``--threads`` threads (default 1) and the working directory set to
+``--output``.  Every path in the calls is relative, so the file columns
+of ``estimates.csv`` read the same in every run.  The script writes each
+call's argv, exit code, stdout and stderr to ``calls.json`` beside the
+output files.  Two source trees give the same outputs when the two output
+directories compare equal:
 
     python tools/golden.py --src src --output golden-new
     python tools/golden.py --src ../parent/src --output golden-old
     diff -r golden-old golden-new
 
+A run at ``--threads 2`` diffed against one at the default shows whether
+any output depends on the BLAS thread count.
+
 The calls are ``simulate`` for each preset at T = 999, 3000 and 1e5 (2
 replications each; at 1e5 they draw on the process pool where 2 CPUs are
-usable);
-``estimate`` on those files, on the 999- and 3000-row files together,
-on a 150-row file beside one of them, and on inputs that fail (header
-only, empty, four columns, 50 rows, a directory, a missing file);
-``theory`` at the defaults and at ``--max-lag 1000``; ``experiment``
-at T = 1e4 (10 replications, 1 and 2 workers) and at T = 300;
-``experiment`` on 2 workers, then ``simulate``, ``theory`` and
-``experiment`` at T = 1000 with 2 replications, on a ``--config`` file
-holding the README's inline model with detrend order 2 (its AR(1) and
-white terms and sigma_14 make the series a check that each component
-reads its own innovation stream; the first call's pool children draw
-the model before this process has built its weight spectra);
-the CCF alone at ``--max-lag 7``, by ``estimate`` on the model1
-999-row files and by ``experiment`` at T = 300 (3 replications); and, on
-a ``--config`` file that pins ``[dcca] s_max = 999999``, ``simulate`` and
-``theory``, which run no estimator, and ``experiment`` at T = 1000 with
-``--estimators hxa`` and with ``--estimators dcca`` (a window is checked
-only where its estimator runs, so only the last is a config error);
-and last, ``experiment`` on model2 at T = 2e4 (2 replications, DFA and
-DCCA), whose windows' box bases are too large to keep, so that the pass
-builds each at its box size.  Each ``estimate`` input gets the windows of
-its own length.  A run takes 3 to 5 s on a 2-core VM.
+usable); ``estimate`` on those files (the 1e5-row pairs on the process
+pool too), on the 999- and 3000-row files together, on a 150-row file
+beside one of them, and on inputs that fail (header only, empty, four
+columns, 50 rows, a directory, a missing file); ``theory`` at the
+defaults and at ``--max-lag 1000``; ``experiment`` at T = 1e4 (10
+replications, 1 and 2 workers) and at T = 300; ``experiment`` on 2
+workers, then ``simulate``, ``theory`` and ``experiment`` at T = 1000
+with 2 replications, on a ``--config`` file holding the README's inline
+model with detrend order 2 (its AR(1) and white terms and sigma_14 make
+the series a check that each component reads its own innovation stream;
+the first call's pool children draw the model before this process has
+built its weight spectra); the CCF alone at ``--max-lag 7``, by
+``estimate`` on the model1 999-row files and by ``experiment`` at T =
+300 (3 replications); and, on a ``--config`` file that pins ``[dcca]
+s_max = 999999``, ``simulate`` and ``theory``, which run no estimator,
+and ``experiment`` at T = 1000 with ``--estimators hxa`` and with
+``--estimators dcca`` (a window is checked only where its estimator
+runs, so only the last is a config error); and last, ``experiment`` on
+model2 at T = 2e4 (2 replications, DFA and DCCA), whose windows' box
+bases are too large to keep, so that the pass builds each at its box
+size.  Each ``estimate`` input gets the windows of its own length.  A run
+takes 3 to 5 s on a 2-core VM.
 """
 
 from __future__ import annotations
@@ -49,11 +53,6 @@ import sys
 import time
 import warnings
 from pathlib import Path
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
-import numpy as np  # noqa: E402
 
 PRESETS = ("model1", "model2", "model3")
 SIM_T = (999, 3000, 100_000)
@@ -162,6 +161,8 @@ def calls() -> list[list[str]]:
 
 
 def write_inputs(detrend_section: str) -> None:
+    import numpy as np
+
     os.makedirs("inputs/adir")
     Path(INLINE_CONFIG).write_text(f"{INLINE_INI}\n[{detrend_section}]\ndetrend_order = 2\n")
     Path(PINNED_CONFIG).write_text(PINNED_INI)
@@ -188,7 +189,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--src", type=Path, required=True, help="source tree holding crossarfima/")
     parser.add_argument("--output", type=Path, required=True, help="new or empty output directory")
+    parser.add_argument("--threads", type=int, default=1, help="BLAS and OpenMP threads (default 1)")
     args = parser.parse_args()
+    # set before the package's first import loads numpy and its BLAS
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = str(args.threads)
     src = args.src.resolve()
     sys.path.insert(0, str(src))
     from crossarfima import cli

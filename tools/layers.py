@@ -2,26 +2,32 @@
 
 The layers are the innovation draw, ``simulate`` (a later draw, which
 finds its weight spectra cached by the warm-up, and a first draw, which
-clears that cache before each call and builds them), ``dfa``, ``dcca``, the
-pair pass (``fluctuations``: DFA of x and of y and DCCA of the pair in one
-loop, as the CLI runs them; a later call, which finds its box bases kept,
-and a first call, which clears them before each call), ``hxa``,
-``sample_ccf`` and ``theoretical_ccf``, plus the write and the read of one
-series file as the CLI does them, and a ``simulate`` CLI call of 4
-replications run serially and on the process pool (the pool row only
-where at least 2 CPUs are usable).  Every timing is of model1 with fixed
-seeds, estimator windows are the CLI's T-scaled defaults, and each row
-reports the median and the best of its runs after one untimed warm-up
-call.  BLAS runs on one thread.  Per size, the output also records the
-bytes that the two caches hold after that size's rows: the pass grid's box
-bases (``estimators._window_bases``, 0 where the grid is too large to keep)
-and the model's weight spectra (``models._weight_spectrum``).  Two last
-rows time what a pool costs and what every CLI call pays: a 2-worker
-``cli.ProcessPoolExecutor`` started (by one no-op job per worker) and shut
-down, and the start-up of a fresh interpreter that imports
-``crossarfima.cli`` and builds one config, with its peak resident MB.
-Together with the two ``simulate`` CLI rows they give the break-even of
-``cli.SIMULATE_POOL_SAMPLES`` on the machine at hand.
+clears that cache before each call and builds them), ``dfa``, ``dcca``,
+the pair pass (``fluctuations``: DFA of x and of y and DCCA of the pair
+in one loop, as the CLI runs them; a later call, which finds its box
+bases kept, and a first call, which clears them before each call),
+``hxa``, ``sample_ccf`` and ``theoretical_ccf``, plus the write and the
+read of one series file as the CLI does them, a ``simulate`` CLI call of
+4 replications and an ``estimate --estimators hxa,ccf`` CLI call on its
+4 files, each run serially and on the process pool (the pool rows only
+where at least 2 CPUs are usable), and the pooled ``estimate`` once more
+in a fresh interpreter at the default BLAS threads, where pool children
+that each ran a multi-threaded BLAS call on the same cores would show.
+Every timing is of model1 with fixed seeds, estimator windows are the
+CLI's T-scaled defaults, and each row reports the median and the best of
+its runs after one untimed warm-up call.  BLAS runs on one thread,
+except in that last row.  Per size, the output also records the bytes
+that the two caches hold after that size's rows: the pass grid's box
+bases (``estimators._window_bases``, 0 where the grid is too large to
+keep) and the model's weight spectra (``models._weight_spectrum``).  Two
+last rows time what a pool costs and what every CLI call pays: a
+2-worker ``cli.ProcessPoolExecutor`` started (by one no-op job per
+worker) and shut down, and the start-up of a fresh interpreter that
+imports ``crossarfima.cli`` and builds one config, with its peak
+resident MB (``VmHWM``, which, unlike ``ru_maxrss``, a child does not
+inherit from the process that started it).  Together with the serial and
+pooled CLI rows they give the break-even of ``cli.POOL_ROWS`` on the
+machine at hand.
 
 Run from the repository root; it times the ``src/`` tree beside this
 directory and takes well under a minute on a 2-core VM:
@@ -44,7 +50,8 @@ import tempfile
 import time
 from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in THREAD_VARS:
     os.environ.setdefault(_var, "1")
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -64,15 +71,30 @@ SIZES = (10_000, 100_000)
 SEED = 42
 RUNS = 7
 CCF_LAGS = (100, 1000)
-# replications of the simulate CLI rows
+# replications of the simulate CLI rows, and files of the estimate CLI rows
 SIM_REPS = 4
 # a CLI call's start: import the CLI and build its config (as perfbench's
 # setup_s does), then print the peak resident set in KiB
 STARTUP = (
-    "import resource\n"
     "from crossarfima import cli\n"
     "cli._config_from_args(cli.build_parser().parse_args(['experiment']))\n"
-    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    "with open('/proc/self/status') as f:\n"
+    "    print(next(line.split()[1] for line in f if line.startswith('VmHWM:')))\n"
+)
+# the CLI call of argv[2:] on the pool, once untimed and argv[1] times
+# timed; prints the timed calls' seconds
+POOLED_CALLS = (
+    "import contextlib, io, sys, time\n"
+    "from crossarfima import cli\n"
+    "cli.POOL_ROWS = 0\n"
+    "times = []\n"
+    "for _ in range(1 + int(sys.argv[1])):\n"
+    "    start = time.perf_counter()\n"
+    "    with contextlib.redirect_stdout(io.StringIO()):\n"
+    "        if cli.main(sys.argv[2:]) != 0:\n"
+    "            raise SystemExit(f'failed: {sys.argv[2:]}')\n"
+    "    times.append(time.perf_counter() - start)\n"
+    "print(*times[1:])\n"
 )
 
 
@@ -97,18 +119,39 @@ def _write_series(cfg, series):
         cli.simulate = draw
 
 
-def _simulate_cli(T: int, workdir: str, pool: bool) -> None:
-    """One simulate CLI call of SIM_REPS replications, on the pool or serially."""
-    argv = ["simulate", "--model", "model1", "--T", str(T), "--reps", str(SIM_REPS), "--seed", str(SEED),
-            "--output", os.path.join(workdir, "sims")]  # fmt: skip
-    gate = cli.SIMULATE_POOL_SAMPLES
-    cli.SIMULATE_POOL_SAMPLES = 0 if pool else sys.maxsize
+def _estimate_argv(workdir: str) -> list[str]:
+    """An estimate CLI call on the files the simulate CLI rows write."""
+    files = [os.path.join(workdir, "sims", f"series_r{r:04d}.csv") for r in range(SIM_REPS)]
+    return ["estimate", "--estimators", "hxa,ccf", "--output", os.path.join(workdir, "est"), *files]
+
+
+def _cli(argv: list[str], pool: bool) -> None:
+    """One CLI call, on the pool or serially, whatever its size."""
+    gate = cli.POOL_ROWS
+    cli.POOL_ROWS = 0 if pool else sys.maxsize
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             if cli.main(argv) != 0:
-                raise RuntimeError(f"simulate failed: {argv}")
+                raise RuntimeError(f"{argv[0]} failed: {argv}")
     finally:
-        cli.SIMULATE_POOL_SAMPLES = gate
+        cli.POOL_ROWS = gate
+
+
+def _simulate_cli(T: int, workdir: str, pool: bool) -> None:
+    """One simulate CLI call of SIM_REPS replications, on the pool or serially."""
+    _cli(["simulate", "--model", "model1", "--T", str(T), "--reps", str(SIM_REPS), "--seed", str(SEED),
+          "--output", os.path.join(workdir, "sims")], pool)  # fmt: skip
+
+
+def pooled_unpinned_row(workdir: str) -> dict:
+    """_time's figures for the pooled estimate CLI call, timed in a fresh
+    interpreter whose BLAS runs at its default thread count."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run([sys.executable, "-c", POOLED_CALLS, str(RUNS), *_estimate_argv(workdir)],
+                          env=env, check=True, capture_output=True, text=True)  # fmt: skip
+    times = [float(t) for t in proc.stdout.split()]
+    return {"median_ms": 1e3 * statistics.median(times), "best_ms": 1e3 * min(times)}
 
 
 def _pool_start() -> None:
@@ -141,10 +184,16 @@ def layer_rows(T: int, workdir: str) -> dict:
         "csv write": lambda: _write_series(cfg, series),
         "csv read": lambda: cli._load_series_file(path),
         f"simulate CLI, {SIM_REPS} reps, serial": lambda: _simulate_cli(T, workdir, pool=False),
+        # on the files the simulate CLI rows write
+        f"estimate CLI, {SIM_REPS} files, serial": lambda: _cli(_estimate_argv(workdir), pool=False),
     }
-    if cli._usable_cpus() >= 2:
+    pooled = cli._usable_cpus() >= 2
+    if pooled:
         calls[f"simulate CLI, {SIM_REPS} reps, pool"] = lambda: _simulate_cli(T, workdir, pool=True)
+        calls[f"estimate CLI, {SIM_REPS} files, pool"] = lambda: _cli(_estimate_argv(workdir), pool=True)
     rows = {name: _time(call) for name, call in calls.items()}
+    if pooled:
+        rows[f"estimate CLI, {SIM_REPS} files, pool, default BLAS threads"] = pooled_unpinned_row(workdir)
     rows["csv write"]["bytes"] = os.path.getsize(path)
     return rows
 
@@ -218,7 +267,7 @@ def main(argv=None) -> int:
     for size, rows in result["layers"].items():
         for name, row in rows.items():
             mb = f"  {row['MB']:.1f} MB" if "MB" in row else ""
-            print(f"{size:>16s}  {name:28s}  median {row['median_ms']:9.2f} ms  best {row['best_ms']:9.2f} ms{mb}")
+            print(f"{size:>16s}  {name:50s}  median {row['median_ms']:9.2f} ms  best {row['best_ms']:9.2f} ms{mb}")
     for size, held in result["held_bytes"].items():
         print(f"{size:>16s}  held bytes  " + "  ".join(f"{name} {n:,}" for name, n in held.items()))
     print(f"wrote {args.output} in {result['total_s']:.1f} s")
