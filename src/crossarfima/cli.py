@@ -209,9 +209,8 @@ def _simulate_worker(job: tuple[ExperimentConfig, int, int]) -> str:
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     _ensure_outdir(cfg)
     workers = _pool_workers(cfg.replications, cfg.replications * cfg.T)
-    if workers > 1:
-        # built before the fork, so that no child builds them again
-        weight_spectra(cfg.model, cfg.T)
+    # built before a pool forks, so that no child builds them again
+    weight_spectra(cfg.model, cfg.T)
     jobs = [(cfg, rep, seed) for rep, seed in enumerate(cfg.seeds())]
     for path in _map_replications(_simulate_worker, jobs, workers):
         print(f"wrote {path}")
@@ -379,6 +378,7 @@ def cmd_experiment(cfg: ExperimentConfig, workers: int) -> int:
     # a fork pool starts all max_workers processes at the first submit
     workers = min(workers, cfg.replications, _usable_cpus())
     outdir = _ensure_outdir(cfg)
+    weight_spectra(cfg.model, cfg.T)  # before a pool forks, so no child builds them
     seeds = cfg.seeds()
     results = list(_map_replications(_replication_worker, [(cfg, seed) for seed in seeds], workers))
 

@@ -3,8 +3,8 @@
 A fractionally integrated component, an AR(1) component and a plain
 white-noise component can all be written as one-sided moving averages of
 an innovation stream.  This module generates the (truncated) weight
-sequences and fft_convolve, numpy's real FFT at a 2-3-5-smooth padded
-length: the formula models.simulate runs, with each weight rfft cached.
+sequences, the 2-3-5-smooth FFT lengths that models.simulate filters at,
+and fft_convolve, a full linear convolution by numpy's real FFT.
 """
 
 from __future__ import annotations

@@ -299,12 +299,11 @@ def _weight_spectrum(kind: str, param: float, M: int, nfft: int) -> np.ndarray:
 
 def weight_spectra(model: ModelSpec, T: int):
     """(M, nfft, terms) of a length-T draw: the MA cut M = max(T, 10000),
-    the FFT length, and (stream, component, weight spectrum or None for
-    white) per component of non-zero weight.  The spectra come from the
-    _weight_spectrum cache, so a call made before a process pool forks
-    leaves them built for every child's draws."""
+    the FFT length nfft >= T + M, and (stream, component, weight spectrum
+    or None for white) per component of non-zero weight.  The spectra are
+    cached, so a call before a pool forks builds them for every child."""
     M = max(T, DEFAULT_SIM_TRUNCATION)
-    nfft = _smooth_length(T + 2 * M)
+    nfft = _smooth_length(T + M)
     terms = [
         (i, c, None if c.kind == WHITE else _weight_spectrum(c.kind, c.param, M, nfft))
         for i, c in enumerate(model.components)
@@ -316,12 +315,12 @@ def weight_spectra(model: ModelSpec, T: int):
 def simulate(model: ModelSpec, T: int, seed: int) -> BivariateSeries:
     """Draw one realization of length T from the model.
 
-    One innovation block of length T + M is sampled, M = max(T, 10000),
-    and each component convolves its stream with its MA weights cut at
-    M, as fft_convolve does; the weights' rfft is cached per (component,
-    M, nfft) across draws.  Only the T outputs whose window lies inside
-    the stream are kept, so the first M samples are burn-in.
-    Deterministic given (model, T, seed).
+    One innovation block of length T + M is sampled, M = max(T, 10000).
+    A side adds its white components' streams and one irfft of the sum of
+    its other components' spectra: w_c rfft(stream_c) times the cached
+    rfft of a_0..a_M.  The FFTs are circular at nfft >= T + M, which wraps
+    the convolution's tail onto outputs below M only; outputs M..M+T-1 are
+    kept, the first M are burn-in.  Deterministic given (model, T, seed).
     """
     if T < 1:
         raise ValueError(f"series length T must be >= 1, got {T}")
@@ -330,17 +329,18 @@ def simulate(model: ModelSpec, T: int, seed: int) -> BivariateSeries:
     streams = sample(model.covariance, T + M, seed)
 
     x, y = np.zeros(T), np.zeros(T)
-    f, r = np.empty(nfft // 2 + 1, dtype=complex), np.empty(nfft)
-    for i, c, spectrum in terms:
-        side = x if i < 2 else y
-        filtered = streams[i]
-        if spectrum is not None:
-            np.fft.rfft(filtered, nfft, out=f)
-            np.multiply(f, spectrum, out=f)
-            filtered = np.fft.irfft(f, nfft, out=r)
-        # outputs M..M+T-1: their windows of at most M + 1 weights lie inside the
-        # stream; scaled into r's head, which M >= T keeps clear of them
-        side += np.multiply(filtered[M : M + T], c.weight, out=r[:T])
+    acc, f = np.empty((2, nfft // 2 + 1), dtype=complex)
+    r = np.empty(nfft)
+    for s, side in enumerate((x, y)):
+        acc[:] = 0.0
+        for i, c, spectrum in (term for term in terms if term[0] // 2 == s):
+            if spectrum is None:
+                side += np.multiply(streams[i][M : M + T], c.weight, out=r[:T])
+            else:
+                np.fft.rfft(streams[i], nfft, out=f)
+                f *= spectrum
+                acc += np.multiply(f, c.weight, out=f)
+        side += np.fft.irfft(acc, nfft, out=r)[M : M + T]
 
     return BivariateSeries(x=x, y=y, seed=seed, model=model, truncation=M)
 

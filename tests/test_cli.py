@@ -144,9 +144,9 @@ def test_simulate_failed_draw_in_a_worker_exits_2(tmp_path, monkeypatch, capsys)
     assert files2["series_r0000.csv"] == files["series_r0000.csv"]
 
 
-def test_simulate_pool_children_find_their_weight_spectra_built(tmp_path, monkeypatch):
-    # the parent builds the draws' weight spectra before it forks, so no
-    # child misses the cache; each draw records its process and misses
+def pooled_draw_misses(tmp_path, monkeypatch, argv):
+    """Run argv on a 2-worker pool with cli.simulate counted: each draw's
+    (process, weight spectrum cache misses), in seed order from 42."""
     real = cli.simulate
 
     def counted(model, T, seed):
@@ -160,12 +160,27 @@ def test_simulate_pool_children_find_their_weight_spectra_built(tmp_path, monkey
     monkeypatch.setattr(cli, "POOL_ROWS", 0)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     models._weight_spectrum.cache_clear()
-    assert main(["simulate", "--model", "model2", "--T", "300", "--reps", "4", "--seed", "42",
-                 "--output", str(tmp_path / "sims")]) == 0
-    draws = [tuple(map(int, (tmp_path / f"draw-{seed}").read_text().split())) for seed in range(42, 46)]
+    assert main(argv) == 0
+    return [tuple(map(int, (tmp_path / f"draw-{seed}").read_text().split())) for seed in range(42, 46)]
+
+
+def test_simulate_pool_children_find_their_weight_spectra_built(tmp_path, monkeypatch):
+    # the parent builds the draws' weight spectra before it forks, so no
+    # child misses the cache
+    draws = pooled_draw_misses(tmp_path, monkeypatch, ["simulate", "--model", "model2", "--T", "300", "--reps",
+                                                       "4", "--seed", "42", "--output", str(tmp_path / "sims")])
     assert os.getpid() not in {pid for pid, _ in draws}
     assert [misses for _, misses in draws] == [0, 0, 0, 0]
     # model2's two distinct filtered components, built once, in this process
+    assert models._weight_spectrum.cache_info().misses == 2
+
+
+def test_experiment_pool_children_find_their_weight_spectra_built(tmp_path, monkeypatch):
+    draws = pooled_draw_misses(tmp_path, monkeypatch, ["experiment", "--model", "model2", "--T", "300", "--reps",
+                                                       "4", "--seed", "42", "--estimators", "hxa", "--workers", "2",
+                                                       "--output", str(tmp_path / "exp")])
+    assert os.getpid() not in {pid for pid, _ in draws}
+    assert [misses for _, misses in draws] == [0, 0, 0, 0]
     assert models._weight_spectrum.cache_info().misses == 2
 
 

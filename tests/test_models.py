@@ -10,7 +10,7 @@ import pytest
 from crossarfima import innovations, models
 from crossarfima.errors import NotPositiveSemiDefiniteError
 from crossarfima.estimators import sample_ccf
-from crossarfima.filters import ar1_weights, fft_convolve, ma_weights
+from crossarfima.filters import _smooth_length, ar1_weights, ma_weights
 from crossarfima.innovations import CovarianceSpec, cholesky_factor, sample
 from crossarfima.models import (
     PRESETS,
@@ -320,7 +320,10 @@ README_MODEL = ModelSpec(
 @pytest.mark.parametrize("sizes", [(999, 3000, 100_000), (100_000, 3000, 999)])
 @pytest.mark.parametrize("name", [*sorted(PRESETS), "readme"])
 def test_simulate_is_the_fft_convolve_formula_to_the_bit(name, sizes):
-    """Each series is sum_c w_c fft_convolve(stream_c, a_c)[M : M + T], bit for bit.
+    """Each side is its white terms sum_c w_c stream_c[M : M + T], plus one
+    irfft at nfft = _smooth_length(T + M) of sum_c w_c rfft(stream_c) rfft(a_c)
+    over its other terms, keeping M : M + T; bit for bit.  The formula is an
+    FFT convolution, circular at nfft, not filters.fft_convolve's linear one.
 
     One model is drawn at three lengths in a row, in both orders, so a
     weight spectrum cached for one T, M or nfft and reused at another fails.
@@ -329,13 +332,41 @@ def test_simulate_is_the_fft_convolve_formula_to_the_bit(name, sizes):
     seed = 5
     for T in sizes:
         M = max(T, 10_000)
+        nfft = _smooth_length(T + M)
         streams = sample(model.covariance, T + M, seed)
-        ref = [
-            sum(c.weight * fft_convolve(streams[i], c.ma_coefficients(M))[M : M + T] for i, c in comps)
-            for comps in (enumerate(model.components[:2]), enumerate(model.components[2:], 2))
-        ]
+        ref = []
+        for comps in (enumerate(model.components[:2]), enumerate(model.components[2:], 2)):
+            comps = [(i, c) for i, c in comps if c.weight != 0.0]
+            side = sum((c.weight * streams[i][M : M + T] for i, c in comps if c.kind == "white"), np.zeros(T))
+            spectrum = sum(
+                (
+                    c.weight * (np.fft.rfft(streams[i], nfft) * np.fft.rfft(c.ma_coefficients(M), nfft))
+                    for i, c in comps
+                    if c.kind != "white"
+                ),
+                np.zeros(nfft // 2 + 1, dtype=complex),
+            )
+            ref.append(side + np.fft.irfft(spectrum, nfft)[M : M + T])
         s = simulate(model, T, seed)
         assert np.array_equal(s.x, ref[0]) and np.array_equal(s.y, ref[1])
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_simulate_fft_length_is_exactly_T_plus_M_at_T_1e4(name):
+    """At T = 1e4 the circular length T + M = 20,000 is itself 5-smooth, so
+    nfft leaves no slack: the first and last kept outputs, whose windows
+    reach the stream's first and last samples, match their direct sums."""
+    model = PRESETS[name]()
+    T = M = 10_000
+    assert models.weight_spectra(model, T)[1] == T + M
+    streams = sample(model.covariance, T + M, 3)
+    s = simulate(model, T, 3)
+    for side, first in ((s.x, 0), (s.y, 2)):
+        taps = [(i, c.weight, c.ma_coefficients(M)) for i, c in enumerate(model.components[first : first + 2], first)]
+        for t in (0, T - 1):
+            # kept output t is sum_k a_k stream[t + M - k]
+            ref = sum(w * np.dot(a, streams[i, t + M + 1 - a.size : t + M + 1][::-1]) for i, w, a in taps)
+            assert abs(side[t] - ref) <= 1e-12 * np.max(np.abs(side))
 
 
 def test_weight_spectra_are_read_only_and_one_model_at_most():

@@ -14,7 +14,15 @@ directories compare equal:
     diff -r golden-old golden-new
 
 A run at ``--threads 2`` diffed against one at the default shows whether
-any output depends on the BLAS thread count.
+any output depends on the BLAS thread count.  Where outputs differ by
+rounding only, ``--compare`` sizes the difference: it prints whether
+``calls.json`` is identical and, for each other file that differs, how
+many of its cells changed and the largest change relative to the largest
+|value| of that cell's column in the first directory (a changed cell
+that is no number counts as inf), then the totals.  It exits 1 when
+anything differs, as ``diff`` does:
+
+    python tools/golden.py --compare golden-old golden-new
 
 The calls are ``simulate`` for each preset at T = 999, 3000 and 1e5 (2
 replications each; at 1e5 they draw on the process pool where 2 CPUs are
@@ -28,8 +36,8 @@ workers, then ``simulate``, ``theory`` and ``experiment`` at T = 1000
 with 2 replications, on a ``--config`` file holding the README's inline
 model with detrend order 2 (its AR(1) and white terms and sigma_14 make
 the series a check that each component reads its own innovation stream;
-the first call's pool children draw the model before this process has
-built its weight spectra); the CCF alone at ``--max-lag 7``, by
+the first call draws the model on the pool, from weight spectra that
+this process builds before it forks); the CCF alone at ``--max-lag 7``, by
 ``estimate`` on the model1 999-row files and by ``experiment`` at T =
 300 (3 replications); and, on a ``--config`` file that pins ``[dcca]
 s_max = 999999``, ``simulate`` and ``theory``, which run no estimator,
@@ -46,8 +54,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -136,8 +146,8 @@ def calls() -> list[list[str]]:
         out.append(["experiment", "--model", m, "--T", "300", "--reps", "3", "--seed", "7",
                     "--estimators", ALL_ESTIMATORS, "--output", f"exp-{m}-300"])
     out += [
-        # before any draw of the inline model in this process: the pool's children
-        # build its weight spectra themselves
+        # the inline model's first draws, on the pool, from weight spectra
+        # that this process builds before it forks
         ["experiment", "--config", INLINE_CONFIG, "--reps", "2", "--T", "1000", "--workers", "2",
          "--output", "exp-inline-w2"],
         ["simulate", "--config", INLINE_CONFIG, "--T", "1000", "--reps", "2", "--output", "sim-inline"],
@@ -185,12 +195,78 @@ def run(cli, argv: list[str]) -> dict:
     return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
+def _number(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
+
+
+def table_change(before: Path, after: Path) -> tuple[int, int, float] | None:
+    """(cells, changed cells, largest change relative to its column's
+    largest finite |value| in before) of two CSV files, or None where
+    their rows or columns differ in number."""
+    old, new = ([*csv.reader(path.read_text().splitlines())] for path in (before, after))
+    if [len(row) for row in old] != [len(row) for row in new]:
+        return None
+    cells = changed = 0
+    worst = 0.0
+    for col_old, col_new in zip(zip(*old), zip(*new)):
+        scale = max((abs(v) for v in map(_number, col_old) if math.isfinite(v)), default=0.0)
+        cells += len(col_old)
+        for a, b in zip(col_old, col_new):
+            if a != b:
+                changed += 1
+                diff = abs(_number(a) - _number(b))
+                worst = max(worst, diff / scale if math.isfinite(diff) and scale > 0.0 else math.inf)
+    return cells, changed, worst
+
+
+def compare(before: Path, after: Path) -> int:
+    """Print how the golden outputs in after differ from those in before; 1 if they do, else 0."""
+    names = {p.relative_to(d) for d in (before, after) for p in d.rglob("*") if p.is_file()}
+    names = sorted(names, key=lambda name: (name != Path("calls.json"), name))
+    differ = False
+    cells = changed = files = 0
+    worst = 0.0
+    for name in names:
+        a, b = before / name, after / name
+        if not (a.is_file() and b.is_file()):
+            print(f"{name}: only in {before if a.is_file() else after}")
+            differ = True
+        elif name == Path("calls.json"):
+            same = a.read_bytes() == b.read_bytes()
+            print(f"calls.json: {'identical' if same else 'differs'}")
+            differ |= not same
+        elif (change := table_change(a, b)) is None:
+            print(f"{name}: rows or columns differ")
+            differ = True
+        else:
+            count, n, largest = change
+            cells += count
+            if n:
+                print(f"{name}: {n} of {count} cells changed, by at most {largest:.3g} relative")
+                changed += n
+                files += 1
+                worst = max(worst, largest)
+                differ = True
+    print(f"{files} tables differ: {changed} of {cells} cells changed, by at most {worst:.3g} of their column's "
+          "largest |value|")
+    return int(differ)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--src", type=Path, required=True, help="source tree holding crossarfima/")
-    parser.add_argument("--output", type=Path, required=True, help="new or empty output directory")
+    parser.add_argument("--src", type=Path, help="source tree holding crossarfima/")
+    parser.add_argument("--output", type=Path, help="new or empty output directory")
     parser.add_argument("--threads", type=int, default=1, help="BLAS and OpenMP threads (default 1)")
+    parser.add_argument("--compare", type=Path, nargs=2, metavar=("BEFORE", "AFTER"),
+                        help="size the differences between two output directories, and run nothing")
     args = parser.parse_args()
+    if args.compare:
+        return compare(*args.compare)
+    if args.src is None or args.output is None:
+        parser.error("--src and --output are required unless --compare is given")
     # set before the package's first import loads numpy and its BLAS
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = str(args.threads)

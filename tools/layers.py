@@ -27,7 +27,9 @@ imports ``crossarfima.cli`` and builds one config, with its peak
 resident MB (``VmHWM``, which, unlike ``ru_maxrss``, a child does not
 inherit from the process that started it).  Together with the serial and
 pooled CLI rows they give the break-even of ``cli.POOL_ROWS`` on the
-machine at hand.
+machine at hand.  A last row times one model2 ``simulate`` at T = 1e6,
+each in a fresh interpreter that reads its own peak resident MB after
+the draw, as the start-up row does.
 
 Run from the repository root; it times the ``src/`` tree beside this
 directory and takes well under a minute on a 2-core VM:
@@ -63,9 +65,8 @@ import crossarfima  # noqa: E402
 from crossarfima import cli  # noqa: E402
 from crossarfima.config import default_config  # noqa: E402
 from crossarfima.estimators import _grid, _window_bases, dcca, dfa, fluctuations, hxa, sample_ccf  # noqa: E402
-from crossarfima.filters import WHITE, _smooth_length  # noqa: E402
 from crossarfima.innovations import sample  # noqa: E402
-from crossarfima.models import _weight_spectrum, model1, simulate, theoretical_ccf  # noqa: E402
+from crossarfima.models import _weight_spectrum, model1, simulate, theoretical_ccf, weight_spectra  # noqa: E402
 
 SIZES = (10_000, 100_000)
 SEED = 42
@@ -80,6 +81,17 @@ STARTUP = (
     "cli._config_from_args(cli.build_parser().parse_args(['experiment']))\n"
     "with open('/proc/self/status') as f:\n"
     "    print(next(line.split()[1] for line in f if line.startswith('VmHWM:')))\n"
+)
+# a model2 draw at T = 1e6, the package imported first: prints the draw's
+# seconds and the peak resident set in KiB
+LARGE_DRAW = (
+    "import time\n"
+    "from crossarfima.models import model2, simulate\n"
+    "start = time.perf_counter()\n"
+    f"simulate(model2(), 1_000_000, {SEED})\n"
+    "seconds = time.perf_counter() - start\n"
+    "with open('/proc/self/status') as f:\n"
+    "    print(seconds, next(line.split()[1] for line in f if line.startswith('VmHWM:')))\n"
 )
 # the CLI call of argv[2:] on the pool, once untimed and argv[1] times
 # timed; prints the timed calls' seconds
@@ -198,18 +210,31 @@ def layer_rows(T: int, workdir: str) -> dict:
     return rows
 
 
+def _child(script: str) -> list[str]:
+    """The words that script prints, run in a fresh interpreter on this src/ tree."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True)
+    return proc.stdout.split()
+
+
 def startup_row() -> dict:
     """_time of a fresh interpreter's STARTUP, plus the median of its peak resident MB."""
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
     peaks = []
-
-    def start():
-        proc = subprocess.run([sys.executable, "-c", STARTUP], env=env, check=True, capture_output=True, text=True)
-        peaks.append(int(proc.stdout) / 1024)
-
-    row = _time(start)
+    row = _time(lambda: peaks.append(int(_child(STARTUP)[0]) / 1024))
     row["MB"] = statistics.median(peaks)
     return row
+
+
+def large_draw_row() -> dict:
+    """_time's figures for LARGE_DRAW's one draw, each in a fresh interpreter,
+    plus the median of those interpreters' peak resident MB."""
+    runs = [_child(LARGE_DRAW) for _ in range(1 + RUNS)][1:]
+    times = [float(seconds) for seconds, _ in runs]
+    return {
+        "median_ms": 1e3 * statistics.median(times),
+        "best_ms": 1e3 * min(times),
+        "MB": statistics.median(int(kib) / 1024 for _, kib in runs),
+    }
 
 
 def held_bytes(T: int) -> dict:
@@ -217,11 +242,11 @@ def held_bytes(T: int) -> dict:
     cfg = default_config("model1", t=str(T))
     misses = _window_bases.cache_info().misses + _weight_spectrum.cache_info().misses
     bases = _window_bases(tuple(sorted(_grid(T, **cfg.window("dfa")) | _grid(T, **cfg.window("dcca")))))
-    M = simulate(model1(), T, SEED).truncation
-    spectra = {(c.kind, c.param) for c in model1().components if c.kind != WHITE}
+    # one array per distinct (kind, param), as the cache holds them
+    spectra = {(c.kind, c.param): s for _, c, s in weight_spectra(model1(), T)[2] if s is not None}
     held = {
         "_window_bases": 0 if bases is None else bases[0].base.nbytes,
-        "_weight_spectrum": sum(_weight_spectrum(k, p, M, _smooth_length(T + 2 * M)).nbytes for k, p in spectra),
+        "_weight_spectrum": sum(s.nbytes for s in spectra.values()),
     }
     if _window_bases.cache_info().misses + _weight_spectrum.cache_info().misses != misses:
         raise RuntimeError("a cache did not hold what the rows built")
@@ -261,6 +286,7 @@ def main(argv=None) -> int:
     }
     result["layers"]["process pool"] = {"2 workers, start + stop": _time(_pool_start)}
     result["layers"]["start-up"] = {"import cli + config": startup_row()}
+    result["layers"]["T=1000000"] = {"model2 simulate, fresh interpreter": large_draw_row()}
     result["total_s"] = time.perf_counter() - started
 
     Path(args.output).write_text(json.dumps(result, indent=2) + "\n")
