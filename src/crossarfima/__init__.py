@@ -23,7 +23,6 @@ from .estimators import (
     hxa,
     sample_ccf,
 )
-from .filters import ar1_weights, ma_weights
 from .innovations import CovarianceSpec, cholesky_factor, sample
 from .models import (
     BivariateSeries,
@@ -31,8 +30,10 @@ from .models import (
     ExponentReport,
     ModelSpec,
     ar1,
+    ar1_weights,
     cross_spectrum,
     fractional,
+    ma_weights,
     model1,
     model2,
     model3,

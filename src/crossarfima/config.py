@@ -19,9 +19,8 @@ from typing import Any, Callable, Mapping
 
 from .errors import ConfigError, NotPositiveSemiDefiniteError
 from .estimators import check_max_lag, check_scales, check_taus
-from .filters import WHITE
 from .innovations import N_STREAMS, PAIRS, CovarianceSpec
-from .models import PRESETS, ComponentSpec, ModelSpec
+from .models import PRESETS, WHITE, ComponentSpec, ModelSpec
 
 # Each estimator's window check and the sections of its settings, whose keys name
 # parameters of the estimator (dfa, dcca, hxa, sample_ccf) and of the check alike.

@@ -9,6 +9,9 @@ specifications (including the three published presets), simulates
 realizations, and computes theoretical quantities: Hurst exponents,
 process variances, the cross-correlation function and the cross-power
 spectrum.
+
+The truncated MA weights of the components (ma_weights, ar1_weights) and
+the FFT length that simulate filters at (_smooth_length) live here too.
 """
 
 from __future__ import annotations
@@ -20,10 +23,65 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import check_max_lag
-from .filters import AR1, FRACTIONAL, WHITE, _smooth_length, ar1_weights, ma_weights
 from .innovations import CovarianceSpec, sample
 
 DEFAULT_SIM_TRUNCATION = 10_000
+
+FRACTIONAL = "fractional"
+AR1 = "ar1"
+WHITE = "white"
+
+
+def ma_weights(d: float, M: int) -> np.ndarray:
+    """Fractional-integration MA weights a_0..a_M for memory parameter d.
+
+    Uses the multiplicative recursion a_0 = 1, a_n = a_{n-1} * (n-1+d)/n,
+    which is numerically stable and avoids Gamma evaluation.  d = 0 yields
+    the identity filter [1, 0, ..., 0] (the analytic limit).
+
+    Parameters
+    ----------
+    d : float
+        Memory parameter, 0 <= d < 0.5 (stationarity bound).
+    M : int
+        Truncation horizon, M >= 0.
+
+    Returns
+    -------
+    numpy.ndarray
+        The M + 1 weights, read-only.
+    """
+    if not np.isfinite(d):
+        raise ValueError(f"memory parameter d must be finite, got {d!r}")
+    if not 0.0 <= d < 0.5:
+        raise ValueError(f"memory parameter d must be in [0, 0.5), got {d}")
+    if M < 0:
+        raise ValueError(f"truncation M must be >= 0, got {M}")
+    n = np.arange(1, M + 1, dtype=float)
+    w = np.empty(M + 1)
+    w[0] = 1.0
+    # a_n = prod_{k=1..n} (k-1+d)/k; for d = 0 the first factor is 0, which
+    # zeroes the whole tail and leaves the exact identity filter.
+    np.cumprod((n - 1.0 + d) / n, out=w[1:])
+    w.setflags(write=False)
+    return w
+
+
+def ar1_weights(theta: float, M: int) -> np.ndarray:
+    """AR(1) impulse-response weights theta^n for n = 0..M, read-only.
+
+    Requires |theta| < 1 (stationary AR(1)); theta = 0 degenerates to the
+    white-noise identity filter.
+    """
+    if not np.isfinite(theta):
+        raise ValueError(f"AR coefficient must be finite, got {theta!r}")
+    if abs(theta) >= 1.0:
+        raise ValueError(f"|theta| must be < 1 for a stationary AR(1), got {theta}")
+    if M < 0:
+        raise ValueError(f"truncation M must be >= 0, got {M}")
+    w = theta ** np.arange(M + 1, dtype=float)
+    w.setflags(write=False)
+    return w
 
 
 @dataclass(frozen=True)
@@ -286,6 +344,20 @@ def theoretical_exponents(model: ModelSpec) -> ExponentReport:
         sigma_y=side_sigma((3, 4)),
         dominating_pair=best_pair,
     )
+
+
+def _smooth_length(n: int) -> int:
+    """Smallest 2**a * 3**b * 5**c >= n, for n >= 1: a fast real FFT size."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # smallest power-of-two multiple of p35 that reaches n
+            best = min(best, (1 << (-(-n // p35) - 1).bit_length()) * p35)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 # keyed on plain values (a ModelSpec is unhashable); 4 entries hold one model's components

@@ -19,8 +19,21 @@ import numpy as np
 
 from crossarfima.cli import main
 from crossarfima.estimators import dcca, dfa
-from crossarfima.filters import ar1_weights, fft_convolve, ma_weights
-from crossarfima.models import PRESETS, cross_spectrum, model1, model3, theoretical_ccf
+from crossarfima.innovations import CovarianceSpec, sample
+from crossarfima.models import (
+    PRESETS,
+    ModelSpec,
+    ar1,
+    ar1_weights,
+    cross_spectrum,
+    fractional,
+    ma_weights,
+    model1,
+    model3,
+    simulate,
+    theoretical_ccf,
+    white,
+)
 
 from protocol_expectations import (
     expected_dfa,
@@ -262,7 +275,7 @@ def test_criterion_7_spectrum_consistency():
 
 
 def test_criterion_8_structural_invariants(tmp_path):
-    """dcca = dfa identity, fft vs direct filtering, CLI determinism."""
+    """dcca = dfa identity, simulate's fft vs direct filtering, CLI determinism."""
     rng = np.random.default_rng(314)
     identity_ok = True
     for i in range(20):
@@ -273,15 +286,38 @@ def test_criterion_8_structural_invariants(tmp_path):
                               dfa(z, s_min=5, s_max=30, step=5).values):
             identity_ok = False
 
+    # simulate's FFT filter against direct sums over the same streams, on
+    # random inline models: random kinds, params and weights, sigma_23 != 0
+    def random_component():
+        kind = int(rng.integers(3))
+        weight = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0))
+        if kind == 0:
+            return fractional(float(rng.uniform(0.0, 0.499)), weight)
+        return ar1(float(rng.uniform(-0.95, 0.95)), weight) if kind == 1 else white(weight)
+
+    def taps(c, M):
+        # white noise has memory 0, so its taps are the identity (1, 0, ..., 0)
+        return ar1_weights(c.param, M) if c.kind == "ar1" else ma_weights(c.memory, M)
+
     conv_worst = 0.0
-    for _ in range(100):
-        M = int(rng.integers(0, 200))
-        T = int(rng.integers(1, 500))
-        d = float(rng.uniform(0.0, 0.499))
-        w = ma_weights(d, M) if rng.integers(2) else ar1_weights(float(rng.uniform(-0.95, 0.95)), M)
-        x = rng.standard_normal(M + T)
-        diff = np.abs(fft_convolve(x, w)[M : M + T] - np.convolve(x, w, "valid"))
-        conv_worst = max(conv_worst, float(diff.max()))
+    for _ in range(20):
+        v = rng.uniform(0.5, 2.0, 4)
+        r23, r14 = rng.uniform(0.1, 0.95) * rng.choice([-1.0, 1.0]), rng.uniform(-0.95, 0.95)
+        cov = CovarianceSpec(
+            variances=tuple(v),
+            covariances={(2, 3): r23 * math.sqrt(v[1] * v[2]), (1, 4): r14 * math.sqrt(v[0] * v[3])},
+        )
+        model = ModelSpec((random_component(), random_component()), (random_component(), random_component()), cov)
+        T, seed = int(rng.integers(1, 501)), int(rng.integers(2**31))
+        M = max(T, 10_000)
+        streams = sample(cov, T + M, seed)
+        # stream i + 1 drives component i of x_components + y_components
+        direct = [
+            sum(c.weight * np.convolve(streams[i], taps(c, M), "valid") for i, c in enumerate(comps, first))
+            for comps, first in ((model.x_components, 0), (model.y_components, 2))
+        ]
+        s = simulate(model, T, seed)
+        conv_worst = max(conv_worst, float(np.max(np.abs(s.x - direct[0]))), float(np.max(np.abs(s.y - direct[1]))))
 
     args = ["experiment", "--model", "model1", "--T", "2000", "--reps", "2",
             "--seed", "42", "--estimators", "dfa,dcca,hxa,ccf"]

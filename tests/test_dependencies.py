@@ -131,3 +131,11 @@ def test_no_source_file_imports_the_tests(tmp_path):
         "probe.py:3 tests.protocol_expectations",
         "probe.py:4 conftest",
     ]
+
+
+def test_the_protocol_oracle_imports_nothing_from_the_package():
+    # the closed forms and fft_convolve there check the package only while
+    # they share no code with it, not even a helper such as _smooth_length
+    oracle = Path(__file__).resolve().parent / "protocol_expectations.py"
+    assert imports_of(oracle, ("crossarfima",)) == []
+    assert imports_of(oracle, ("numpy", "scipy")) != []

@@ -22,8 +22,7 @@ from crossarfima.estimators import (
     ols,
     sample_ccf,
 )
-from crossarfima.filters import ma_weights
-from crossarfima.models import PRESETS, simulate
+from crossarfima.models import PRESETS, ma_weights, simulate
 
 
 def brute_dcca(x, y, scales, order):

@@ -1,4 +1,6 @@
-"""MA weight construction and the FFT convolution that filters with them."""
+"""MA weights (models.ma_weights, models.ar1_weights), the FFT length
+simulate filters at (models._smooth_length), and the test oracle
+protocol_expectations.fft_convolve that the filtering checks use."""
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 from scipy.special import gammaln
 
-from crossarfima.filters import _smooth_length, ar1_weights, fft_convolve, ma_weights
+from crossarfima.models import _smooth_length, ar1_weights, ma_weights
+
+from protocol_expectations import fft_convolve
 
 
 def gamma_ratio_weights(d, M):
@@ -119,7 +123,7 @@ def test_weight_vector_is_read_only():
 
 
 # ----------------------------------------------------------------------
-# causal filtering: the "valid" slice of fft_convolve, as simulate takes it
+# causal filtering: the "valid" slice of the oracle's fft_convolve
 # ----------------------------------------------------------------------
 
 
@@ -189,8 +193,8 @@ def test_white_filter_is_identity():
 
 
 def test_smooth_length_is_scipys_real_fast_length():
-    # the padded length decides the transform's rounding, so it must be
-    # the one fftconvolve pads to
+    # the padded length decides the transform's rounding, so simulate's
+    # length must be the one fftconvolve and the oracle fft_convolve pad to
     for n in range(1, 5000):
         assert _smooth_length(n) == next_fast_len(n, real=True), n
     for n in (10_007, 20_000, 30_001, 200_000, 200_001, 100_101 + 100_000, 201_000):

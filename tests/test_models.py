@@ -10,15 +10,17 @@ import pytest
 from crossarfima import innovations, models
 from crossarfima.errors import NotPositiveSemiDefiniteError
 from crossarfima.estimators import sample_ccf
-from crossarfima.filters import _smooth_length, ar1_weights, ma_weights
 from crossarfima.innovations import CovarianceSpec, cholesky_factor, sample
 from crossarfima.models import (
     PRESETS,
     ComponentSpec,
     ModelSpec,
+    _smooth_length,
     ar1,
+    ar1_weights,
     cross_spectrum,
     fractional,
+    ma_weights,
     model1,
     model2,
     model3,
@@ -323,7 +325,8 @@ def test_simulate_is_the_fft_convolve_formula_to_the_bit(name, sizes):
     """Each side is its white terms sum_c w_c stream_c[M : M + T], plus one
     irfft at nfft = _smooth_length(T + M) of sum_c w_c rfft(stream_c) rfft(a_c)
     over its other terms, keeping M : M + T; bit for bit.  The formula is an
-    FFT convolution, circular at nfft, not filters.fft_convolve's linear one.
+    FFT convolution, circular at nfft, not the linear one of the test oracle
+    protocol_expectations.fft_convolve.
 
     One model is drawn at three lengths in a row, in both orders, so a
     weight spectrum cached for one T, M or nfft and reused at another fails.
