@@ -26,15 +26,16 @@ import numpy as np
 
 from .config import SETTINGS, WINDOWS, ExperimentConfig, check_windows, parse_config
 from .errors import ConfigError, CrossArfimaError
-from .estimators import dcca, fit_hurst, fluctuations, hxa, sample_ccf  # noqa: F401 (dcca: see ESTIMATES)
+from .estimators import Fluctuations, dcca, fit_hurst, fluctuations  # noqa: F401 (dcca: bound for perfbench's tests)
 from .models import cross_spectrum, simulate, theoretical_ccf, theoretical_exponents, weight_spectra
 
 SPECTRUM_GRID = (1e-4, float(np.pi), 200)
 # rows per write in _write_table; larger chunks write no faster and raise
 # the peak memory of a T = 1e5 simulate (by about 2 MB at 8192 rows)
 _CHUNK_ROWS = 1024
-# series rows, summed over a command's jobs, from which simulate and
-# estimate run their jobs on a process pool (see _pool_workers)
+# series rows, summed over a command's jobs, from which simulate, estimate
+# and an experiment without --workers run their jobs on a process pool (see
+# _pool_workers)
 POOL_ROWS = 60_000
 # bytes of one row of a t,x,y series file, about: estimate sizes its
 # inputs by their length on disk, without reading them
@@ -101,37 +102,15 @@ class EstimateRow:
     message: str
 
 
-def _fit_row(estimator: str, target: str, make_fluct) -> EstimateRow:
-    """Run one estimator, capturing skip warnings and estimation errors."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            fit = fit_hurst(make_fluct())
-        except (CrossArfimaError, ValueError) as e:
-            return EstimateRow(estimator, target, False, np.nan, np.nan, 0, str(e))
-    notes = "; ".join(str(w.message) for w in caught)
-    return EstimateRow(estimator, target, True, fit.exponent, fit.stderr, fit.n_points, notes)
-
-
-# One row per Hurst estimate: (estimator, target, theory attribute, fluctuation
-# call); a call takes the pair, its config and fluct(), the pair's one DFA/DCCA
-# pass.  Calls look fluctuations/hxa up in this module's globals when they run,
-# so a rebinding (a tracer, say) is seen; dcca stays bound for perfbench's tests.
+# One row per key of a pair's one pass, fluctuations: (estimator, target, theory
+# attribute, key).  A Hurst estimate's row holds its fit; the CCF's, a failure only.
 ESTIMATES = (
-    ("dfa", "hx", "H_x", lambda x, y, c, fluct: fluct()["x"]),
-    ("dfa", "hy", "H_y", lambda x, y, c, fluct: fluct()["y"]),
-    ("dcca", "hxy", "H_xy", lambda x, y, c, fluct: fluct()["xy"]),
-    ("hxa", "hxy", "H_xy", lambda x, y, c, fluct: hxa(x, y, **c.window("hxa"))),
+    ("dfa", "hx", "H_x", "x"),
+    ("dfa", "hy", "H_y", "y"),
+    ("dcca", "hxy", "H_xy", "xy"),
+    ("hxa", "hxy", "H_xy", "hxa"),
+    ("ccf", "rho", None, "ccf"),
 )
-
-
-def _failed_rows(cfg: ExperimentConfig, message: str) -> list[EstimateRow]:
-    """The rows of _pair_rows for a pair that could not be made: every
-    configured estimate, the CCF included, failed with the one message."""
-    targets = [(name, target) for name, target, _, _ in ESTIMATES if name in cfg.estimators]
-    if "ccf" in cfg.estimators:
-        targets.append(("ccf", "rho"))
-    return [EstimateRow(name, target, False, np.nan, np.nan, 0, message) for name, target in targets]
 
 
 def _pair_rows(cfg: ExperimentConfig, make_pair):
@@ -140,27 +119,33 @@ def _pair_rows(cfg: ExperimentConfig, make_pair):
     make_pair() gives (cfg, x, y), cfg sized for the pair's length.  One
     failure rule: a missing input is re-raised, so it stays a config
     error; a pair that cannot be made (read, parsed, sized or simulated)
-    gets _failed_rows, and a CCF that cannot be computed one failed row.
+    fails every key with its message; a failed key or fit is a failed row.
     """
     try:
         cfg, x, y = make_pair()
     except FileNotFoundError:
         raise
     except (CrossArfimaError, ValueError, OSError) as e:
-        return _failed_rows(cfg, str(e)), None
-    windows = {name: cfg.window(name) for name in ("dfa", "dcca") if name in cfg.estimators}
-    fluct = functools.cache(lambda: fluctuations(x, y, **windows))
-    rows = [
-        _fit_row(name, target, lambda: call(x, y, cfg, fluct))
-        for name, target, _, call in ESTIMATES
-        if name in cfg.estimators
-    ]
-    ccf = None
-    if "ccf" in cfg.estimators:
-        try:
-            ccf = sample_ccf(x, y, **cfg.window("ccf"))
-        except (CrossArfimaError, ValueError) as e:
-            rows.append(EstimateRow("ccf", "rho", False, np.nan, np.nan, 0, str(e)))
+        result = Fluctuations.fromkeys((key for *_, key in ESTIMATES), e)
+    else:
+        result = fluctuations(x, y, **{name: cfg.window(name) for name in cfg.estimators})
+    rows, ccf = [], None
+    for name, target, _, key in ESTIMATES:
+        if name not in cfg.estimators:
+            continue
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                value = result[key]
+                fit = None if key == "ccf" else fit_hurst(value)
+            except (CrossArfimaError, ValueError, OSError) as e:
+                rows.append(EstimateRow(name, target, False, np.nan, np.nan, 0, str(e)))
+                continue
+        if fit is None:
+            ccf = value
+        else:
+            notes = "; ".join(str(w.message) for w in caught)
+            rows.append(EstimateRow(name, target, True, fit.exponent, fit.stderr, fit.n_points, notes))
     return rows, ccf
 
 
@@ -313,12 +298,11 @@ def cmd_theory(cfg: ExperimentConfig, spectrum_points: int) -> int:
 class ProcessPoolExecutor:
     """concurrent.futures.ProcessPoolExecutor, loaded when the first pool is made.
 
-    Only experiment --workers > 1 and a simulate or estimate large enough
-    to gain from one (_pool_workers) fork a pool, so no other run pays the
-    time and memory of importing concurrent.futures.process and
-    multiprocessing.  It stays
-    a class of this module, so that a caller can subclass it or swap in
-    another.
+    Only experiment --workers > 1 and a simulate, estimate or experiment
+    without --workers large enough to gain from one (_pool_workers) fork
+    a pool, so no other run pays the time and memory of importing
+    concurrent.futures.process and multiprocessing.  It stays a class of
+    this module, so that a caller can subclass it or swap in another.
     """
 
     def __init__(self, max_workers):
@@ -371,9 +355,11 @@ def _replication_worker(job: tuple[ExperimentConfig, int]):
     return _pair_rows(cfg, lambda: (cfg, *attrgetter("x", "y")(simulate(cfg.model, cfg.T, seed))))
 
 
-def cmd_experiment(cfg: ExperimentConfig, workers: int) -> int:
+def cmd_experiment(cfg: ExperimentConfig, workers: int | None) -> int:
     check_windows(cfg)
-    if workers < 1:
+    if workers is None:
+        workers = _pool_workers(cfg.replications, cfg.replications * cfg.T)
+    elif workers < 1:
         raise ConfigError(f"workers: must be >= 1, got {workers}")
     # a fork pool starts all max_workers processes at the first submit
     workers = min(workers, cfg.replications, _usable_cpus())
@@ -477,8 +463,9 @@ def build_parser() -> _Parser:
         "--spectrum-points", type=int, default=SPECTRUM_GRID[2], help="spectrum grid size, >= 1"
     )
     parsers["experiment"].add_argument(
-        "--workers", type=int, default=1,
-        help="parallel replication workers, >= 1; at most one per replication and usable CPU",
+        "--workers", type=int,
+        help="parallel replication workers, >= 1; at most one per replication and usable CPU "
+        f"(default: that many where the replications hold {POOL_ROWS:,} series rows in all, else 1)",
     )
     return parser
 

@@ -1,14 +1,12 @@
 """Scaling-exponent estimators: sample CCF, DFA, DCCA, HXA and the Hurst fit.
 
-All estimators are pure functions of their inputs.  DFA/DCCA/HXA operate
-on profiles (cumulative sums of demeaned series) and return fluctuation
-series whose log-log slope against scale gives the Hurst estimate; the
-slope-to-H mapping lives in fit_hurst.  DFA and DCCA share one per-scale
-loop, fluctuations, which gives DFA of x and of y and DCCA of the pair
-from one set of box projections; dfa and dcca are thin calls into it.
-Fluctuation values are kept as computed, including negative detrended
-covariances; sign filtering happens only at the fitting step, with a
-warning, never via absolute values.
+All estimators are pure functions of their inputs, and thin calls into
+one pass per pair, fluctuations.  DFA/DCCA/HXA operate on profiles
+(cumulative sums of demeaned series) and return fluctuation series whose
+log-log slope against scale gives the Hurst estimate; the slope-to-H
+mapping lives in fit_hurst.  Fluctuation values are kept as computed,
+including negative detrended covariances; sign filtering happens only at
+the fitting step, with a warning, never via absolute values.
 """
 
 from __future__ import annotations
@@ -79,15 +77,6 @@ def _demean(z: np.ndarray, name: str) -> np.ndarray:
     return z - z.mean()
 
 
-def _centred_pair(x, y) -> tuple[np.ndarray, np.ndarray, int]:
-    """Both series demeaned, checked to have one length T, and T."""
-    xc = _demean(x, "x")
-    yc = _demean(y, "y")
-    if xc.size != yc.size:
-        raise ValueError("x and y must have equal length")
-    return xc, yc, xc.size
-
-
 # Window preconditions, shared with config validation.  Each message
 # starts with the offending parameter's name, so that a caller can put
 # its config section in front.
@@ -134,16 +123,9 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return np.einsum("i,i->", a, b)
 
 
-def sample_ccf(x, y, max_lag: int) -> np.ndarray:
-    """Sample cross-correlation rho(k) = corr(x_{t+k}, y_t) for k = -L..L.
-
-    Returns rho(-L..L), rho(k) at index L + k, as theoretical_ccf does.
-    Uses global means and (ddof=0) standard deviations with divisor
-    T - |k|, so rho(0) of a series with itself is exactly 1.  Requires
-    T > 2L.
-    """
-    L = int(max_lag)
-    xc, yc, T = _centred_pair(x, y)
+def _ccf(xc: np.ndarray, yc: np.ndarray, max_lag: int) -> np.ndarray:
+    """sample_ccf of two demeaned series of one length."""
+    L, T = int(max_lag), xc.size
     check_max_lag(L, T)
     sx = np.sqrt(np.mean(xc**2))
     sy = np.sqrt(np.mean(yc**2))
@@ -157,6 +139,17 @@ def sample_ccf(x, y, max_lag: int) -> np.ndarray:
         values[L + k] = _dot(xc[k:], yc[:n]) / (n * sx * sy)
         values[L - k] = _dot(xc[:n], yc[k:]) / (n * sx * sy)
     return values
+
+
+def _hxa(X: np.ndarray, Y: np.ndarray, tau_min: int = 1, tau_max: int = 100) -> FluctuationSeries:
+    """hxa of two profiles of one length."""
+    T, tau_min, tau_max = X.size, int(tau_min), int(tau_max)
+    check_taus(tau_min, tau_max, T)
+    taus = np.arange(tau_min, tau_max + 1)
+    values = np.empty(taus.size)
+    for i, tau in enumerate(taus):
+        values[i] = _dot(X[tau:] - X[:-tau], Y[tau:] - Y[:-tau]) / (T - tau)
+    return FluctuationSeries(scales=taus, values=values, method=HXA)
 
 
 def _profile(z: np.ndarray) -> np.ndarray:
@@ -237,46 +230,65 @@ def _grid(T: int, s_min=10, s_max=None, step=10, detrend_order=1) -> set[tuple[i
     return {(s, order) for s in range(s_min, s_max + 1, step)}
 
 
+# the series that each key of a pass's result uses
+_USES = {"x": "x", "y": "y", "xy": "xy", HXA: "xy", "ccf": "xy"}
+
+
 class Fluctuations(dict):
-    """DFA of x and y and DCCA of the pair by key "x", "y", "xy"; a key whose series failed raises its error."""
+    """A pass's results by key (see fluctuations); a key that failed raises its error."""
 
     def __getitem__(self, key):
         value = super().__getitem__(key)
-        if isinstance(value, ValueError):
+        if isinstance(value, Exception):
             raise value
         return value
 
 
-def fluctuations(x, y=None, dfa: dict | None = None, dcca: dict | None = None) -> Fluctuations:
-    """DFA of x and of y over the dfa window and DCCA of the pair over the
-    dcca window, in one loop over the box sizes of both.
+def fluctuations(x, y=None, dfa=None, dcca=None, hxa=None, ccf=None) -> Fluctuations:
+    """DFA of x and of y, DCCA and HXA of the pair and its sample CCF, over the
+    windows dfa, dcca, hxa and ccf: each the keyword arguments of the estimator
+    of its name (sample_ccf for ccf), or None to skip it.
 
-    A window holds the keyword arguments of dfa or dcca, or None to skip
-    it.  The result holds "x" and, given y, "y" for a dfa window, and "xy"
-    for a dcca window and a y.  A series that fails its check fails only
-    the keys that use it.  At each box size, each profile's complete boxes
-    from the start are anchored at their middle point (b - b[s//2], which
-    the detrend removes but which keeps values near s^H, not T^H) and
-    projected once on Q, an orthonormal basis of the in-box polynomials;
-    the residuals then sum in closed form, sum r_x r_y = sum X'Y' - (Q^T X') . (Q^T Y').
+    The result holds "x" and, given y, "y" for dfa, and given y, "xy",
+    "hxa" and "ccf" for the others.  Each series is demeaned and checked
+    once, and profiled once where dfa, dcca or hxa asks for it.  A series
+    that fails its check fails only the keys that use it, and a
+    zero-variance pair fails only "ccf".  DFA and DCCA run in one loop over
+    the box sizes of both.  At each, each profile's complete boxes from the
+    start are anchored at their middle point (b - b[s//2], which the detrend
+    removes but which keeps values near s^H, not T^H) and projected once on
+    Q, an orthonormal basis of the in-box polynomials; the residuals then
+    sum in closed form, sum r_x r_y = sum X'Y' - (Q^T X') . (Q^T Y').
     Repeated passes over one grid share its Q (_window_bases); a grid too
     large to keep them builds each Q at its box size, with the same bits.
     """
     series = {"x": x} if y is None else {"x": x, "y": y}
-    windows = {k: w for k, w in (("x", dfa), ("y", dfa), ("xy", dcca)) if w is not None and set(k) <= series.keys()}
-    out, profiles = Fluctuations(), {}
+    asked = {"x": dfa, "y": dfa, "xy": dcca, HXA: hxa, "ccf": ccf}
+    windows = {key: w for key, w in asked.items() if w is not None and set(_USES[key]) <= series.keys()}
+    out, centred = Fluctuations(), {}
     for name, z in series.items():
         try:
-            profiles[name] = _profile(_demean(z, name))
+            centred[name] = _demean(z, name)
         except ValueError as e:
-            out.update((key, e) for key in windows if name in key and key not in out)
+            out.update((key, e) for key in windows if name in _USES[key] and key not in out)
     windows = {key: w for key, w in windows.items() if key not in out}
     if not windows:
         return out
-    T = len(next(iter(profiles.values())))
-    if any(P.size != T for P in profiles.values()):
+    T = len(next(iter(centred.values())))
+    if any(c.size != T for c in centred.values()):
         raise ValueError("x and y must have equal length")
-    grids = {key: _grid(T, **w) for key, w in windows.items()}
+    grids = {key: _grid(T, **w) for key, w in windows.items() if key in ("x", "y", "xy")}
+    if "ccf" in windows:
+        try:
+            out["ccf"] = _ccf(centred["x"], centred["y"], **windows["ccf"])
+        except DegenerateSeriesError as e:
+            out["ccf"] = e
+    profiled = {name for key in windows.keys() - {"ccf"} for name in _USES[key]}
+    profiles = {name: _profile(c) for name, c in centred.items() if name in profiled}
+    if HXA in windows:
+        out[HXA] = _hxa(profiles["x"], profiles["y"], **windows[HXA])
+    if not grids:
+        return out
     row = {name: i for i, name in enumerate(profiles)}
     stack = np.stack(list(profiles.values()))
     buffer = np.empty(stack.size)
@@ -320,19 +332,18 @@ def hxa(x, y, tau_min: int = 1, tau_max: int = 100) -> FluctuationSeries:
     divisor T - tau; scales as tau^(2 H_xy).  Requires
     1 <= tau_min < tau_max <= T/10.
     """
-    xc, yc, T = _centred_pair(x, y)
-    tau_min, tau_max = int(tau_min), int(tau_max)
-    check_taus(tau_min, tau_max, T)
+    return fluctuations(x, y, hxa=dict(tau_min=tau_min, tau_max=tau_max))[HXA]
 
-    X = _profile(xc)
-    Y = _profile(yc)
-    taus = np.arange(tau_min, tau_max + 1)
-    values = np.empty(taus.size)
-    for i, tau in enumerate(taus):
-        dX = X[tau:] - X[:-tau]
-        dY = Y[tau:] - Y[:-tau]
-        values[i] = _dot(dX, dY) / (T - tau)
-    return FluctuationSeries(scales=taus, values=values, method=HXA)
+
+def sample_ccf(x, y, max_lag: int) -> np.ndarray:
+    """Sample cross-correlation rho(k) = corr(x_{t+k}, y_t) for k = -L..L.
+
+    Returns rho(-L..L), rho(k) at index L + k, as theoretical_ccf does.
+    Uses global means and (ddof=0) standard deviations with divisor
+    T - |k|, so rho(0) of a series with itself is exactly 1.  Requires
+    T > 2L.
+    """
+    return fluctuations(x, y, ccf=dict(max_lag=max_lag))["ccf"]
 
 
 def ols(x, y) -> tuple[float, float, float]:

@@ -272,8 +272,8 @@ def lead_lag_sums(lead: ComponentSpec, lag: ComponentSpec, max_lag: int) -> np.n
     fractional leading fractional,
         G(1-d_i-d_j) G(k+d_i) / (G(d_i) G(1-d_i) G(k+1-d_j)),
     by the recurrence g(k+1) = g(k) (k+d_i)/(k+1-d_j) from one log-gamma
-    value at k = 0; fractional leading ar1, a_k(d) 2F1(1, k+d; k+1; theta)
-    with 2F1 summed as its power series; ar1 leading fractional,
+    value at k = 0; fractional leading ar1, c_k = a_k(d) 2F1(1, k+d; k+1; theta),
+    by c_k = a_k + theta c_{k+1} down from c_L summed as its series; ar1 leading fractional,
     theta^k (1-theta)^(-d); ar1 leading ar1, theta_i^k / (1 - theta_i theta_j).
     """
     L = int(max_lag)
@@ -282,19 +282,19 @@ def lead_lag_sums(lead: ComponentSpec, lag: ComponentSpec, max_lag: int) -> np.n
             return ar1_weights(lead.param, L) / (1.0 - lead.param * lag.param)
         return ar1_weights(lead.param, L) * (1.0 - lead.param) ** (-lag.memory)
     d = lead.memory
-    k = np.arange(L + 1, dtype=float)
     if lag.kind == AR1:
-        theta = lag.param
-        term = np.ones(L + 1)
-        series = term.copy()
-        # terms shrink by at least |theta| each step: stop once the tail is below rounding
-        tol = np.finfo(float).eps * (1.0 - abs(theta))
-        m = 0
-        while np.any(np.abs(term) > tol * np.abs(series)):
-            term *= theta * (k + d + m) / (k + 1.0 + m)
-            series += term
-            m += 1
-        return ma_weights(d, L) * series
+        theta, r = lag.param, abs(lag.param)
+        # n terms of c_L's series leave a tail below a_L eps, as a_{L+m} <= a_L; np.sum adds them pairwise.
+        # theta^m is |theta|^m signed on odd m, as numpy's pow is several times slower for a negative base
+        n = 1 if r == 0.0 else math.ceil(math.log(np.finfo(float).eps * (1.0 - r)) / math.log(r)) + 1
+        a = ma_weights(d, L + n - 1)
+        terms = np.power(r, np.arange(n, dtype=float)) * a[L:]
+        terms[1::2] *= math.copysign(1.0, theta)
+        c = np.full(L + 1, np.sum(terms))
+        for k in range(L - 1, -1, -1):
+            c[k] = a[k] + theta * c[k + 1]
+        return c
+    k = np.arange(L + 1, dtype=float)
     e = lag.memory
     g0 = math.exp(math.lgamma(1.0 - d - e) - math.lgamma(1.0 - d) - math.lgamma(1.0 - e))
     return np.cumprod(np.concatenate(([g0], (k[:-1] + d) / (k[:-1] + 1.0 - e))))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from crossarfima.errors import CrossArfimaError
-from crossarfima.estimators import fit_hurst, fluctuations, hxa, sample_ccf
+from crossarfima.estimators import fit_hurst, fluctuations, sample_ccf
 from crossarfima.models import PRESETS, simulate
 
 N_REPS = 100
@@ -59,19 +59,15 @@ def study():
         ccfs = []
         for rep in range(N_REPS):
             s = simulate(model, T=SERIES_LENGTH, seed=BASE_SEED + rep)
-            # DFA of both margins and DCCA in the CLI's one pass
-            pair = fluctuations(s.x, s.y, dfa=DFA_WINDOW, dcca=DCCA_WINDOW)
-            fluct = {
-                "dfa_x": pair["x"],
-                "dfa_y": pair["y"],
-                "dcca": pair["xy"],
-                "hxa": hxa(s.x, s.y, **HXA_WINDOW),
-            }
+            # every estimate in the CLI's one pass per pair
+            ccf = {"max_lag": CCF_MAX_LAG} if name == "model1" else None
+            pair = fluctuations(s.x, s.y, dfa=DFA_WINDOW, dcca=DCCA_WINDOW, hxa=HXA_WINDOW, ccf=ccf)
+            fluct = {"dfa_x": pair["x"], "dfa_y": pair["y"], "dcca": pair["xy"], "hxa": pair["hxa"]}
             for key, f in fluct.items():
                 curves[key].append(f.values)
                 rows[EXPONENT_KEYS[key]].append(_quiet_fit(f))
-            if name == "model1":
-                ccfs.append(sample_ccf(s.x, s.y, CCF_MAX_LAG))
+            if ccf:
+                ccfs.append(pair["ccf"])
         out[name] = {k: np.asarray(v) for k, v in rows.items()}
         out[name]["fluct"] = {k: np.vstack(v) for k, v in curves.items()}
         out[name]["scales"] = {k: f.scales for k, f in fluct.items()}

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import crossarfima
-from crossarfima import cli, models
+from crossarfima import cli, estimators, models
 from crossarfima.cli import main
 from crossarfima.estimators import sample_ccf
 from crossarfima.models import cross_spectrum, model1, model2, simulate, theoretical_ccf
@@ -634,7 +634,7 @@ def test_a_non_finite_series_fails_only_the_rows_that_use_it(tmp_path, bad, good
 
 
 def test_the_fluctuation_pass_runs_once_per_pair_and_only_where_asked(tmp_path, monkeypatch):
-    # one pass per replication for the windows of the estimators named; none for hxa,ccf
+    # one pass per replication, with the windows of the estimators named and no other
     calls = []
     real = cli.fluctuations
 
@@ -644,11 +644,27 @@ def test_the_fluctuation_pass_runs_once_per_pair_and_only_where_asked(tmp_path, 
 
     monkeypatch.setattr(cli, "fluctuations", counted)
     base = ["experiment", "--T", "1000", "--reps", "2"]
-    for estimators, want in (("hxa,ccf", []), ("dfa,dcca,hxa", [["dcca", "dfa"]] * 2), ("dfa,hxa", [["dfa"]] * 2),
-                             ("dcca", [["dcca"]] * 2)):
+    for estimators, want in (("hxa,ccf", [["ccf", "hxa"]] * 2), ("dfa,dcca,hxa", [["dcca", "dfa", "hxa"]] * 2),
+                             ("dfa,hxa", [["dfa", "hxa"]] * 2), ("dcca", [["dcca"]] * 2)):
         calls.clear()
         assert main([*base, "--estimators", estimators, "--output", str(tmp_path / estimators)]) == 0
         assert calls == want, estimators
+
+
+@pytest.mark.parametrize("command", ["estimate", "experiment"])
+def test_a_pair_is_demeaned_and_profiled_once_per_series(tmp_path, monkeypatch, command):
+    # all four estimators of a pair share one demeaned copy and one profile of each series
+    args = [command, "--estimators", "dfa,dcca,hxa,ccf", "--output", str(tmp_path / "o")]
+    args += simulate_files(tmp_path) if command == "estimate" else ["--T", "2000", "--reps", "1"]
+    demeaned, profiled = [], []
+    demean, profile = estimators._demean, estimators._profile
+    monkeypatch.setattr(estimators, "_demean", lambda z, name: demeaned.append(name) or demean(z, name))
+    monkeypatch.setattr(estimators, "_profile", lambda z: profiled.append(z.size) or profile(z))
+    assert main(args) == 0
+    assert demeaned == ["x", "y"]
+    assert profiled == [2000, 2000]
+    _, rows = read_csv(tmp_path / "o" / ("estimates.csv" if command == "estimate" else "replications.csv"))
+    assert [r[-5] for r in rows] == ["ok"] * 4
 
 
 def test_estimate_constant_x_writes_a_failed_ccf_row(tmp_path, capsys):
@@ -911,6 +927,26 @@ def test_estimate_impossible_window_is_a_config_error(tmp_path, capsys):
     assert rows[1][:4] == [str(long), "hxa", "hxy", "ok"]
 
 
+def test_experiment_without_workers_takes_the_pool_rule(tmp_path, pools, monkeypatch, capsys):
+    # with no --workers, experiment forks cli's own pool of min(reps, usable
+    # CPUs) workers only from POOL_ROWS series rows, as simulate does; its
+    # files and stdout are those of one worker, byte for byte
+    argv = ["experiment", "--model", "model2", "--T", "400", "--seed", "42", "--estimators", "dfa,hxa,ccf"]
+    assert 3 * 400 < cli.POOL_ROWS
+    assert run_in(tmp_path / "below", capsys, [*argv, "--reps", "3"], "exp")[0] == 0
+    assert pools == []
+
+    monkeypatch.setattr(cli, "POOL_ROWS", 1000)
+    assert run_in(tmp_path / "one", capsys, [*argv, "--reps", "1"], "exp")[0] == 0
+    assert pools == []
+    pooled = run_in(tmp_path / "pool", capsys, [*argv, "--reps", "3"], "exp")
+    assert pools == [2]
+    serial = run_in(tmp_path / "serial", capsys, [*argv, "--reps", "3", "--workers", "1"], "exp")
+    assert pools == [2]
+    assert pooled == serial
+    assert (pooled[0], pooled[2]) == (0, "")
+
+
 def test_experiment_workers_validated_and_clamped(tmp_path, monkeypatch, capsys):
     base = ["experiment", "--model", "model3", "--T", "300", "--seed", "1", "--estimators", "hxa"]
     for bad in ("0", "-3"):
@@ -1128,4 +1164,4 @@ def test_console_script_smoke(tmp_path):
         project = tomllib.load(f)["project"]
     assert project["scripts"]["crossarfima"] == "crossarfima.cli:entry_point"
     assert project["dependencies"] == ["numpy>=2.0"]
-    assert project["optional-dependencies"]["test"] == ["pytest>=7", "scipy>=1.10", "hypothesis"]
+    assert project["optional-dependencies"]["test"] == ["pytest>=7", "scipy>=1.10", "hypothesis", "mpmath"]

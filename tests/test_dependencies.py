@@ -58,10 +58,10 @@ def test_cli_import_loads_no_scipy_module():
 
 
 def test_only_a_process_pool_loads_its_modules(tmp_path):
-    # experiment --workers > 1 and a large simulate or estimate alone fork a
-    # pool: importing the CLI, a theory run, or a simulate or an estimate
-    # below the pool's size loads neither concurrent.futures.process nor
-    # multiprocessing
+    # experiment --workers > 1 and a large simulate, estimate or experiment
+    # without --workers alone fork a pool: importing the CLI, a theory run, or
+    # a simulate, an estimate or a default experiment below the pool's size
+    # loads neither concurrent.futures.process nor multiprocessing
     theory = f"crossarfima.cli.main(['theory', '--model', 'model1', '--output', {str(tmp_path)!r}])"
     simulate = (
         "crossarfima.cli.main(['simulate', '--model', 'model1', '--T', '200', '--reps', '2',"
@@ -71,13 +71,18 @@ def test_only_a_process_pool_loads_its_modules(tmp_path):
     estimate = (
         f"crossarfima.cli.main(['estimate', '--estimators', 'hxa', '--output', {str(tmp_path / 'est')!r}, *{sims!r}])"
     )
+    experiment = (
+        "crossarfima.cli.main(['experiment', '--T', '300', '--reps', '3', '--estimators', 'hxa',"
+        f" '--output', {str(tmp_path / 'exp')!r}])"
+    )
     # the simulate runs first, and writes the estimate's inputs
-    runs = (modules_after(theory), modules_after(simulate), modules_after(estimate))
+    runs = (modules_after(theory), modules_after(simulate), modules_after(estimate), modules_after(experiment))
     for modules in (modules_loaded_by_cli_import(), *runs):
         assert [m for m in modules if m.split(".")[0] == "multiprocessing" or m == "concurrent.futures.process"] == []
     assert (tmp_path / "exponents.csv").exists()
     assert sorted(p.name for p in (tmp_path / "sims").iterdir()) == ["series_r0000.csv", "series_r0001.csv"]
     assert (tmp_path / "est" / "estimates.csv").read_text().count(",ok,") == 2
+    assert (tmp_path / "exp" / "replications.csv").read_text().count(",ok,") == 3
 
 
 def test_all_lists_exactly_the_public_names():

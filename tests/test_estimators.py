@@ -271,18 +271,31 @@ def test_one_pass_equals_separate_dfa_and_dcca_calls(T, dfa_window, dcca_window,
 def test_a_failed_series_fails_only_the_keys_that_use_it():
     x, y = np.random.default_rng(5).standard_normal((2, 300))
     w = dict(s_min=10, s_max=60, step=10)
+    wh, wc = dict(tau_min=1, tau_max=20), dict(max_lag=5)
     for bad, good in (("x", "y"), ("y", "x")):
         pair = {"x": x.copy(), "y": y.copy()}
         pair[bad][7] = np.nan
-        got = fluctuations(pair["x"], pair["y"], dfa=w, dcca=w)
+        got = fluctuations(pair["x"], pair["y"], dfa=w, dcca=w, hxa=wh, ccf=wc)
         assert np.array_equal(got[good].values, dfa(pair[good], **w).values)
-        for key in (bad, "xy"):
+        for key in (bad, "xy", "hxa", "ccf"):
             with pytest.raises(ValueError, match=f"^{bad} contains non-finite values$"):
                 got[key]
+    # a zero-variance series fails only the CCF, by the error sample_ccf raises
+    got = fluctuations(np.ones(300), y, dfa=w, dcca=w, hxa=wh, ccf=wc)
+    assert np.array_equal(got["y"].values, dfa(y, **w).values)
+    assert np.array_equal(got["hxa"].values, hxa(np.ones(300), y, **wh).values)
+    assert not np.any(got["xy"].values)
+    with pytest.raises(DegenerateSeriesError, match="^zero-variance input, cross-correlation undefined$"):
+        got["ccf"]
+    # each key holds what its own estimator gives
+    got = fluctuations(x, y, dfa=w, dcca=w, hxa=wh, ccf=wc)
+    assert np.array_equal(got["hxa"].values, hxa(x, y, **wh).values) and got["hxa"].method == "hxa"
+    assert np.array_equal(got["ccf"], sample_ccf(x, y, **wc))
     # the result holds only the keys its windows ask for
     assert set(fluctuations(x, y, dfa=w)) == {"x", "y"}
     assert set(fluctuations(x, y, dcca=w)) == {"xy"}
-    assert set(fluctuations(x, dfa=w, dcca=w)) == {"x"}
+    assert set(fluctuations(x, y, hxa=wh, ccf=wc)) == {"hxa", "ccf"}
+    assert set(fluctuations(x, dfa=w, dcca=w, hxa=wh, ccf=wc)) == {"x"}
     assert fluctuations(x, y) == {}
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from crossarfima.models import (
     ar1_weights,
     cross_spectrum,
     fractional,
+    lead_lag_sums,
     ma_weights,
     model1,
     model2,
@@ -507,6 +509,32 @@ def test_theoretical_ccf_brute_force_all_pairs_coupled():
         brute_cross_cov(m, x, x, 0, 250)[0] * brute_cross_cov(m, y, y, 0, 250)[0]
     )
     assert np.allclose(theoretical_ccf(m, max_lag=7), ref, rtol=1e-12, atol=1e-14)
+
+
+THETAS = (-0.99999, -0.9999, -0.99, -0.9, -0.5, -0.1, 0.1, 0.5, 0.9, 0.99, 0.9999, 0.99999)
+
+
+@pytest.mark.parametrize("d", [0.05, 0.4, 0.49])
+def test_fractional_leading_ar1_sums_match_mpmath(d):
+    # c_k = a_k(d) 2F1(1, k+d; k+1; theta), at 40 digits, out to |theta| = 0.99999
+    import mpmath
+
+    for theta in THETAS:
+        got = lead_lag_sums(fractional(d, 1.0), ar1(theta, 1.0), 200)
+        for k in (0, 1, 2, 5, 10, 50, 100, 200):
+            with mpmath.workdps(40):
+                a_k = mpmath.gamma(k + d) / (mpmath.gamma(d) * mpmath.factorial(k))
+                want = float(a_k * mpmath.hyp2f1(1, k + d, k + 1, theta))
+            assert got[k] == pytest.approx(want, rel=5e-13, abs=0.0), (theta, k)
+    # white noise leading, the fractional d = 0 case, stays exact
+    assert lead_lag_sums(white(1.0), ar1(-0.9, 1.0), 5).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("theta", [0.99999, -0.99999])
+def test_fractional_leading_ar1_sums_take_bounded_time(theta):
+    start = time.perf_counter()
+    lead_lag_sums(fractional(0.4, 1.0), ar1(theta, 1.0), 1000)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_theoretical_ccf_model3_is_a_spike():

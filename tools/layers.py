@@ -3,14 +3,17 @@
 The layers are the innovation draw, ``simulate`` (a later draw, which
 finds its weight spectra cached by the warm-up, and a first draw, which
 clears that cache before each call and builds them), ``dfa``, ``dcca``,
-the pair pass (``fluctuations``: DFA of x and of y and DCCA of the pair
-in one loop, as the CLI runs them; a later call, which finds its box
+the pair pass (``fluctuations`` with the dfa and dcca windows: the
+DFA/DCCA part of the CLI's one pass per pair, which gives DFA of x and
+of y and DCCA of the pair in one loop; a later call, which finds its box
 bases kept, and a first call, which clears them before each call),
 ``hxa``, ``sample_ccf`` and ``theoretical_ccf``, plus the write and the
 read of one series file as the CLI does them, a ``simulate`` CLI call of
 4 replications and an ``estimate --estimators hxa,ccf`` CLI call on its
 4 files, each run serially and on the process pool (the pool rows only
-where at least 2 CPUs are usable), and the pooled ``estimate`` once more
+where at least 2 CPUs are usable; the serial and the pooled call take
+turns in one timing loop, so that a drift in the machine's speed reaches
+both alike), and the pooled ``estimate`` once more
 in a fresh interpreter at the default BLAS threads, where pool children
 that each ran a multi-threaded BLAS call on the same cores would show.
 Every timing is of model1 with fixed seeds, estimator windows are the
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -110,14 +114,22 @@ POOLED_CALLS = (
 )
 
 
-def _time(call) -> dict:
-    call()
-    times = []
-    for _ in range(RUNS):
-        start = time.perf_counter()
+def _time_turns(calls: dict) -> dict:
+    """_time of each of calls by name, the calls taking turns in one loop of RUNS rounds."""
+    for call in calls.values():
         call()
-        times.append(time.perf_counter() - start)
-    return {"median_ms": 1e3 * statistics.median(times), "best_ms": 1e3 * min(times)}
+    times = {name: [] for name in calls}
+    for _ in range(RUNS):
+        for name, call in calls.items():
+            start = time.perf_counter()
+            call()
+            times[name].append(time.perf_counter() - start)
+    return {name: {"median_ms": 1e3 * statistics.median(t), "best_ms": 1e3 * min(t)} for name, t in times.items()}
+
+
+def _time(call) -> dict:
+    """The median and best ms of RUNS calls, after one untimed warm-up call."""
+    return _time_turns({None: call})[None]
 
 
 def _write_series(cfg, series):
@@ -195,15 +207,19 @@ def layer_rows(T: int, workdir: str) -> dict:
         "sample_ccf": lambda: sample_ccf(x, y, **cfg.window("ccf")),
         "csv write": lambda: _write_series(cfg, series),
         "csv read": lambda: cli._load_series_file(path),
-        f"simulate CLI, {SIM_REPS} reps, serial": lambda: _simulate_cli(T, workdir, pool=False),
-        # on the files the simulate CLI rows write
-        f"estimate CLI, {SIM_REPS} files, serial": lambda: _cli(_estimate_argv(workdir), pool=False),
     }
-    pooled = cli._usable_cpus() >= 2
-    if pooled:
-        calls[f"simulate CLI, {SIM_REPS} reps, pool"] = lambda: _simulate_cli(T, workdir, pool=True)
-        calls[f"estimate CLI, {SIM_REPS} files, pool"] = lambda: _cli(_estimate_argv(workdir), pool=True)
     rows = {name: _time(call) for name, call in calls.items()}
+    pooled = cli._usable_cpus() >= 2
+    # the estimate rows read the files that the simulate rows write
+    cli_calls = {
+        f"simulate CLI, {SIM_REPS} reps": lambda pool: _simulate_cli(T, workdir, pool),
+        f"estimate CLI, {SIM_REPS} files": lambda pool: _cli(_estimate_argv(workdir), pool),
+    }
+    for name, call in cli_calls.items():
+        turns = {f"{name}, serial": functools.partial(call, False)}
+        if pooled:
+            turns[f"{name}, pool"] = functools.partial(call, True)
+        rows.update(_time_turns(turns))
     if pooled:
         rows[f"estimate CLI, {SIM_REPS} files, pool, default BLAS threads"] = pooled_unpinned_row(workdir)
     rows["csv write"]["bytes"] = os.path.getsize(path)
