@@ -1,12 +1,12 @@
 """Scaling-exponent estimators: sample CCF, DFA, DCCA, HXA and the Hurst fit.
 
 All estimators are pure functions of their inputs, and thin calls into
-one pass per pair, fluctuations.  DFA/DCCA/HXA operate on profiles
-(cumulative sums of demeaned series) and return fluctuation series whose
-log-log slope against scale gives the Hurst estimate; the slope-to-H
-mapping lives in fit_hurst.  Fluctuation values are kept as computed,
-including negative detrended covariances; sign filtering happens only at
-the fitting step, with a warning, never via absolute values.
+one pass per pair, fluctuations.  DFA/DCCA/HXA measure profiles (cumulative
+sums of demeaned series), HXA by the lag sums that also give the sample CCF.
+They return fluctuation series whose log-log slope gives the Hurst estimate,
+by fit_hurst.  Fluctuation values are kept as computed, including negative
+detrended covariances; sign filtering happens only at the fitting step, with
+a warning, never via absolute values.
 """
 
 from __future__ import annotations
@@ -112,44 +112,60 @@ def check_max_lag(max_lag: int, T: int | None = None) -> None:
         raise ValueError(f"max_lag: need T > 2*max_lag, got T={T}, max_lag={max_lag}")
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """a . b by numpy's own loop, whose order of summation is fixed.
+def _smooth_length(n: int) -> int:
+    """Smallest 2**a * 3**b * 5**c >= n, for n >= 1: a fast real FFT size."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # smallest power-of-two multiple of p35 that reaches n
+            best = min(best, (1 << (-(-n // p35) - 1).bit_length()) * p35)
+            p35 *= 3
+        p5 *= 5
+    return best
 
-    A 1-d ``a @ b`` is a BLAS dot product, which OpenBLAS splits across
-    its threads above about 1e4 elements: its last bits then depend on
-    the thread count, and the forked children of a pool, each running
-    such threads on the same cores, spin against each other.
-    """
-    return np.einsum("i,i->", a, b)
+
+def _lag_sums(xc: np.ndarray, yc: np.ndarray, k_max: int) -> np.ndarray:
+    """S_k = sum_t x_{t+k} y_t, k = -k_max..k_max at index k_max + k, by one rfft of each series at a length
+    where no lag wraps, with no BLAS to tie a bit to the thread count.  The irfft of Re(X conj Y) is S's even
+    part, that of i Im(X conj Y) its odd part, which swapping x and y negates exactly: S mirrors bit for bit."""
+    n = _smooth_length(xc.size + k_max)
+    fx, fy = np.fft.rfft(xc, n), np.fft.rfft(yc, n)
+    even = np.fft.irfft(fx.real * fy.real + fx.imag * fy.imag, n)[: k_max + 1]
+    odd = np.fft.irfft(1j * (fx.imag * fy.real - fx.real * fy.imag), n)[: k_max + 1]
+    return np.concatenate(((even - odd)[:0:-1], even + odd))
 
 
-def _ccf(xc: np.ndarray, yc: np.ndarray, max_lag: int) -> np.ndarray:
-    """sample_ccf of two demeaned series of one length."""
-    L, T = int(max_lag), xc.size
-    check_max_lag(L, T)
-    sx = np.sqrt(np.mean(xc**2))
-    sy = np.sqrt(np.mean(yc**2))
+def _ccf(S: np.ndarray, xc: np.ndarray, yc: np.ndarray, L: int) -> np.ndarray | DegenerateSeriesError:
+    """sample_ccf of two demeaned series of one length from their lag sums S, or for a zero-variance pair its error."""
+    sx, sy = np.sqrt(np.mean(xc**2)), np.sqrt(np.mean(yc**2))
     if sx == 0.0 or sy == 0.0:
-        raise DegenerateSeriesError("zero-variance input, cross-correlation undefined")
-
-    values = np.empty(2 * L + 1)
-    for k in range(L + 1):
-        # lag +k pairs x_{t+k} with y_t, lag -k pairs x_t with y_{t+k}
-        n = T - k
-        values[L + k] = _dot(xc[k:], yc[:n]) / (n * sx * sy)
-        values[L - k] = _dot(xc[:n], yc[k:]) / (n * sx * sy)
-    return values
+        return DegenerateSeriesError("zero-variance input, cross-correlation undefined")
+    k = np.arange(-L, L + 1)
+    return S[S.size // 2 + k] / ((xc.size - np.abs(k)) * sx * sy)
 
 
-def _hxa(X: np.ndarray, Y: np.ndarray, tau_min: int = 1, tau_max: int = 100) -> FluctuationSeries:
-    """hxa of two profiles of one length."""
-    T, tau_min, tau_max = X.size, int(tau_min), int(tau_max)
-    check_taus(tau_min, tau_max, T)
-    taus = np.arange(tau_min, tau_max + 1)
-    values = np.empty(taus.size)
-    for i, tau in enumerate(taus):
-        values[i] = _dot(X[tau:] - X[:-tau], Y[tau:] - Y[:-tau]) / (T - tau)
-    return FluctuationSeries(scales=taus, values=values, method=HXA)
+def _window_sums(S: np.ndarray, tau_max: int) -> np.ndarray:
+    """sum_{|k|<tau} (tau - |k|) S_k for tau = 1..tau_max, S_k at index len(S)//2 + k: with S the lag sums of
+    x and y, the sum over all windows of tau steps of x's window sum times y's, both padded with zeros."""
+    mid = S.size // 2
+    pairs = np.concatenate((S[mid : mid + 1], S[mid + 1 : mid + tau_max] + S[mid - tau_max + 1 : mid][::-1]))
+    return np.cumsum(np.cumsum(pairs))
+
+
+def _hxa(S: np.ndarray, xc: np.ndarray, yc: np.ndarray, taus: np.ndarray) -> FluctuationSeries:
+    """hxa of two demeaned series of one length from their lag sums S: _window_sums less the windows over the
+    start, whose sums are the profile's head X_j, j < tau, and over the end, of the last i < tau values."""
+    heads = np.cumsum(np.cumsum(xc[: taus[-1]]) * np.cumsum(yc[: taus[-1]]))
+    tails = np.cumsum(np.cumsum(xc[: -taus[-1] : -1]) * np.cumsum(yc[: -taus[-1] : -1]))
+    sums = _window_sums(S, taus[-1]) - heads - np.concatenate(([0.0], tails))
+    return FluctuationSeries(scales=taus, values=sums[taus - 1] / (xc.size - taus), method=HXA)
+
+
+def _taus(T: int, tau_min=1, tau_max=100) -> np.ndarray:
+    check_taus(int(tau_min), int(tau_max), T)
+    return np.arange(int(tau_min), int(tau_max) + 1)
 
 
 def _profile(z: np.ndarray) -> np.ndarray:
@@ -251,8 +267,9 @@ def fluctuations(x, y=None, dfa=None, dcca=None, hxa=None, ccf=None) -> Fluctuat
 
     The result holds "x" and, given y, "y" for dfa, and given y, "xy",
     "hxa" and "ccf" for the others.  Each series is demeaned and checked
-    once, and profiled once where dfa, dcca or hxa asks for it.  A series
-    that fails its check fails only the keys that use it, and a
+    once, and profiled once where dfa or dcca asks for it; hxa and ccf need
+    no profile, but the pair's lag sums, taken once for both (_lag_sums).  A
+    series that fails its check fails only the keys that use it, and a
     zero-variance pair fails only "ccf".  DFA and DCCA run in one loop over
     the box sizes of both.  At each, each profile's complete boxes from the
     start are anchored at their middle point (b - b[s//2], which the detrend
@@ -278,17 +295,19 @@ def fluctuations(x, y=None, dfa=None, dcca=None, hxa=None, ccf=None) -> Fluctuat
     if any(c.size != T for c in centred.values()):
         raise ValueError("x and y must have equal length")
     grids = {key: _grid(T, **w) for key, w in windows.items() if key in ("x", "y", "xy")}
-    if "ccf" in windows:
-        try:
-            out["ccf"] = _ccf(centred["x"], centred["y"], **windows["ccf"])
-        except DegenerateSeriesError as e:
-            out["ccf"] = e
-    profiled = {name for key in windows.keys() - {"ccf"} for name in _USES[key]}
-    profiles = {name: _profile(c) for name, c in centred.items() if name in profiled}
-    if HXA in windows:
-        out[HXA] = _hxa(profiles["x"], profiles["y"], **windows[HXA])
+    if "ccf" in windows or HXA in windows:
+        L = int(windows["ccf"]["max_lag"]) if "ccf" in windows else 0
+        check_max_lag(L, T if "ccf" in windows else None)
+        taus = _taus(T, **windows[HXA]) if HXA in windows else np.arange(1, 2)
+        xc, yc = centred["x"], centred["y"]
+        S = _lag_sums(xc, yc, max(L, int(taus[-1]) - 1))
+        if "ccf" in windows:
+            out["ccf"] = _ccf(S, xc, yc, L)
+        if HXA in windows:
+            out[HXA] = _hxa(S, xc, yc, taus)
     if not grids:
         return out
+    profiles = {name: _profile(c) for name, c in centred.items() if any(name in key for key in grids)}
     row = {name: i for i, name in enumerate(profiles)}
     stack = np.stack(list(profiles.values()))
     buffer = np.empty(stack.size)

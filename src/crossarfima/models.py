@@ -10,8 +10,8 @@ realizations, and computes theoretical quantities: Hurst exponents,
 process variances, the cross-correlation function and the cross-power
 spectrum.
 
-The truncated MA weights of the components (ma_weights, ar1_weights) and
-the FFT length that simulate filters at (_smooth_length) live here too.
+The truncated MA weights of the components (ma_weights, ar1_weights) live
+here too; simulate's FFT length comes from estimators._smooth_length.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import check_max_lag
+from .estimators import _smooth_length, check_max_lag
 from .innovations import CovarianceSpec, sample
 
 DEFAULT_SIM_TRUNCATION = 10_000
@@ -284,13 +284,20 @@ def lead_lag_sums(lead: ComponentSpec, lag: ComponentSpec, max_lag: int) -> np.n
     d = lead.memory
     if lag.kind == AR1:
         theta, r = lag.param, abs(lag.param)
-        # n terms of c_L's series leave a tail below a_L eps, as a_{L+m} <= a_L; np.sum adds them pairwise.
+        # n terms of c_L's series leave a tail below a_L eps, as a_{L+m} <= a_L.  Blocks of 2**16 terms, each
+        # summed pairwise by np.sum, carry ma_weights' cumprod on: a_{L+start}, then the ratios a_{L+m}/a_{L+m-1}.
         # theta^m is |theta|^m signed on odd m, as numpy's pow is several times slower for a negative base
         n = 1 if r == 0.0 else math.ceil(math.log(np.finfo(float).eps * (1.0 - r)) / math.log(r)) + 1
-        a = ma_weights(d, L + n - 1)
-        terms = np.power(r, np.arange(n, dtype=float)) * a[L:]
-        terms[1::2] *= math.copysign(1.0, theta)
-        c = np.full(L + 1, np.sum(terms))
+        a = ma_weights(d, L)
+        sums, weight = [], a[L]
+        for start in range(0, n, 1 << 16):
+            m = np.arange(start, min(start + (1 << 16), n) + 1, dtype=float)
+            weights = np.cumprod(np.concatenate(([weight], (m[1:] + L - 1.0 + d) / (m[1:] + L))))
+            terms = np.power(r, m[:-1]) * weights[:-1]
+            terms[1::2] *= math.copysign(1.0, theta)
+            sums.append(np.sum(terms))
+            weight = weights[-1]
+        c = np.full(L + 1, math.fsum(sums))
         for k in range(L - 1, -1, -1):
             c[k] = a[k] + theta * c[k + 1]
         return c
@@ -344,20 +351,6 @@ def theoretical_exponents(model: ModelSpec) -> ExponentReport:
         sigma_y=side_sigma((3, 4)),
         dominating_pair=best_pair,
     )
-
-
-def _smooth_length(n: int) -> int:
-    """Smallest 2**a * 3**b * 5**c >= n, for n >= 1: a fast real FFT size."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # smallest power-of-two multiple of p35 that reaches n
-            best = min(best, (1 << (-(-n // p35) - 1).bit_length()) * p35)
-            p35 *= 3
-        p5 *= 5
-    return best
 
 
 # keyed on plain values (a ModelSpec is unhashable); 4 entries hold one model's components

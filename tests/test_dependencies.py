@@ -5,6 +5,7 @@ more than the work of a short run, so they must not come back, not even
 as an import deferred into a function body.  Nor may the package import
 the test suite: the closed forms in tests/protocol_expectations.py are an
 independent oracle for the theory only while the package cannot use them.
+And estimators may not import models, which imports estimators.
 """
 
 import ast
@@ -144,3 +145,32 @@ def test_the_protocol_oracle_imports_nothing_from_the_package():
     oracle = Path(__file__).resolve().parent / "protocol_expectations.py"
     assert imports_of(oracle, ("crossarfima",)) == []
     assert imports_of(oracle, ("numpy", "scipy")) != []
+
+
+def package_imports(path: Path) -> list[str]:
+    """The package modules that path imports, relatively or by name, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ("crossarfima" if node.level else "", node.module)))
+            names = [f"{module}.{alias.name}" for alias in node.names] if module == "crossarfima" else [module]
+        else:
+            continue
+        found += [n.split(".")[1] for n in names if n.startswith("crossarfima.")]
+    return found
+
+
+def test_estimators_imports_nothing_from_models(tmp_path):
+    # models takes check_max_lag and _smooth_length from estimators, so an
+    # import the other way, even one deferred into a function, closes a cycle
+    assert "estimators" in package_imports(PACKAGE_DIR / "models.py")
+    assert "models" not in package_imports(PACKAGE_DIR / "estimators.py")
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .errors import E\nfrom . import models\n"
+        "def f():\n    from .models import simulate\n    import crossarfima.models\n"
+        "    from crossarfima import models\n"
+    )
+    assert package_imports(probe) == ["errors", "models", "models", "models", "models"]

@@ -643,6 +643,124 @@ def test_hxa_preconditions():
 
 
 # ----------------------------------------------------------------------
+# the lag sums that HXA and the sample CCF share
+# ----------------------------------------------------------------------
+
+
+def direct_ccf(x, y, max_lag):
+    """rho(-L..L) by one dot product per lag."""
+    xc, yc = x - np.mean(x), y - np.mean(y)
+    T, scale = len(xc), np.sqrt(np.mean(xc**2) * np.mean(yc**2))
+    return np.array(
+        [(xc[k:] @ yc[: T - k] if k >= 0 else xc[: T + k] @ yc[-k:]) / ((T - abs(k)) * scale)
+         for k in range(-max_lag, max_lag + 1)]
+    )  # fmt: skip
+
+
+# (T, ccf max_lag, hxa (tau_min, tau_max)); None skips that estimator
+_LAG_WINDOWS = {
+    "ccf-only-largest-max_lag-odd-T": (301, 150, None),
+    "hxa-only-tau_max-T-over-10-tau_min-one-below": (500, None, (49, 50)),
+    "max_lag-0-below-tau_max-1": (400, 0, (1, 40)),
+    "max_lag-above-tau_max-1-odd-T": (999, 120, (1, 99)),
+    "T+k_max-already-smooth": (1000, 24, (1, 20)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LAG_WINDOWS))
+def test_lag_windows_match_the_direct_sums(case):
+    T, L, taus = _LAG_WINDOWS[case]
+    rng = np.random.default_rng(T)
+    x = np.cumsum(rng.standard_normal(T)) * 0.1 + rng.standard_normal(T)
+    y = 0.5 * x + rng.standard_normal(T) + 3.0
+    windows = {}
+    if L is not None:
+        windows["ccf"] = dict(max_lag=L)
+    if taus is not None:
+        windows["hxa"] = dict(tau_min=taus[0], tau_max=taus[1])
+    if case == "T+k_max-already-smooth":
+        assert estimators._smooth_length(T + 24) == T + 24
+    got = fluctuations(x, y, **windows)
+    assert set(got) == set(windows)
+    if L is not None:
+        np.testing.assert_allclose(got["ccf"], direct_ccf(x, y, L), rtol=0, atol=1e-14)
+    if taus is not None:
+        want = brute_hxa(x, y, range(taus[0], taus[1] + 1))
+        assert np.array_equal(got["hxa"].scales, np.arange(taus[0], taus[1] + 1))
+        assert np.max(np.abs(got["hxa"].values - want)) <= 1e-12 * np.max(np.abs(want))
+    # a pass of one window is the estimator alone
+    if taus is None:
+        assert np.array_equal(got["ccf"], sample_ccf(x, y, L))
+    if L is None:
+        assert np.array_equal(got["hxa"].values, hxa(x, y, *taus).values)
+
+
+def test_hxa_and_ccf_share_one_lag_sum_and_need_no_profile(monkeypatch):
+    # both windows: two forward rffts of the pair at the larger lag, and no
+    # profile unless dfa or dcca asks for one
+    x, y = np.random.default_rng(8).standard_normal((2, 2000))
+    forward, lag_sums, profile = np.fft.rfft, estimators._lag_sums, estimators._profile
+    calls = {"rfft": 0, "lag sums": [], "profile": 0}
+
+    def rfft(*args, **kw):
+        calls["rfft"] += 1
+        return forward(*args, **kw)
+
+    def counted_lag_sums(xc, yc, k_max):
+        calls["lag sums"].append(k_max)
+        return lag_sums(xc, yc, k_max)
+
+    def counted_profile(z):
+        calls["profile"] += 1
+        return profile(z)
+
+    monkeypatch.setattr(np.fft, "rfft", rfft)
+    monkeypatch.setattr(estimators, "_lag_sums", counted_lag_sums)
+    monkeypatch.setattr(estimators, "_profile", counted_profile)
+    for L, tau_max in ((10, 100), (150, 100)):
+        fluctuations(x, y, hxa=dict(tau_min=1, tau_max=tau_max), ccf=dict(max_lag=L))
+    assert calls == {"rfft": 4, "lag sums": [99, 150], "profile": 0}
+    fluctuations(x, y, dfa=dict(s_min=10, s_max=200), hxa=dict(tau_min=1, tau_max=20))
+    assert calls == {"rfft": 6, "lag sums": [99, 150, 19], "profile": 2}
+
+
+def longdouble_lag_values(x, y, taus, lags):
+    """K(tau) with sqrt(K_xx K_yy), and the CCF at lags, from long-double profiles and dot products."""
+    xc = np.asarray(x, np.longdouble)
+    yc = np.asarray(y, np.longdouble)
+    xc -= xc.mean()
+    yc -= yc.mean()
+    T = xc.size
+    sd = np.sqrt(np.dot(xc, xc) * np.dot(yc, yc)) / T
+    ccf = [(np.dot(xc[k:], yc[: T - k]) if k >= 0 else np.dot(xc[: T + k], yc[-k:])) / ((T - abs(k)) * sd)
+           for k in lags]  # fmt: skip
+    X, Y = np.cumsum(xc, out=xc), np.cumsum(yc, out=yc)
+    K, scale = [], []
+    for tau in taus:
+        dx, dy = X[tau:] - X[:-tau], Y[tau:] - Y[:-tau]
+        K.append(np.dot(dx, dy) / (T - tau))
+        scale.append(np.sqrt(np.dot(dx, dx) * np.dot(dy, dy)) / (T - tau))
+    return np.array(K), np.array(scale), np.array(ccf)
+
+
+# At T = 1e6 the reference takes a sparse set of lags, as each costs a few
+# long-double passes over the series; the package computes every lag.
+@pytest.mark.parametrize("T", [100_000, 1_000_000])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_hxa_and_ccf_match_longdouble_reference(preset, T):
+    """HXA in units of sqrt(K_xx K_yy) and the CCF in units of rho, as
+    test_dcca_matches_longdouble_reference measures DCCA: a plain relative
+    deviation is undefined where either crosses zero."""
+    series = simulate(PRESETS[preset](), T, seed=42)
+    got = fluctuations(series.x, series.y, hxa=dict(tau_min=1, tau_max=100), ccf=dict(max_lag=100))
+    taus = np.arange(1, 101) if T <= 100_000 else np.array([1, 2, 3, 7, 20, 50, 99, 100])
+    lags = np.arange(-100, 101) if T <= 100_000 else np.array([-100, -37, -2, -1, 0, 1, 2, 37, 100])
+    K, scale, ccf = longdouble_lag_values(series.x, series.y, taus, lags)
+    assert np.max(np.abs(got["hxa"].values[taus - 1] - K) / scale) <= 1e-12
+    assert np.max(np.abs(got["ccf"][100 + lags] - ccf)) <= 1e-12
+
+
+# ----------------------------------------------------------------------
 # power-law fitting
 # ----------------------------------------------------------------------
 

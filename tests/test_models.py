@@ -2,8 +2,12 @@
 
 import dataclasses
 import math
+import os
 import pickle
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -535,6 +539,27 @@ def test_fractional_leading_ar1_sums_take_bounded_time(theta):
     start = time.perf_counter()
     lead_lag_sums(fractional(0.4, 1.0), ar1(theta, 1.0), 1000)
     assert time.perf_counter() - start < 1.0
+
+
+# one call in a fresh interpreter: prints its rise in peak resident set, in KiB
+_LEAD_LAG_PEAK = (
+    "import resource, sys\n"
+    "from crossarfima.models import ar1, fractional, lead_lag_sums\n"
+    "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+    "lead_lag_sums(fractional(0.4, 1.0), ar1(float(sys.argv[1]), 1.0), 1000)\n"
+    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+)
+
+
+@pytest.mark.parametrize("theta", [0.99999, -0.99999])
+def test_fractional_leading_ar1_sums_take_bounded_memory(theta):
+    # c_L's series has about 4.8 million terms here, 37 MB a float array, so
+    # it must be summed without holding it whole; under 20 MB above start-up
+    src = str(Path(models.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", _LEAD_LAG_PEAK, str(theta)],
+                          capture_output=True, text=True, env=env, check=True)  # fmt: skip
+    assert int(proc.stdout) / 1024 < 20.0
 
 
 def test_theoretical_ccf_model3_is_a_spike():

@@ -1,13 +1,14 @@
-"""Time each layer of crossarfima at T = 1e4 and 1e5 and write the table as JSON.
+"""Time each layer of crossarfima at T = 1e4 and 1e5, some at 1e6, and write the table as JSON.
 
-The layers are the innovation draw, ``simulate`` (a later draw, which
+The rows of each size are timed at T = 1e4 and at T = 1e5: the innovation
+draw, ``simulate`` (a later draw, which
 finds its weight spectra cached by the warm-up, and a first draw, which
 clears that cache before each call and builds them), ``dfa``, ``dcca``,
 the pair pass (``fluctuations`` with the dfa and dcca windows: the
 DFA/DCCA part of the CLI's one pass per pair, which gives DFA of x and
 of y and DCCA of the pair in one loop; a later call, which finds its box
 bases kept, and a first call, which clears them before each call),
-``hxa``, ``sample_ccf`` and ``theoretical_ccf``, plus the write and the
+``hxa`` and ``sample_ccf``, plus the write and the
 read of one series file as the CLI does them, a ``simulate`` CLI call of
 4 replications and an ``estimate --estimators hxa,ccf`` CLI call on its
 4 files, each run serially and on the process pool (the pool rows only
@@ -30,9 +31,12 @@ imports ``crossarfima.cli`` and builds one config, with its peak
 resident MB (``VmHWM``, which, unlike ``ru_maxrss``, a child does not
 inherit from the process that started it).  Together with the serial and
 pooled CLI rows they give the break-even of ``cli.POOL_ROWS`` on the
-machine at hand.  A last row times one model2 ``simulate`` at T = 1e6,
-each in a fresh interpreter that reads its own peak resident MB after
-the draw, as the start-up row does.
+machine at hand; these last rows and ``theoretical_ccf`` (at L = 100 and
+1000) have no size.  Three rows are timed at T = 1e6 only: ``hxa`` and
+``sample_ccf`` (both O(T log T)) on one model1 draw, at the CLI's windows
+for that T, and one model2 ``simulate``, each call in a fresh interpreter
+that reads its own peak resident MB after the draw, as the start-up row
+does.
 
 Run from the repository root; it times the ``src/`` tree beside this
 directory and takes well under a minute on a 2-core VM:
@@ -73,6 +77,7 @@ from crossarfima.innovations import sample  # noqa: E402
 from crossarfima.models import _weight_spectrum, model1, simulate, theoretical_ccf, weight_spectra  # noqa: E402
 
 SIZES = (10_000, 100_000)
+LARGE_T = 1_000_000
 SEED = 42
 RUNS = 7
 CCF_LAGS = (100, 1000)
@@ -92,7 +97,7 @@ LARGE_DRAW = (
     "import time\n"
     "from crossarfima.models import model2, simulate\n"
     "start = time.perf_counter()\n"
-    f"simulate(model2(), 1_000_000, {SEED})\n"
+    f"simulate(model2(), {LARGE_T}, {SEED})\n"
     "seconds = time.perf_counter() - start\n"
     "with open('/proc/self/status') as f:\n"
     "    print(seconds, next(line.split()[1] for line in f if line.startswith('VmHWM:')))\n"
@@ -253,6 +258,18 @@ def large_draw_row() -> dict:
     }
 
 
+def large_lag_rows() -> dict:
+    """_time of hxa and sample_ccf at LARGE_T on one model1 draw, with the CLI's windows at that T."""
+    cfg = default_config("model1", t=str(LARGE_T))
+    series = simulate(model1(), LARGE_T, SEED)
+    _weight_spectrum.cache_clear()
+    x, y = series.x, series.y
+    return {
+        "hxa": _time(lambda: hxa(x, y, **cfg.window("hxa"))),
+        "sample_ccf": _time(lambda: sample_ccf(x, y, **cfg.window("ccf"))),
+    }
+
+
 def held_bytes(T: int) -> dict:
     """Bytes that the two caches hold after layer_rows(T), read back by the keys its calls used."""
     cfg = default_config("model1", t=str(T))
@@ -302,7 +319,7 @@ def main(argv=None) -> int:
     }
     result["layers"]["process pool"] = {"2 workers, start + stop": _time(_pool_start)}
     result["layers"]["start-up"] = {"import cli + config": startup_row()}
-    result["layers"]["T=1000000"] = {"model2 simulate, fresh interpreter": large_draw_row()}
+    result["layers"][f"T={LARGE_T}"] = {**large_lag_rows(), "model2 simulate, fresh interpreter": large_draw_row()}
     result["total_s"] = time.perf_counter() - started
 
     Path(args.output).write_text(json.dumps(result, indent=2) + "\n")
