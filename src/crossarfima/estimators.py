@@ -12,6 +12,7 @@ a warning, never via absolute values.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -172,45 +173,27 @@ def _profile(z: np.ndarray) -> np.ndarray:
     return np.cumsum(z)
 
 
-def _box_vander(s: int, order: int) -> np.ndarray:
-    """Powers 0..order of in-box time, rescaled to u in [-1, 1]: the bits of
-    np.vander(np.linspace(-1, 1, s), order + 1, increasing=True), whose call
-    overhead was a large share of a pass over many small boxes."""
-    u = np.arange(s, dtype=float) * (2.0 / (s - 1)) - 1.0
-    u[-1] = 1.0
-    V = np.empty((s, order + 1))
-    V[:, 0] = 1.0
-    for k in range(1, order + 1):
-        np.multiply(V[:, k - 1], u, out=V[:, k])
-    return V
+def _box_basis(s: int, order: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Q, an s x (order + 1) orthonormal basis of the polynomials of degree <= order on a box of s points.
 
-
-# One small entry per (s, order): a default DCCA window at T = 1e6 has
-# 20,000 box sizes, well inside the bound.
-@functools.lru_cache(maxsize=1 << 16)
-def _basis_factor(s: int, order: int) -> np.ndarray:
-    """Coefficients, in powers of u, of the orthonormal in-box polynomials.
-
-    Column k is the degree-k polynomial orthonormal over the s points of
-    _box_vander (a discrete Chebyshev polynomial), so
-    ``_box_vander(s, order) @ factor`` is an orthonormal basis of the
-    polynomials of degree <= order: R^-1 of its thin QR, up to signs.
-    The monic polynomials follow p_{k+1} = u p_k - beta_k p_{k-1} with
-    beta_k = k^2 (s^2 - k^2) / ((s - 1)^2 (4k^2 - 1)), and
-    |p_k|^2 = s beta_1 ... beta_k.  This (order+1)^2 factor is cached
-    per (s, order); the s x (order+1) bases, whose size summed over a
-    window's scales grows as T^2/step, are kept only by _window_bases.
+    In-box time is rescaled to u in [-1, 1] with the bits of np.linspace(-1, 1, s).  Column k is the
+    degree-k polynomial orthonormal over those points (a discrete Chebyshev polynomial): the monic
+    p_0 = 1, p_1 = u, p_{k+1} = u p_k - beta_k p_{k-1}, beta_k = k^2 (s^2 - k^2) / ((s - 1)^2 (4k^2 - 1)),
+    times 1/|p_k| = 1/sqrt(s beta_1 ... beta_k), so each column at orders 0 and 1 is one rounded product.
+    Q is written to out where given.
     """
-    beta = [k * k * (s * s - k * k) / ((s - 1) ** 2 * (4 * k * k - 1)) for k in range(order + 1)]
-    monic = np.zeros((order + 1, order + 1))
-    monic[0, 0] = 1.0
-    for k in range(order):
-        monic[1:, k + 1] = monic[:-1, k]
-        if k:
-            monic[:, k + 1] -= beta[k] * monic[:, k - 1]
-    factor = monic / np.sqrt(s * np.cumprod([1.0, *beta[1:]]))
-    factor.setflags(write=False)
-    return factor
+    beta = [k * k * (s * s - k * k) / ((s - 1) ** 2 * (4 * k * k - 1)) for k in range(1, order + 1)]
+    u = np.arange(s, dtype=float)
+    u *= 2.0 / (s - 1)
+    u -= 1.0
+    u[-1] = 1.0
+    p = [1.0, u]
+    for k in range(1, order):
+        p.append(u * p[k] - beta[k - 1] * p[k - 1])
+    Q = np.empty((s, order + 1)) if out is None else out
+    for k in range(order + 1):
+        np.multiply(p[k], 1.0 / math.sqrt(s * math.prod(beta[:k])), out=Q[:, k])
+    return Q
 
 
 # 3.07 MiB holds the default windows' bases at T = 1e4 and order 1; they fit up to T of about 11,400
@@ -219,15 +202,15 @@ _BASES_CAP = 4 << 20
 
 @functools.lru_cache(maxsize=1)
 def _window_bases(grid: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, ...] | None:
-    """Each Q = _box_vander(s, order) @ _basis_factor(s, order) of a pass grid, as read-only views
-    of one block; None if they take more than _BASES_CAP bytes (their size grows as T^2/step)."""
+    """Each Q = _box_basis(s, order) of a pass grid, as read-only views of one block;
+    None if they take more than _BASES_CAP bytes (their size grows as T^2/step)."""
     sizes = [s * (order + 1) for s, order in grid]
     if 8 * sum(sizes) > _BASES_CAP:
         return None
     block = np.empty(sum(sizes))
     bases = tuple(b.reshape(s, order + 1) for b, (s, order) in zip(np.split(block, np.cumsum(sizes)[:-1]), grid))
     for (s, order), Q in zip(grid, bases):
-        np.matmul(_box_vander(s, order), _basis_factor(s, order), out=Q)
+        _box_basis(s, order, out=Q)
         Q.setflags(write=False)
     block.setflags(write=False)
     return bases
@@ -274,7 +257,7 @@ def fluctuations(x, y=None, dfa=None, dcca=None, hxa=None, ccf=None) -> Fluctuat
     the box sizes of both.  At each, each profile's complete boxes from the
     start are anchored at their middle point (b - b[s//2], which the detrend
     removes but which keeps values near s^H, not T^H) and projected once on
-    Q, an orthonormal basis of the in-box polynomials; the residuals then
+    Q, an orthonormal basis of the in-box polynomials (_box_basis); the residuals then
     sum in closed form, sum r_x r_y = sum X'Y' - (Q^T X') . (Q^T Y').
     Repeated passes over one grid share its Q (_window_bases); a grid too
     large to keep them builds each Q at its box size, with the same bits.
@@ -315,7 +298,7 @@ def fluctuations(x, y=None, dfa=None, dcca=None, hxa=None, ccf=None) -> Fluctuat
     grid = tuple(sorted(set().union(*grids.values())))
     bases = _window_bases(grid)
     for n, (s, order) in enumerate(grid):
-        Q = _box_vander(s, order) @ _basis_factor(s, order) if bases is None else bases[n]
+        Q = _box_basis(s, order) if bases is None else bases[n]
         boxes = _anchored_boxes(stack, T // s, s, buffer)
         proj = boxes @ Q
         for key in grids:

@@ -300,13 +300,16 @@ def test_a_failed_series_fails_only_the_keys_that_use_it():
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])
-def test_box_vander_keeps_the_bits_of_vander_and_linspace(order):
+def test_box_basis_keeps_the_bits_of_linspace(order):
+    # column 0 is 1/sqrt(s) and column 1 linspace's u over |p_1|, each one
+    # rounded product, at every order
     for s in [*range(order + 2, 3000), *range(3000, 200_001, 997)]:
-        V = np.vander(np.linspace(-1.0, 1.0, s), order + 1, increasing=True)
-        lean = estimators._box_vander(s, order)
-        assert np.array_equal(lean, V), s
-        factor = estimators._basis_factor(s, order)
-        assert np.array_equal(lean @ factor, V @ factor), s
+        Q = estimators._box_basis(s, order)
+        assert Q.shape == (s, order + 1)
+        assert np.array_equal(Q[:, 0], np.full(s, 1 / np.sqrt(s))), s
+        if order:
+            beta_1 = (s * s - 1) / ((s - 1) ** 2 * 3)
+            assert np.array_equal(Q[:, 1], np.linspace(-1.0, 1.0, s) * (1 / np.sqrt(s * beta_1))), s
 
 
 def test_dfa_builds_one_profile(monkeypatch):
@@ -399,8 +402,7 @@ def test_dcca_matches_longdouble_reference(preset, T, step):
 
 
 def test_dcca_factors_each_box_size_once(monkeypatch):
-    # no QR per scale: a repeated call, and dfa on the same boxes, reuse the
-    # cached (order+1)^2 factor of each (s, order)
+    # no QR per scale: the bases come from their closed form, kept or not
     calls = []
     qr = np.linalg.qr
 
@@ -409,35 +411,34 @@ def test_dcca_factors_each_box_size_once(monkeypatch):
         return qr(*args, **kwargs)
 
     monkeypatch.setattr(estimators.np.linalg, "qr", counting_qr)
-    # a kept block of these bases would skip the factors this test counts
     estimators._window_bases.cache_clear()
-    estimators._basis_factor.cache_clear()
     x, y = np.random.default_rng(3).standard_normal((2, 2000))
     for order in (1, 2):
         for _ in range(2):
             dcca(x, y, s_min=10, s_max=400, step=10, detrend_order=order)
             dfa(x, s_min=10, s_max=100, step=10, detrend_order=order)
-    distinct = {(s, order) for order in (1, 2) for s in range(10, 401, 10)}
-    assert len(calls) <= len(distinct)
-    info = estimators._basis_factor.cache_info()
-    assert info.misses == info.currsize == len(distinct)
-    assert estimators._basis_factor(400, 2).shape == (3, 3)
+    monkeypatch.setattr(estimators, "_BASES_CAP", 0)
+    estimators._window_bases.cache_clear()
+    dcca(x, y, s_min=10, s_max=400, step=10, detrend_order=2)
+    assert calls == []
 
 
 @pytest.mark.parametrize("s", [2, 3, 4, 7, 10, 57, 1000, 20_000, 200_000])
 def test_basis_factor_is_the_inverse_qr_factor(s):
-    # the closed-form factor is R^-1 of the box Vandermonde's thin QR, up
-    # to column signs, and makes an orthonormal basis
+    # Q = V R^-1 for V's thin QR, V = np.vander(np.linspace(-1, 1, s), order + 1, increasing=True):
+    # Q matches QR's own basis up to column signs, and is orthonormal
     for order in range(min(s - 1, 5)):
-        V = estimators._box_vander(s, order)
-        inv_r = np.linalg.inv(np.linalg.qr(V, mode="r"))
-        factor = estimators._basis_factor(s, order)
-        assert np.allclose(factor, inv_r * np.sign(np.diag(inv_r)), rtol=0,
-                           atol=1e-14 * np.max(np.abs(inv_r)))
+        Q = estimators._box_basis(s, order)
+        V = np.vander(np.linspace(-1.0, 1.0, s), order + 1, increasing=True)
+        Q_qr = np.linalg.qr(V)[0]
+        Q_qr *= np.sign(np.sum(Q_qr * Q, axis=0))
+        # QR's basis itself is off by up to 5.6e-13/sqrt(s) (measured at s = 2e5, order 4),
+        # where Q is within 7e-15/sqrt(s) of _longdouble_basis
+        assert np.max(np.abs(Q - Q_qr)) <= 1e-12 / np.sqrt(s), order
         # the Gram matrix in long double: a float64 one rounds its 2e5-term
         # sums by up to 1.4e-13, by an amount that depends on the BLAS threads
-        Q = (V @ factor).astype(np.longdouble)
-        assert np.max(np.abs(Q.T @ Q - np.eye(order + 1))) <= 1e-13
+        Q = Q.astype(np.longdouble)
+        assert np.max(np.abs(Q.T @ Q - np.eye(order + 1))) <= 1e-13, order
 
 
 def _pass_grid(T, *windows):
@@ -487,7 +488,7 @@ def test_kept_bases_are_read_only_views_of_one_block_within_the_cap(order):
     assert not block.flags.writeable
     for (s, o), Q in zip(grid, bases):
         assert Q.base is block and not Q.flags.writeable
-        assert np.array_equal(Q, estimators._box_vander(s, o) @ estimators._basis_factor(s, o)), s
+        assert np.array_equal(Q, estimators._box_basis(s, o)), s
     with pytest.raises(ValueError, match="read-only"):
         bases[-1][0, 0] = 0.0
     if order == 1:
