@@ -1,12 +1,12 @@
 """Scaling-exponent estimators: sample CCF, DFA, DCCA, HXA and the Hurst fit.
 
-All estimators are pure functions of their inputs, and thin calls into
-one pass per pair, fluctuations.  DFA/DCCA/HXA measure profiles (cumulative
-sums of demeaned series), HXA by the lag sums that also give the sample CCF.
-They return fluctuation series whose log-log slope gives the Hurst estimate,
-by fit_hurst.  Fluctuation values are kept as computed, including negative
-detrended covariances; sign filtering happens only at the fitting step, with
-a warning, never via absolute values.
+All estimators are pure functions of their inputs, and thin calls into one
+pass per pair, fluctuations.  DFA/DCCA/HXA measure profiles (cumulative sums
+of demeaned series): DFA and DCCA by moments of base boxes, HXA by the lag
+sums that also give the sample CCF.  They return fluctuation series whose
+log-log slope gives the Hurst estimate, by fit_hurst.  Fluctuation values are
+kept as computed, including negative detrended covariances; sign filtering
+happens only at the fitting step, with a warning, never via absolute values.
 """
 
 from __future__ import annotations
@@ -173,60 +173,83 @@ def _profile(z: np.ndarray) -> np.ndarray:
     return np.cumsum(z)
 
 
-def _box_basis(s: int, order: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Q, an s x (order + 1) orthonormal basis of the polynomials of degree <= order on a box of s points.
-
-    In-box time is rescaled to u in [-1, 1] with the bits of np.linspace(-1, 1, s).  Column k is the
-    degree-k polynomial orthonormal over those points (a discrete Chebyshev polynomial): the monic
-    p_0 = 1, p_1 = u, p_{k+1} = u p_k - beta_k p_{k-1}, beta_k = k^2 (s^2 - k^2) / ((s - 1)^2 (4k^2 - 1)),
-    times 1/|p_k| = 1/sqrt(s beta_1 ... beta_k), so each column at orders 0 and 1 is one rounded product.
-    Q is written to out where given.
-    """
-    beta = [k * k * (s * s - k * k) / ((s - 1) ** 2 * (4 * k * k - 1)) for k in range(1, order + 1)]
-    u = np.arange(s, dtype=float)
-    u *= 2.0 / (s - 1)
-    u -= 1.0
-    u[-1] = 1.0
-    p = [1.0, u]
+def _box_basis(s: int, order: int, g: int = 1) -> np.ndarray:
+    """D, which projects a box of s points of g-point base boxes on Q, an orthonormal basis of the polynomials of
+    degree <= order: row j sums Q over base box j (at g = 1, D is Q), row s/g + j order + l - 1 (g > 1) is the
+    coefficient of tau^l, l = 1..order, in Q(j g + g//2 + tau).  Q's column k is the discrete Chebyshev p_k(u),
+    u = np.linspace(-1, 1, s), p_{k+1} = u p_k - beta_k p_{k-1}, beta_k = k^2 (s^2 - k^2) / ((s - 1)^2 (4k^2 - 1)),
+    over its norm sqrt(s beta_1 ... beta_k), each p_k kept by its coefficients in tau."""
+    beta = [0.0] + [k * k * (s * s - k * k) / ((s - 1) ** 2 * (4 * k * k - 1)) for k in range(1, order + 1)]
+    L, h = 1 if g == 1 else order + 1, 2.0 / (s - 1)
+    u = np.linspace(-1.0, 1.0, s) if g == 1 else np.arange(g // 2, s, g) * h - 1.0  # at the base boxes' middles
+    p = [[0.0] * L, [1.0] + [0.0] * (L - 1), ([u, h] + [0.0] * L)[:L]]  # p_{-1}, p_0, p_1, ...
     for k in range(1, order):
-        p.append(u * p[k] - beta[k - 1] * p[k - 1])
-    Q = np.empty((s, order + 1)) if out is None else out
+        q = [u * a - beta[k] * b for a, b in zip(p[-1], p[-2])]
+        p.append(q[:1] + [c + h * a for c, a in zip(q[1:], p[-1])])
+    sums = [sum(t**l for t in range(-(g // 2), g - g // 2)) for l in range(L)]
+    D = np.empty((order + 1, u.size * L)).T  # written by contiguous rows of D^T
     for k in range(order + 1):
-        np.multiply(p[k], 1.0 / math.sqrt(s * math.prod(beta[:k])), out=Q[:, k])
-    return Q
+        norm = 1.0 / math.sqrt(s * math.prod(beta[1 : k + 1]))
+        np.multiply(p[k + 1][0], sums[0] * norm, out=D[: u.size, k])
+        for l in range(1, L):
+            D[: u.size, k] += sums[l] * norm * p[k + 1][l]
+            np.multiply(p[k + 1][l], norm, out=D[u.size + l - 1 :: L - 1, k])
+    return D
 
 
-# 3.07 MiB holds the default windows' bases at T = 1e4 and order 1; they fit up to T of about 11,400
-_BASES_CAP = 4 << 20
+# 0.61 MiB holds the default windows' D at T = 1e4 and order 1; they fit up to T of about 25,000
+_COEFFICIENTS_CAP = 4 << 20
 
 
 @functools.lru_cache(maxsize=1)
-def _window_bases(grid: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, ...] | None:
-    """Each Q = _box_basis(s, order) of a pass grid, as read-only views of one block;
-    None if they take more than _BASES_CAP bytes (their size grows as T^2/step)."""
-    sizes = [s * (order + 1) for s, order in grid]
-    if 8 * sum(sizes) > _BASES_CAP:
+def _window_coefficients(grid: tuple[tuple[int, int, int], ...]) -> tuple[np.ndarray, ...] | None:
+    """Each D = _box_basis(s, order, g) of a pass grid, as read-only views of one block;
+    None if they take more than _COEFFICIENTS_CAP bytes (their size grows as T^2/(step g))."""
+    sizes = [s // g * (1 if g == 1 else order + 1) * (order + 1) for s, order, g in grid]
+    if 8 * sum(sizes) > _COEFFICIENTS_CAP:
         return None
-    block = np.empty(sum(sizes))
-    bases = tuple(b.reshape(s, order + 1) for b, (s, order) in zip(np.split(block, np.cumsum(sizes)[:-1]), grid))
-    for (s, order), Q in zip(grid, bases):
-        _box_basis(s, order, out=Q)
-        Q.setflags(write=False)
+    block = np.concatenate([_box_basis(s, order, g).T.ravel() for s, order, g in grid])
     block.setflags(write=False)
-    return bases
+    return tuple(b.reshape(o + 1, -1).T for b, (_, o, _) in zip(np.split(block, np.cumsum(sizes)[:-1]), grid))
 
 
-def _anchored_boxes(profiles: np.ndarray, n_boxes: int, s: int, out: np.ndarray) -> np.ndarray:
-    """Each row's complete boxes of size s, each minus its middle value, written to the head of out as (k, n_boxes, s)."""
-    boxes = profiles[:, : n_boxes * s].reshape(len(profiles), n_boxes, s)
-    return np.subtract(boxes, boxes[:, :, s // 2, None], out=out[: boxes.size].reshape(boxes.shape))
+def _base_boxes(stack: np.ndarray, g: int, order: int) -> tuple:
+    """The two rows' base boxes of g points: their means and, for g > 1, the moments sum_tau tau^l z_tau, l = 1..order,
+    of z, the base box less its mean, tau counted from its middle point, and the products sum_tau z_a z_b of the rows
+    a and b summed over the base boxes up to each, every step's rounding error (TwoSum) added back."""
+    if g == 1:
+        return stack, None, np.broadcast_to(0.0, (2, 2, stack.shape[1]))
+    boxes = stack[:, : stack.shape[1] // g * g].reshape(2, -1, g)
+    xi = boxes - boxes[:, :, g // 2, None]  # less the middle value, so that z keeps its digits
+    z = xi - xi.mean(axis=-1, keepdims=True)
+    products = np.einsum("ajt,bjt->abj", z, z)
+    c = np.cumsum(products, axis=-1)
+    b = c[..., 1:] - c[..., :-1]
+    c[..., 1:] += np.cumsum((c[..., :-1] - (c[..., 1:] - b)) + (products[..., 1:] - b), axis=-1)
+    return boxes.mean(axis=-1), z @ (np.arange(g, dtype=float) - g // 2)[:, None] ** np.arange(1, order + 1), c
 
 
-def _grid(T: int, s_min=10, s_max=None, step=10, detrend_order=1) -> set[tuple[int, int]]:
-    """A dfa or dcca window's (box size, detrend order) pairs at length T; s_max defaults to T//5."""
+def _box_sums(means, moments, products, s: int, g: int, D: np.ndarray, pairs: list) -> list[float]:
+    """F^2_ab(s) of the rows a, b of each of pairs, from _base_boxes.  A box is m = s/g base boxes: delta_j, base box
+    j's mean less the middle one's (the box's anchor), and their moments project it with D (_box_basis), and its sum
+    of products is g sum_j delta_j delta_j^T plus its base boxes' own (the update of Chan, Golub & LeVeque)."""
+    m, n = s // g, means.shape[1] // (s // g)
+    boxes = means[:, : n * m].reshape(2, n, m)
+    delta = boxes - boxes[:, :, m // 2, None]
+    proj = delta @ D[:m]
+    if D.shape[0] > m:
+        proj += moments[:, : n * m].reshape(2, n, -1) @ D[m:]
+    delta, proj = delta.reshape(2, -1), proj.reshape(2, -1)
+    sums = {(a, b): g * np.einsum("j,j->", delta[a], delta[b]) - np.einsum("j,j->", proj[a], proj[b]) for a, b in pairs}
+    return [float((sums[a, b] + products[a, b, n * m - 1]) / (n * s)) for a, b in pairs]
+
+
+def _grid(T: int, s_min=10, s_max=None, step=10, detrend_order=1) -> set[tuple[int, int, int]]:
+    """A dfa or dcca window's (box size, detrend order, gcd g of its box sizes) at length T; s_max defaults to T//5."""
     s_min, s_max, step, order = int(s_min), int(T // 5 if s_max is None else s_max), int(step), int(detrend_order)
     check_scales(s_min, s_max, step, order, T)
-    return {(s, order) for s in range(s_min, s_max + 1, step)}
+    g = math.gcd(*range(s_min, s_max + 1, step))
+    return {(s, order, g) for s in range(s_min, s_max + 1, step)}
 
 
 # the series that each key of a pass's result uses
@@ -254,13 +277,10 @@ def fluctuations(x, y=None, dfa=None, dcca=None, hxa=None, ccf=None) -> Fluctuat
     no profile, but the pair's lag sums, taken once for both (_lag_sums).  A
     series that fails its check fails only the keys that use it, and a
     zero-variance pair fails only "ccf".  DFA and DCCA run in one loop over
-    the box sizes of both.  At each, each profile's complete boxes from the
-    start are anchored at their middle point (b - b[s//2], which the detrend
-    removes but which keeps values near s^H, not T^H) and projected once on
-    Q, an orthonormal basis of the in-box polynomials (_box_basis); the residuals then
-    sum in closed form, sum r_x r_y = sum X'Y' - (Q^T X') . (Q^T Y').
-    Repeated passes over one grid share its Q (_window_bases); a grid too
-    large to keep them builds each Q at its box size, with the same bits.
+    the box sizes of both, from base boxes of g points, g the gcd of each
+    window's box sizes: their means and moments are taken once (_base_boxes),
+    then each box size costs O(T/g) (_box_sums), with coefficients kept for
+    repeated passes over one grid (_window_coefficients) where they fit.
     """
     series = {"x": x} if y is None else {"x": x, "y": y}
     asked = {"x": dfa, "y": dfa, "xy": dcca, HXA: hxa, "ccf": ccf}
@@ -292,22 +312,18 @@ def fluctuations(x, y=None, dfa=None, dcca=None, hxa=None, ccf=None) -> Fluctuat
         return out
     profiles = {name: _profile(c) for name, c in centred.items() if any(name in key for key in grids)}
     row = {name: i for i, name in enumerate(profiles)}
-    stack = np.stack(list(profiles.values()))
-    buffer = np.empty(stack.size)
-    values = {key: [] for key in grids}
+    stack = np.stack([*profiles.values(), *profiles.values()][:2])  # one series stacked twice
     grid = tuple(sorted(set().union(*grids.values())))
-    bases = _window_bases(grid)
-    for n, (s, order) in enumerate(grid):
-        Q = _box_basis(s, order) if bases is None else bases[n]
-        boxes = _anchored_boxes(stack, T // s, s, buffer)
-        proj = boxes @ Q
-        for key in grids:
-            if (s, order) in grids[key]:
-                i, j = row[key[0]], row[key[-1]]
-                bx, by, px, py = boxes[i], boxes[j], proj[i], proj[j]
-                values[key].append(float((np.einsum("ij,ij->", bx, by) - np.einsum("ij,ij->", px, py)) / bx.size))
-    for key, grid in grids.items():
-        out[key] = FluctuationSeries(sorted(s for s, _ in grid), values[key], DCCA if key == "xy" else DFA)
+    kept = _window_coefficients(grid)
+    bases = {key: _base_boxes(stack, *key) for key in {(g, order) for _, order, g in grid}}
+    values = {key: [] for key in grids}
+    for n, (s, order, g) in enumerate(grid):
+        keys = [key for key in grids if (s, order, g) in grids[key]]
+        D = _box_basis(s, order, g) if kept is None else kept[n]
+        for key, value in zip(keys, _box_sums(*bases[g, order], s, g, D, [(row[k[0]], row[k[-1]]) for k in keys])):
+            values[key].append(value)
+    for key, keyed in grids.items():
+        out[key] = FluctuationSeries(sorted(s for s, _, _ in keyed), values[key], DCCA if key == "xy" else DFA)
     return out
 
 

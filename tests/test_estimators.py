@@ -401,8 +401,69 @@ def test_dcca_matches_longdouble_reference(preset, T, step):
         assert deviation <= 1e-12, (order, float(deviation))
 
 
+def _longdouble_deviations(got, series, pick, order):
+    """The pass's DCCA in units of sqrt(F^2_xx F^2_yy), and its DFA relative to F^2, less long-double residuals."""
+    xy, xx, yy = longdouble_dcca(series.x, series.y, got["xy"].scales[pick], order)
+    return (np.abs(got["xy"].values[pick] - xy) / np.sqrt(xx * yy), np.abs(got["x"].values[pick] - xx) / xx,
+            np.abs(got["y"].values[pick] - yy) / yy)  # fmt: skip
+
+
+# windows whose base boxes (the gcd g of their box sizes) are 1, 7 and 20 points
+_LATTICES = {"g1": dict(s_min=11, step=10), "g7": dict(s_min=14, step=7), "g20": dict(s_min=20, step=40)}
+
+
+@pytest.mark.parametrize("T", [3000, 10_000])
+@pytest.mark.parametrize("lattice", sorted(_LATTICES))
+def test_fluctuations_match_longdouble_reference_on_each_lattice(lattice, T):
+    # every box size of the window runs; the reference takes eight of them
+    series = simulate(PRESETS["model1"](), T, seed=42)
+    for order in range(5):
+        w = {**_LATTICES[lattice], "s_max": T // 5, "detrend_order": order}
+        got = fluctuations(series.x, series.y, dfa=w, dcca=w)
+        pick = np.linspace(0, got["xy"].scales.size - 1, 8).astype(int)
+        for deviation in _longdouble_deviations(got, series, pick, order):
+            assert np.max(deviation) <= 1e-12, (order, float(np.max(deviation)))
+
+
+# The reference takes about 0.1 s per scale and order at T = 1e6, so the window
+# here has four box sizes (10 to 199,990), which share the default's g = 10.
+def test_fluctuations_match_longdouble_reference_at_one_million():
+    T = 1_000_000
+    series = simulate(PRESETS["model1"](), T, seed=42)
+    for order in (0, 1, 2):
+        w = dict(s_min=10, s_max=T // 5, step=66_660, detrend_order=order)
+        got = fluctuations(series.x, series.y, dfa=w, dcca=w)
+        assert got["xy"].scales.tolist() == [10, 66_670, 133_330, 199_990]
+        for deviation in _longdouble_deviations(got, series, np.arange(4), order):
+            assert np.max(deviation) <= 1e-12, (order, float(np.max(deviation)))
+
+
+@pytest.mark.parametrize("bad", [None, "x", "y"])
+def test_windows_of_their_own_lattice_give_what_separate_calls_give(bad):
+    # DFA on base boxes of 7 points and DCCA on 20: each key keeps its own g, and
+    # a failed series fails only its keys
+    T = 3000
+    s = simulate(PRESETS["model1"](), T, seed=42)
+    pair = {"x": s.x.copy(), "y": s.y.copy()}
+    if bad:
+        pair[bad][11] = np.inf
+    wd, wc = dict(s_min=14, s_max=300, step=7), dict(s_min=20, s_max=600, step=40)
+    got = fluctuations(pair["x"], pair["y"], dfa=wd, dcca=wc)
+    for key in ("x", "y"):
+        if key == bad:
+            with pytest.raises(ValueError, match="non-finite"):
+                got[key]
+        else:
+            assert np.array_equal(got[key].values, dfa(pair[key], **wd).values), key
+    if bad:
+        with pytest.raises(ValueError, match="non-finite"):
+            got["xy"]
+    else:
+        assert np.array_equal(got["xy"].values, dcca(pair["x"], pair["y"], **wc).values)
+
+
 def test_dcca_factors_each_box_size_once(monkeypatch):
-    # no QR per scale: the bases come from their closed form, kept or not
+    # no QR per scale: the coefficients come from the basis' closed form, kept or not
     calls = []
     qr = np.linalg.qr
 
@@ -411,15 +472,16 @@ def test_dcca_factors_each_box_size_once(monkeypatch):
         return qr(*args, **kwargs)
 
     monkeypatch.setattr(estimators.np.linalg, "qr", counting_qr)
-    estimators._window_bases.cache_clear()
+    estimators._window_coefficients.cache_clear()
     x, y = np.random.default_rng(3).standard_normal((2, 2000))
     for order in (1, 2):
         for _ in range(2):
             dcca(x, y, s_min=10, s_max=400, step=10, detrend_order=order)
             dfa(x, s_min=10, s_max=100, step=10, detrend_order=order)
-    monkeypatch.setattr(estimators, "_BASES_CAP", 0)
-    estimators._window_bases.cache_clear()
+    monkeypatch.setattr(estimators, "_COEFFICIENTS_CAP", 0)
+    estimators._window_coefficients.cache_clear()
     dcca(x, y, s_min=10, s_max=400, step=10, detrend_order=2)
+    dcca(x, y, s_min=11, s_max=401, step=10, detrend_order=2)
     assert calls == []
 
 
@@ -445,30 +507,31 @@ def _pass_grid(T, *windows):
     return tuple(sorted(set().union(*(estimators._grid(T, **w) for w in windows))))
 
 
-def _bases_bytes(grid):
-    return 8 * sum(s * (order + 1) for s, order in grid)
+def _coefficient_bytes(grid):
+    # each D: s/g rows of base-box sums and, for g > 1, s/g * order rows of Taylor coefficients
+    return 8 * sum(s // g * (1 if g == 1 else order + 1) * (order + 1) for s, order, g in grid)
 
 
 @pytest.mark.parametrize("dfa_order, dcca_order", [(0, 0), (1, 1), (2, 2), (0, 2)])
 def test_kept_bases_give_the_bits_of_bases_built_per_scale(monkeypatch, dfa_order, dcca_order):
     # cold (the pass fills the block), warm (it reads it) and capped (it
-    # builds each Q at its box size): one set of values to the bit
+    # builds each D at its box size): one set of values to the bit
     T = 5000
     cfg = default_config(t=T)
     wd = {**cfg.window("dfa"), "detrend_order": dfa_order}
     wc = {**cfg.window("dcca"), "detrend_order": dcca_order}
     s = simulate(PRESETS["model1"](), T, seed=42)
     grid = _pass_grid(T, wd, wc)
-    estimators._window_bases.cache_clear()
+    estimators._window_coefficients.cache_clear()
     cold = fluctuations(s.x, s.y, dfa=wd, dcca=wc)
-    assert estimators._window_bases.cache_info().misses == 1
-    assert estimators._window_bases(grid) is not None
+    assert estimators._window_coefficients.cache_info().misses == 1
+    assert estimators._window_coefficients(grid) is not None
     warm = fluctuations(s.x, s.y, dfa=wd, dcca=wc)
-    assert estimators._window_bases.cache_info().hits == 2
-    monkeypatch.setattr(estimators, "_BASES_CAP", _bases_bytes(grid) - 1)
-    estimators._window_bases.cache_clear()
+    assert estimators._window_coefficients.cache_info().hits == 2
+    monkeypatch.setattr(estimators, "_COEFFICIENTS_CAP", _coefficient_bytes(grid) - 1)
+    estimators._window_coefficients.cache_clear()
     capped = fluctuations(s.x, s.y, dfa=wd, dcca=wc)
-    assert estimators._window_bases(grid) is None
+    assert estimators._window_coefficients(grid) is None
     for key in ("x", "y", "xy"):
         assert np.array_equal(cold[key].values, capped[key].values), key
         assert np.array_equal(warm[key].values, capped[key].values), key
@@ -476,40 +539,64 @@ def test_kept_bases_give_the_bits_of_bases_built_per_scale(monkeypatch, dfa_orde
 
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_kept_bases_are_read_only_views_of_one_block_within_the_cap(order):
-    T = 10_000 if order < 2 else 8000
-    cfg = default_config(t=T)
-    windows = [{**cfg.window(name), "detrend_order": order} for name in ("dfa", "dcca")]
-    grid = _pass_grid(T, *windows)
-    estimators._window_bases.cache_clear()
-    bases = estimators._window_bases(grid)
-    assert len(bases) == len(grid)
-    block = bases[0].base
-    assert block.nbytes == _bases_bytes(grid) <= estimators._BASES_CAP
-    assert not block.flags.writeable
-    for (s, o), Q in zip(grid, bases):
-        assert Q.base is block and not Q.flags.writeable
-        assert np.array_equal(Q, estimators._box_basis(s, o)), s
-    with pytest.raises(ValueError, match="read-only"):
-        bases[-1][0, 0] = 0.0
-    if order == 1:
-        assert block.nbytes == 3_216_000
+    # the default windows at T = 1e4 share g = 10; a g = 1 grid's block holds each Q itself
+    for T, s_min in ((10_000, 10), (3000, 11)):
+        cfg = default_config(t=T)
+        windows = [{**cfg.window(name), "s_min": s_min, "detrend_order": order} for name in ("dfa", "dcca")]
+        grid = _pass_grid(T, *windows)
+        estimators._window_coefficients.cache_clear()
+        kept = estimators._window_coefficients(grid)
+        assert len(kept) == len(grid)
+        block = kept[0].base
+        assert block.nbytes == _coefficient_bytes(grid) <= estimators._COEFFICIENTS_CAP
+        assert not block.flags.writeable
+        for (s, o, g), D in zip(grid, kept):
+            assert D.base is block and not D.flags.writeable
+            assert np.array_equal(D, estimators._box_basis(s, o, g)), s
+        with pytest.raises(ValueError, match="read-only"):
+            kept[-1][0, 0] = 0.0
+        if order == 1 and s_min == 10:
+            assert block.nbytes == 643_200
+
+
+@pytest.mark.parametrize(
+    "s, g", [(10, 10), (20, 10), (2000, 10), (21, 7), (700, 7), (6, 2), (1000, 1000), (40_000, 20), (57, 1)]
+)
+def test_coefficients_reproduce_the_longdouble_basis(s, g):
+    # the coefficients of base box j give Q at each of its g points, and their sums over it
+    m = s // g
+    tau = np.arange(g, dtype=np.longdouble) - g // 2
+    for order in range(min(s - 1, 5)):
+        D = estimators._box_basis(s, order, g).astype(np.longdouble)
+        Q = _longdouble_basis(s, order).reshape(m, g, order + 1)
+        assert D.shape == (m * (1 if g == 1 else order + 1), order + 1)
+        assert np.max(np.abs(D[:m] - Q.sum(axis=1))) <= 1e-13 * g / np.sqrt(s), order
+        # taylor[j, l - 1] holds the coefficients of tau^l, l = 1..order (none at g = 1)
+        taylor = D[m:].reshape(m, len(D) // m - 1, 1, order + 1)
+        powers = (tau[:, None] ** np.arange(1, taylor.shape[1] + 1)).T[:, :, None]
+        at_middle = (D[:m] - np.sum(taylor[:, :, 0] * powers.sum(axis=1), axis=1)) / g
+        values = at_middle[:, None, :] + np.sum(taylor * powers, axis=1)
+        # measured: within 1e-14/sqrt(s) at orders 0-4, g up to 20, s up to 4e4
+        assert np.max(np.abs(values - Q)) <= 1e-13 / np.sqrt(s), order
 
 
 def test_one_grid_of_bases_is_kept_at_most():
     x, y = np.random.default_rng(6).standard_normal((2, 3000))
     for call in (lambda: dfa(x), lambda: dcca(x, y), lambda: fluctuations(x, y, dfa={}, dcca={}),
-                 lambda: dfa(x[:1000], detrend_order=2), lambda: dcca(x, y, detrend_order=0)):
+                 lambda: dfa(x[:1000], detrend_order=2), lambda: dcca(x, y, detrend_order=0),
+                 lambda: fluctuations(x, y, dfa=dict(s_min=14, step=7), dcca=dict(s_min=11))):
         call()
-        assert estimators._window_bases.cache_info().currsize <= 1
+        assert estimators._window_coefficients.cache_info().currsize <= 1
 
 
 def test_a_grid_over_the_cap_gets_no_block():
-    # the default windows at T = 2e4 (12.8 MB), and at T = 1e4 with order 2 (4.8 MB)
-    for T, order in ((20_000, 1), (10_000, 2)):
+    # the default windows at T = 3e4 (5.8 MB), and a g = 1 grid at T = 1e4 with order 2 (4.8 MB)
+    for T, s_min, order in ((30_000, 10, 1), (10_000, 11, 2)):
         cfg = default_config(t=T)
-        grid = _pass_grid(T, *({**cfg.window(name), "detrend_order": order} for name in ("dfa", "dcca")))
-        assert _bases_bytes(grid) > estimators._BASES_CAP
-        assert estimators._window_bases(grid) is None
+        windows = ({**cfg.window(name), "s_min": s_min, "detrend_order": order} for name in ("dfa", "dcca"))
+        grid = _pass_grid(T, *windows)
+        assert _coefficient_bytes(grid) > estimators._COEFFICIENTS_CAP
+        assert estimators._window_coefficients(grid) is None
 
 
 _values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)

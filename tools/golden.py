@@ -27,7 +27,10 @@ anything differs, as ``diff`` does:
 The calls are ``simulate`` for each preset at T = 999, 3000 and 1e5 (2
 replications each; at 1e5 they draw on the process pool where 2 CPUs are
 usable); ``estimate`` on those files (the 1e5-row pairs on the process
-pool too), on the 999- and 3000-row files together, on a 150-row file
+pool too), on the 999- and 3000-row files together, on the model1
+3000-row files with DFA and DCCA at ``--s-min 11`` (box sizes that share
+no factor) and with DFA at ``--dfa-s-min 14 --dfa-step 7`` (DFA and DCCA
+on base boxes of 7 and 10 points), on a 150-row file
 beside one of them, and on inputs that fail (header only, empty, four
 columns, 50 rows, a directory, a missing file); ``theory`` at the
 defaults and at ``--max-lag 1000``; ``experiment`` at T = 1e4 (10
@@ -44,9 +47,9 @@ s_max = 999999``, ``simulate`` and ``theory``, which run no estimator,
 and ``experiment`` at T = 1000 with ``--estimators hxa`` and with
 ``--estimators dcca`` (a window is checked only where its estimator
 runs, so only the last is a config error); and last, ``experiment`` on
-model2 at T = 2e4 (2 replications, DFA and DCCA), whose windows' box
-bases are too large to keep, so that the pass builds each at its box
-size.  Each ``estimate`` input gets the windows of its own length.  A run
+model2 at T = 3e4 (2 replications, DFA and DCCA), whose windows'
+coefficients are too large to keep, so that the pass builds them at
+each box size.  Each ``estimate`` input gets the windows of its own length.  A run
 takes 3 to 5 s on a 2-core VM.
 """
 
@@ -127,6 +130,12 @@ def calls() -> list[list[str]]:
         # two lengths in one call; no CCF, whose tables the shared file names would clash on
         out.append(["estimate", "--estimators", "dfa,dcca,hxa", "--output", f"est-{m}-mixed",
                     *_series(m, 999), *_series(m, 3000)])
+    # DFA and DCCA windows whose box sizes share no factor (base boxes of 1 point), and
+    # a DFA window on base boxes of 7 points beside DCCA's default 10
+    out.append(["estimate", "--estimators", "dfa,dcca", "--s-min", "11", "--dfa-s-min", "11",
+                "--output", "est-model1-g1", *_series("model1", 3000)])
+    out.append(["estimate", "--estimators", "dfa,dcca", "--dfa-s-min", "14", "--dfa-step", "7",
+                "--output", "est-model1-steps", *_series("model1", 3000)])
     good = _series("model1", 3000)[0]
     out += [
         ["estimate", "--estimators", "hxa,ccf", "--output", "est-bad-mixed",
@@ -164,9 +173,9 @@ def calls() -> list[list[str]]:
     for estimators in ("hxa", "dcca"):
         out.append(["experiment", "--config", PINNED_CONFIG, "--estimators", estimators,
                     "--T", "1000", "--reps", "2", "--output", f"exp-pinned-{estimators}"])
-    # windows whose box bases (12.8 MB) are too large to keep: each is built per box size
-    out.append(["experiment", "--model", "model2", "--T", "20000", "--reps", "2", "--seed", "42",
-                "--estimators", "dfa,dcca", "--output", "exp-model2-20000"])
+    # windows whose coefficients (5.8 MB) are too large to keep: each is built per box size
+    out.append(["experiment", "--model", "model2", "--T", "30000", "--reps", "2", "--seed", "42",
+                "--estimators", "dfa,dcca", "--output", "exp-model2-30000"])
     return out
 
 

@@ -6,8 +6,10 @@ finds its weight spectra cached by the warm-up, and a first draw, which
 clears that cache before each call and builds them), ``dfa``, ``dcca``,
 the pair pass (``fluctuations`` with the dfa and dcca windows: the
 DFA/DCCA part of the CLI's one pass per pair, which gives DFA of x and
-of y and DCCA of the pair in one loop; a later call, which finds its box
-bases kept, and a first call, which clears them before each call),
+of y and DCCA of the pair in one loop; a later call, which finds its
+coefficients kept, and a first call, which clears them before each
+call; and a later call with both windows at s_min = 11, whose box sizes
+share no factor, so that its base boxes are single points, g = 1),
 ``hxa`` and ``sample_ccf``, plus the write and the
 read of one series file as the CLI does them, a ``simulate`` CLI call of
 4 replications and an ``estimate --estimators hxa,ccf`` CLI call on its
@@ -21,9 +23,10 @@ Every timing is of model1 with fixed seeds, estimator windows are the
 CLI's T-scaled defaults, and each row reports the median and the best of
 its runs after one untimed warm-up call.  BLAS runs on one thread,
 except in that last row.  Per size, the output also records the bytes
-that the two caches hold after that size's rows: the pass grid's box
-bases (``estimators._window_bases``, 0 where the grid is too large to
-keep) and the model's weight spectra (``models._weight_spectrum``).  Two
+that the two caches hold after that size's rows: the default pass
+grid's coefficients (``estimators._window_coefficients``, 0 where the
+grid is too large to keep) and the model's weight spectra
+(``models._weight_spectrum``).  Two
 last rows time what a pool costs and what every CLI call pays: a
 2-worker ``cli.ProcessPoolExecutor`` started (by one no-op job per
 worker) and shut down, and the start-up of a fresh interpreter that
@@ -32,11 +35,13 @@ resident MB (``VmHWM``, which, unlike ``ru_maxrss``, a child does not
 inherit from the process that started it).  Together with the serial and
 pooled CLI rows they give the break-even of ``cli.POOL_ROWS`` on the
 machine at hand; these last rows and ``theoretical_ccf`` (at L = 100 and
-1000) have no size.  Three rows are timed at T = 1e6 only: ``hxa`` and
+1000) have no size.  Four rows are timed at T = 1e6 only: ``hxa`` and
 ``sample_ccf`` (both O(T log T)) on one model1 draw, at the CLI's windows
-for that T, and one model2 ``simulate``, each call in a fresh interpreter
-that reads its own peak resident MB after the draw, as the start-up row
-does.
+for that T; the pair pass on that draw over a stated subset of the CLI's
+box sizes (its windows at step 1000, which keeps their g = 10: 50 DFA
+and 200 DCCA box sizes, against 5,000 and 20,000 at step 10); and one
+model2 ``simulate``, in a fresh interpreter for each call that reads its
+own peak resident MB after the draw, as the start-up row does.
 
 Run from the repository root; it times the ``src/`` tree beside this
 directory and takes well under a minute on a 2-core VM:
@@ -72,12 +77,16 @@ import numpy as np  # noqa: E402
 import crossarfima  # noqa: E402
 from crossarfima import cli  # noqa: E402
 from crossarfima.config import default_config  # noqa: E402
-from crossarfima.estimators import _grid, _window_bases, dcca, dfa, fluctuations, hxa, sample_ccf  # noqa: E402
+from crossarfima.estimators import _grid, _window_coefficients, dcca, dfa, fluctuations, hxa, sample_ccf  # noqa: E402
 from crossarfima.innovations import sample  # noqa: E402
 from crossarfima.models import _weight_spectrum, model1, simulate, theoretical_ccf, weight_spectra  # noqa: E402
 
 SIZES = (10_000, 100_000)
 LARGE_T = 1_000_000
+# the step of the box sizes that the pair pass at LARGE_T times
+LARGE_STEP = 1000
+# windows whose box sizes share no factor (s_min = 11, step 10), so that base boxes are single points
+G1 = {"s_min": 11}
 SEED = 42
 RUNS = 7
 CCF_LAGS = (100, 1000)
@@ -192,7 +201,7 @@ def _pool_start() -> None:
 def layer_rows(T: int, workdir: str) -> dict:
     # empty caches, so that what they hold after the rows is this size's alone
     _weight_spectrum.cache_clear()
-    _window_bases.cache_clear()
+    _window_coefficients.cache_clear()
     model = model1()
     cfg = default_config("model1", t=str(T), replications="1", base_seed=str(SEED), output_dir=workdir)
     series = simulate(model, T, SEED)
@@ -204,9 +213,10 @@ def layer_rows(T: int, workdir: str) -> dict:
         "simulate (first draw)": lambda: (_weight_spectrum.cache_clear(), simulate(model, T, SEED)),
         "dfa": lambda: dfa(x, **cfg.window("dfa")),
         "dcca": lambda: dcca(x, y, **cfg.window("dcca")),
+        "pair pass (g = 1)": lambda: fluctuations(x, y, dfa=cfg.window("dfa") | G1, dcca=cfg.window("dcca") | G1),
         "pair pass": lambda: fluctuations(x, y, dfa=cfg.window("dfa"), dcca=cfg.window("dcca")),
         "pair pass (first call)": lambda: (
-            _window_bases.cache_clear(), fluctuations(x, y, dfa=cfg.window("dfa"), dcca=cfg.window("dcca"))
+            _window_coefficients.cache_clear(), fluctuations(x, y, dfa=cfg.window("dfa"), dcca=cfg.window("dcca"))
         ),
         "hxa": lambda: hxa(x, y, **cfg.window("hxa")),
         "sample_ccf": lambda: sample_ccf(x, y, **cfg.window("ccf")),
@@ -258,30 +268,33 @@ def large_draw_row() -> dict:
     }
 
 
-def large_lag_rows() -> dict:
-    """_time of hxa and sample_ccf at LARGE_T on one model1 draw, with the CLI's windows at that T."""
+def large_rows() -> dict:
+    """_time of hxa and sample_ccf at LARGE_T on one model1 draw, with the CLI's windows at that T, and of
+    the pair pass on it over those windows' box sizes at LARGE_STEP."""
     cfg = default_config("model1", t=str(LARGE_T))
     series = simulate(model1(), LARGE_T, SEED)
     _weight_spectrum.cache_clear()
     x, y = series.x, series.y
+    wd, wc = ({**cfg.window(name), "step": LARGE_STEP} for name in ("dfa", "dcca"))
     return {
         "hxa": _time(lambda: hxa(x, y, **cfg.window("hxa"))),
         "sample_ccf": _time(lambda: sample_ccf(x, y, **cfg.window("ccf"))),
+        f"pair pass, box sizes at step {LARGE_STEP}": _time(lambda: fluctuations(x, y, dfa=wd, dcca=wc)),
     }
 
 
 def held_bytes(T: int) -> dict:
     """Bytes that the two caches hold after layer_rows(T), read back by the keys its calls used."""
     cfg = default_config("model1", t=str(T))
-    misses = _window_bases.cache_info().misses + _weight_spectrum.cache_info().misses
-    bases = _window_bases(tuple(sorted(_grid(T, **cfg.window("dfa")) | _grid(T, **cfg.window("dcca")))))
+    misses = _window_coefficients.cache_info().misses + _weight_spectrum.cache_info().misses
+    kept = _window_coefficients(tuple(sorted(_grid(T, **cfg.window("dfa")) | _grid(T, **cfg.window("dcca")))))
     # one array per distinct (kind, param), as the cache holds them
     spectra = {(c.kind, c.param): s for _, c, s in weight_spectra(model1(), T)[2] if s is not None}
     held = {
-        "_window_bases": 0 if bases is None else bases[0].base.nbytes,
+        "_window_coefficients": 0 if kept is None else kept[0].base.nbytes,
         "_weight_spectrum": sum(s.nbytes for s in spectra.values()),
     }
-    if _window_bases.cache_info().misses + _weight_spectrum.cache_info().misses != misses:
+    if _window_coefficients.cache_info().misses + _weight_spectrum.cache_info().misses != misses:
         raise RuntimeError("a cache did not hold what the rows built")
     return held
 
@@ -319,7 +332,7 @@ def main(argv=None) -> int:
     }
     result["layers"]["process pool"] = {"2 workers, start + stop": _time(_pool_start)}
     result["layers"]["start-up"] = {"import cli + config": startup_row()}
-    result["layers"][f"T={LARGE_T}"] = {**large_lag_rows(), "model2 simulate, fresh interpreter": large_draw_row()}
+    result["layers"][f"T={LARGE_T}"] = {**large_rows(), "model2 simulate, fresh interpreter": large_draw_row()}
     result["total_s"] = time.perf_counter() - started
 
     Path(args.output).write_text(json.dumps(result, indent=2) + "\n")
