@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import SETTINGS, WINDOWS, ExperimentConfig, check_windows, parse_config
 from .errors import ConfigError, CrossArfimaError
-from .estimators import Fluctuations, dcca, fit_hurst, fluctuations  # noqa: F401 (dcca: bound for perfbench's tests)
+from .estimators import dcca, fit_hurst, stacked_fluctuations  # noqa: F401 (dcca: bound for perfbench's tests)
 from .models import cross_spectrum, simulate, theoretical_ccf, theoretical_exponents, weight_spectra
 
 SPECTRUM_GRID = (1e-4, float(np.pi), 200)
@@ -37,6 +37,9 @@ _CHUNK_ROWS = 1024
 # and an experiment without --workers run their jobs on a process pool (see
 # _pool_workers)
 POOL_ROWS = 60_000
+# series rows of the replications of one experiment job at most: a chunk run as one
+# stack (estimators.stacked_fluctuations), 10 at T = 1e4 with under 2 MB of base boxes
+STACK_ROWS = 100_000
 # bytes of one row of a t,x,y series file, about: estimate sizes its
 # inputs by their length on disk, without reading them
 SERIES_ROW_BYTES = 35
@@ -113,40 +116,45 @@ ESTIMATES = (
 )
 
 
-def _pair_rows(cfg: ExperimentConfig, make_pair):
-    """Estimate rows and CCF (an array over lags -L..L, or None) of the pair make_pair() gives.
-
-    make_pair() gives (cfg, x, y), cfg sized for the pair's length.  One
-    failure rule: a missing input is re-raised, so it stays a config
-    error; a pair that cannot be made (read, parsed, sized or simulated)
-    fails every key with its message; a failed key or fit is a failed row.
-    """
+def _made(make_pair):
+    """make_pair()'s pair or, for one that cannot be made (read, parsed, sized or
+    simulated), its error; a missing input is re-raised, so it stays a config error."""
     try:
-        cfg, x, y = make_pair()
+        return make_pair()
     except FileNotFoundError:
         raise
     except (CrossArfimaError, ValueError, OSError) as e:
-        result = Fluctuations.fromkeys((key for *_, key in ESTIMATES), e)
-    else:
-        result = fluctuations(x, y, **{name: cfg.window(name) for name in cfg.estimators})
-    rows, ccf = [], None
-    for name, target, _, key in ESTIMATES:
-        if name not in cfg.estimators:
-            continue
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                value = result[key]
-                fit = None if key == "ccf" else fit_hurst(value)
-            except (CrossArfimaError, ValueError, OSError) as e:
-                rows.append(EstimateRow(name, target, False, np.nan, np.nan, 0, str(e)))
+        return e
+
+
+def _pair_rows(cfg: ExperimentConfig, pairs) -> list:
+    """Estimate rows and CCF (an array over lags -L..L, or None) of each of pairs, in order.
+
+    pairs gives each _made result when the stack reaches it, and all run as
+    one stack at cfg's windows: a pair's error fails its every key, and a
+    failed key or fit is a failed row.
+    """
+    table = []
+    for result in stacked_fluctuations(pairs, **{name: cfg.window(name) for name in cfg.estimators}):
+        rows, ccf = [], None
+        for name, target, _, key in ESTIMATES:
+            if name not in cfg.estimators:
                 continue
-        if fit is None:
-            ccf = value
-        else:
-            notes = "; ".join(str(w.message) for w in caught)
-            rows.append(EstimateRow(name, target, True, fit.exponent, fit.stderr, fit.n_points, notes))
-    return rows, ccf
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    value = result[key]
+                    fit = None if key == "ccf" else fit_hurst(value)
+                except (CrossArfimaError, ValueError, OSError) as e:
+                    rows.append(EstimateRow(name, target, False, np.nan, np.nan, 0, str(e)))
+                    continue
+            if fit is None:
+                ccf = value
+            else:
+                notes = "; ".join(str(w.message) for w in caught)
+                rows.append(EstimateRow(name, target, True, fit.exponent, fit.stderr, fit.n_points, notes))
+        table.append((rows, ccf))
+    return table
 
 
 ESTIMATE_COLUMNS = ["estimator", "target", "status", "exponent", "stderr", "n_points", "notes"]
@@ -236,9 +244,11 @@ def _estimate_worker(job: tuple[ExperimentConfig, functools.partial, str]):
         x, y = _load_series_file(path)
         sized = config_at(x.size)
         check_windows(sized)
-        return sized, x, y
+        return sized, (x, y)
 
-    return _pair_rows(cfg, make_pair)
+    made = _made(make_pair)
+    cfg, pair = (cfg, made) if isinstance(made, Exception) else made
+    return _pair_rows(cfg, [pair])[0]
 
 
 def _input_rows(path: str) -> int:
@@ -350,9 +360,10 @@ def _map_replications(worker, jobs, workers: int):
         yield from map(worker, jobs)
 
 
-def _replication_worker(job: tuple[ExperimentConfig, int]):
-    cfg, seed = job
-    return _pair_rows(cfg, lambda: (cfg, *attrgetter("x", "y")(simulate(cfg.model, cfg.T, seed))))
+def _replication_worker(job: tuple[ExperimentConfig, list[int]]):
+    """_pair_rows of a chunk of replications, by their seeds: each is drawn when the stack reaches it."""
+    cfg, seeds = job
+    return _pair_rows(cfg, (_made(lambda: attrgetter("x", "y")(simulate(cfg.model, cfg.T, seed))) for seed in seeds))
 
 
 def cmd_experiment(cfg: ExperimentConfig, workers: int | None) -> int:
@@ -361,12 +372,16 @@ def cmd_experiment(cfg: ExperimentConfig, workers: int | None) -> int:
         workers = _pool_workers(cfg.replications, cfg.replications * cfg.T)
     elif workers < 1:
         raise ConfigError(f"workers: must be >= 1, got {workers}")
-    # a fork pool starts all max_workers processes at the first submit
-    workers = min(workers, cfg.replications, _usable_cpus())
     outdir = _ensure_outdir(cfg)
     weight_spectra(cfg.model, cfg.T)  # before a pool forks, so no child builds them
     seeds = cfg.seeds()
-    results = list(_map_replications(_replication_worker, [(cfg, seed) for seed in seeds], workers))
+    # a job is a chunk of seeds, as many as the workers share out, of STACK_ROWS series rows at most;
+    # a fork pool starts all max_workers processes at the first submit
+    workers = min(workers, _usable_cpus())
+    size = min(-(-len(seeds) // workers), max(1, STACK_ROWS // cfg.T))
+    chunks = [(cfg, seeds[i : i + size]) for i in range(0, len(seeds), size)]
+    workers = min(workers, len(chunks))
+    results = [pair for chunk in _map_replications(_replication_worker, chunks, workers) for pair in chunk]
 
     table = [([str(rep), str(seed)], *result) for rep, (seed, result) in enumerate(zip(seeds, results))]
     any_result = _write_estimates(os.path.join(outdir, "replications.csv"), ["replication", "seed"], table)
@@ -511,7 +526,7 @@ def main(argv=None) -> int:
         if args.command == "theory":
             return cmd_theory(cfg, args.spectrum_points)
         return cmd_experiment(cfg, args.workers)
-    # a missing estimate input is re-raised by _pair_rows as a config error
+    # a missing estimate input is re-raised by _made as a config error
     except (ConfigError, FileNotFoundError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

@@ -218,7 +218,7 @@ def _base_boxes(stack: np.ndarray, g: int, order: int) -> tuple:
     of z, the base box less its mean, tau counted from its middle point, and the products sum_tau z_a z_b of the rows
     a and b summed over the base boxes up to each, every step's rounding error (TwoSum) added back."""
     if g == 1:
-        return stack, None, np.broadcast_to(0.0, (2, 2, stack.shape[1]))
+        return stack, None, None
     boxes = stack[:, : stack.shape[1] // g * g].reshape(2, -1, g)
     xi = boxes - boxes[:, :, g // 2, None]  # less the middle value, so that z keeps its digits
     z = xi - xi.mean(axis=-1, keepdims=True)
@@ -229,19 +229,23 @@ def _base_boxes(stack: np.ndarray, g: int, order: int) -> tuple:
     return boxes.mean(axis=-1), z @ (np.arange(g, dtype=float) - g // 2)[:, None] ** np.arange(1, order + 1), c
 
 
-def _box_sums(means, moments, products, s: int, g: int, D: np.ndarray, pairs: list) -> list[float]:
-    """F^2_ab(s) of the rows a, b of each of pairs, from _base_boxes.  A box is m = s/g base boxes: delta_j, base box
-    j's mean less the middle one's (the box's anchor), and their moments project it with D (_box_basis), and its sum
-    of products is g sum_j delta_j delta_j^T plus its base boxes' own (the update of Chan, Golub & LeVeque)."""
-    m, n = s // g, means.shape[1] // (s // g)
-    boxes = means[:, : n * m].reshape(2, n, m)
-    delta = boxes - boxes[:, :, m // 2, None]
+def _box_sums(means, moments, s: int, g: int, D: np.ndarray, pairs: list) -> list[tuple[np.ndarray, np.ndarray]]:
+    """sum_j delta_ja delta_jb and the projections' sum of products, over the stacked pairs, for the rows a, b of each
+    of pairs, from _base_boxes stacked on axis 1.  A box is m = s/g base boxes: delta_j, base box j's mean less the
+    middle one's (the box's anchor), and their moments project it with D (_box_basis); its sum of products is
+    g sum_j delta_j delta_j^T plus its base boxes' own (Chan, Golub & LeVeque).  The matmuls run pair by pair and
+    np.einsum row by row, one row per call past its buffer (np.getbufsize()), where a row's bits follow the rows'."""
+    m, n, R = s // g, means.shape[-1] // (s // g), means.shape[1]
+    boxes = means[..., : n * m].reshape(2, R, n, m)
+    delta = boxes - boxes[..., m // 2, None]
     proj = delta @ D[:m]
     if D.shape[0] > m:
-        proj += moments[:, : n * m].reshape(2, n, -1) @ D[m:]
-    delta, proj = delta.reshape(2, -1), proj.reshape(2, -1)
-    sums = {(a, b): g * np.einsum("j,j->", delta[a], delta[b]) - np.einsum("j,j->", proj[a], proj[b]) for a, b in pairs}
-    return [float((sums[a, b] + products[a, b, n * m - 1]) / (n * s)) for a, b in pairs]
+        proj += moments[:, :, : n * m].reshape(2, R, n, -1) @ D[m:]
+    delta, proj = delta.reshape(2, R, -1), proj.reshape(2, R, -1)
+    if R > 1 and max(delta.shape[-1], proj.shape[-1]) > np.getbufsize():
+        return [tuple(np.array([np.einsum("j,j->", u, v) for u, v in zip(z[a], z[b])]) for z in (delta, proj))
+                for a, b in pairs]
+    return [(np.einsum("rj,rj->r", delta[a], delta[b]), np.einsum("rj,rj->r", proj[a], proj[b])) for a, b in pairs]
 
 
 def _grid(T: int, s_min=10, s_max=None, step=10, detrend_order=1) -> set[tuple[int, int, int]]:
@@ -252,8 +256,9 @@ def _grid(T: int, s_min=10, s_max=None, step=10, detrend_order=1) -> set[tuple[i
     return {(s, order, g) for s in range(s_min, s_max + 1, step)}
 
 
-# the series that each key of a pass's result uses
+# the series that each key of a pass's result uses, and the rows of a stacked pair (x's profile, y's) it pairs
 _USES = {"x": "x", "y": "y", "xy": "xy", HXA: "xy", "ccf": "xy"}
+_ROWS = {"x": (0, 0), "y": (1, 1), "xy": (0, 1)}
 
 
 class Fluctuations(dict):
@@ -280,51 +285,91 @@ def fluctuations(x, y=None, dfa=None, dcca=None, hxa=None, ccf=None) -> Fluctuat
     the box sizes of both, from base boxes of g points, g the gcd of each
     window's box sizes: their means and moments are taken once (_base_boxes),
     then each box size costs O(T/g) (_box_sums), with coefficients kept for
-    repeated passes over one grid (_window_coefficients) where they fit.
+    repeated passes over one grid (_window_coefficients) where they fit.  A
+    pair is a stack of one (stacked_fluctuations).
     """
-    series = {"x": x} if y is None else {"x": x, "y": y}
+    return stacked_fluctuations([(x, y)], dfa=dfa, dcca=dcca, hxa=hxa, ccf=ccf)[0]
+
+
+def stacked_fluctuations(pairs, dfa=None, dcca=None, hxa=None, ccf=None) -> list[Fluctuations]:
+    """fluctuations of each (x, y) of pairs, an iterable of pairs of one length, y None or not, in order;
+    an exception in place of a pair fails its every key.
+
+    Each pair is demeaned, checked, profiled and given its lag sums alone, then held only by its result and its
+    base boxes (_base_boxes), on which one loop over the box sizes serves every pair (_box_sums).  A pair that
+    profiles one series stacks it twice.  No step mixes two pairs, so each keeps the bits of its own call.
+    """
     asked = {"x": dfa, "y": dfa, "xy": dcca, HXA: hxa, "ccf": ccf}
-    windows = {key: w for key, w in asked.items() if w is not None and set(_USES[key]) <= series.keys()}
-    out, centred = Fluctuations(), {}
-    for name, z in series.items():
-        try:
-            centred[name] = _demean(z, name)
-        except ValueError as e:
-            out.update((key, e) for key in windows if name in _USES[key] and key not in out)
-    windows = {key: w for key, w in windows.items() if key not in out}
-    if not windows:
-        return out
-    T = len(next(iter(centred.values())))
-    if any(c.size != T for c in centred.values()):
-        raise ValueError("x and y must have equal length")
-    grids = {key: _grid(T, **w) for key, w in windows.items() if key in ("x", "y", "xy")}
-    if "ccf" in windows or HXA in windows:
-        L = int(windows["ccf"]["max_lag"]) if "ccf" in windows else 0
-        check_max_lag(L, T if "ccf" in windows else None)
-        taus = _taus(T, **windows[HXA]) if HXA in windows else np.arange(1, 2)
-        xc, yc = centred["x"], centred["y"]
-        S = _lag_sums(xc, yc, max(L, int(taus[-1]) - 1))
-        if "ccf" in windows:
-            out["ccf"] = _ccf(S, xc, yc, L)
-        if HXA in windows:
-            out[HXA] = _hxa(S, xc, yc, taus)
-    if not grids:
-        return out
-    profiles = {name: _profile(c) for name, c in centred.items() if any(name in key for key in grids)}
-    row = {name: i for i, name in enumerate(profiles)}
-    stack = np.stack([*profiles.values(), *profiles.values()][:2])  # one series stacked twice
-    grid = tuple(sorted(set().union(*grids.values())))
-    kept = _window_coefficients(grid)
-    bases = {key: _base_boxes(stack, *key) for key in {(g, order) for _, order, g in grid}}
+    grids, T = {}, None
+
+    def summarise(pair):
+        """pair's result, the keys of it that the stack is to give, and its base boxes"""
+        nonlocal T
+        if isinstance(pair, Exception):  # a pair that could not be made fails every key
+            return Fluctuations.fromkeys(_USES, pair), [], {}
+        series = {"x": pair[0]} if pair[1] is None else {"x": pair[0], "y": pair[1]}
+        windows = {key: w for key, w in asked.items() if w is not None and set(_USES[key]) <= series.keys()}
+        out, centred = Fluctuations(), {}
+        for name, z in series.items():
+            try:
+                centred[name] = _demean(z, name)
+            except ValueError as e:
+                out.update((key, e) for key in windows if name in _USES[key] and key not in out)
+        windows = {key: w for key, w in windows.items() if key not in out}
+        if not windows:
+            return out, [], {}
+        T = T or next(iter(centred.values())).size
+        if any(c.size != T for c in centred.values()):
+            raise ValueError("x and y must have equal length, as must the pairs of a stack")
+        keys = [key for key in windows if key in _ROWS]
+        grids.update((key, _grid(T, **windows[key])) for key in keys if key not in grids)
+        if "ccf" in windows or HXA in windows:
+            L = int(windows["ccf"]["max_lag"]) if "ccf" in windows else 0
+            check_max_lag(L, T if "ccf" in windows else None)
+            taus = _taus(T, **windows[HXA]) if HXA in windows else np.arange(1, 2)
+            xc, yc = centred["x"], centred["y"]
+            S = _lag_sums(xc, yc, max(L, int(taus[-1]) - 1))
+            if "ccf" in windows:
+                out["ccf"] = _ccf(S, xc, yc, L)
+            if HXA in windows:
+                out[HXA] = _hxa(S, xc, yc, taus)
+        if not keys:
+            return out, [], {}
+        profiles = {name: _profile(c) for name, c in centred.items() if any(name in key for key in keys)}
+        stack = np.stack([profiles.get("x", profiles.get("y")), profiles.get("y", profiles.get("x"))])
+        return out, keys, {base: _base_boxes(stack, *base) for base in {(g, o) for k in keys for _, o, g in grids[k]}}
+
+    # each pair is dropped once summarised, before the next is made
+    outs = list(map(summarise, pairs))
+    stacked = [summary for summary in outs if summary[1]]
+    if not stacked:
+        return [out for out, _, _ in outs]
+    grid = {size: [key for key in grids if size in grids[key]] for size in sorted(set().union(*grids.values()))}
+    kept = _window_coefficients(tuple(grid))
+    bases = {}
+    for base in {(g, order) for _, order, g in grid}:
+        # a pair without this base has none of its keys: another pair's stands in for it, and its values are dropped
+        donor = next(b[base] for *_, b in stacked if base in b)
+        parts = [b.pop(base, donor) for *_, b in stacked]
+        bases[base] = [None if p[0] is None else np.stack(p, axis=1) for p in zip(*parts)]
+    del donor, parts  # so that each pair's own base boxes are freed
     values = {key: [] for key in grids}
-    for n, (s, order, g) in enumerate(grid):
-        keys = [key for key in grids if (s, order, g) in grids[key]]
+    for n, ((s, order, g), keys) in enumerate(grid.items()):
         D = _box_basis(s, order, g) if kept is None else kept[n]
-        for key, value in zip(keys, _box_sums(*bases[g, order], s, g, D, [(row[k[0]], row[k[-1]]) for k in keys])):
-            values[key].append(value)
+        means, moments, _ = bases[g, order]
+        for key, value in zip(keys, _box_sums(means, moments, s, g, D, [_ROWS[key] for key in keys])):
+            values[key] += value
     for key, keyed in grids.items():
-        out[key] = FluctuationSeries(sorted(s for s, _, _ in keyed), values[key], DCCA if key == "xy" else DFA)
-    return out
+        (_, order, g), (a, b) = next(iter(keyed)), _ROWS[key]
+        means, _, products = bases[g, order]
+        scales = np.array(sorted(s for s, _, _ in keyed))
+        n, sums = means.shape[-1] // (scales // g), np.concatenate(values[key]).reshape(len(scales), 2, -1)
+        own = 0.0 if products is None else products[a, :, b][:, n * (scales // g) - 1].T
+        rows = ((g * sums[:, 0] - sums[:, 1] + own) / (n * scales)[:, None]).T
+        for (out, keys, _), row in zip(stacked, rows):
+            if key in keys:
+                out[key] = FluctuationSeries(scales, row, DCCA if key == "xy" else DFA)
+    return [out for out, _, _ in outs]
 
 
 def dcca(

@@ -633,22 +633,48 @@ def test_a_non_finite_series_fails_only_the_rows_that_use_it(tmp_path, bad, good
     }
 
 
-def test_the_fluctuation_pass_runs_once_per_pair_and_only_where_asked(tmp_path, monkeypatch):
-    # one pass per replication, with the windows of the estimators named and no other
+def test_the_fluctuation_pass_runs_once_per_chunk_and_only_where_asked(tmp_path, monkeypatch):
+    # one stacked pass per chunk of replications, with the windows of the estimators named and no other
     calls = []
-    real = cli.fluctuations
+    real = cli.stacked_fluctuations
 
-    def counted(x, y, **windows):
-        calls.append(sorted(windows))
-        return real(x, y, **windows)
+    def counted(pairs, **windows):
+        pairs = list(pairs)
+        calls.append((len(pairs), sorted(windows)))
+        return real(pairs, **windows)
 
-    monkeypatch.setattr(cli, "fluctuations", counted)
-    base = ["experiment", "--T", "1000", "--reps", "2"]
-    for estimators, want in (("hxa,ccf", [["ccf", "hxa"]] * 2), ("dfa,dcca,hxa", [["dcca", "dfa", "hxa"]] * 2),
-                             ("dfa,hxa", [["dfa", "hxa"]] * 2), ("dcca", [["dcca"]] * 2)):
+    monkeypatch.setattr(cli, "stacked_fluctuations", counted)
+    base = ["experiment", "--T", "1000", "--reps", "3"]
+    for estimators, want in (("hxa,ccf", ["ccf", "hxa"]), ("dfa,dcca,hxa", ["dcca", "dfa", "hxa"]),
+                             ("dfa,hxa", ["dfa", "hxa"]), ("dcca", ["dcca"])):
         calls.clear()
         assert main([*base, "--estimators", estimators, "--output", str(tmp_path / estimators)]) == 0
-        assert calls == want, estimators
+        assert calls == [(3, want)], estimators
+
+    # a chunk holds STACK_ROWS series rows at most, and the workers share the replications out
+    class InlinePool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    for reps, workers, stack_rows, want in ((3, 1, 2000, [2, 1]), (5, 2, 10**5, [3, 2]), (5, 2, 1000, [1] * 5),
+                                            (5, 2, 999, [1] * 5), (1, 2, 10**5, [1])):
+        calls.clear()
+        monkeypatch.setattr(cli, "STACK_ROWS", stack_rows)
+        out = tmp_path / f"r{reps}w{workers}s{stack_rows}"
+        argv = ["experiment", "--T", "1000", "--reps", str(reps), "--estimators", "dcca", "--workers", str(workers)]
+        assert main([*argv, "--output", str(out)]) == 0
+        assert [n for n, _ in calls] == want
 
 
 @pytest.mark.parametrize("command", ["estimate", "experiment"])
@@ -822,9 +848,37 @@ def test_experiment_worker_count_does_not_change_results(tmp_path, pools):
         assert read_bytes(a / name) == read_bytes(b / name)
 
 
+def experiment_runs(tmp_path, monkeypatch, argv, T):
+    """{(workers, stack cap): {file name: bytes}} of argv's experiment on 1, 2 and
+    3 workers (3 usable CPUs), each with stacks of at most 1, 3 and the default
+    STACK_ROWS // T replications."""
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    runs, rows = {}, cli.STACK_ROWS
+    for workers in (1, 2, 3):
+        for cap in (1, 3, None):
+            monkeypatch.setattr(cli, "STACK_ROWS", rows if cap is None else cap * T)
+            out = tmp_path / f"w{workers}-cap{cap}"
+            assert main([*argv, "--workers", str(workers), "--output", str(out)]) == 0
+            runs[workers, cap] = {p.name: read_bytes(p) for p in sorted(out.iterdir())}
+    return runs
+
+
+@pytest.mark.parametrize("window", [[], ["--s-min", "11"]], ids=["default", "g1"])
+def test_experiment_outputs_do_not_depend_on_workers_or_stacks(tmp_path, monkeypatch, window):
+    # a job is a chunk of seeds run as one stack, and a stack keeps each pair's
+    # bits: at --s-min 11 the box sizes share no factor, so that each dot
+    # product of a box size runs to T = 1e4 terms, beyond numpy's buffer
+    argv = ["experiment", "--model", "model2", "--T", "10000", "--reps", "5", "--seed", "7",
+            "--estimators", "dfa,dcca,hxa,ccf", *window]
+    runs = experiment_runs(tmp_path, monkeypatch, argv, 10_000)
+    assert list(runs[1, None]) == ["ccf_mean.csv", "replications.csv", "summary.csv"]
+    assert all(files == runs[1, None] for files in runs.values())
+
+
 def test_experiment_failed_simulation_becomes_failed_rows(tmp_path, monkeypatch):
     # one replication's simulate raises: its rows fail, the rest are kept,
-    # and a forked pool sees the same patched simulate as the serial run
+    # and a forked pool sees the same patched simulate as the serial run,
+    # whether the failed draw is alone, in the middle or last of its stack
     real = cli.simulate
 
     def flaky(model, T, seed):
@@ -833,11 +887,11 @@ def test_experiment_failed_simulation_becomes_failed_rows(tmp_path, monkeypatch)
         return real(model, T, seed)
 
     monkeypatch.setattr(cli, "simulate", flaky)
-    for workers in (1, 2):
-        assert run_experiment(tmp_path / f"w{workers}", workers) == 0
-    for name in ("replications.csv", "summary.csv", "ccf_mean.csv"):
-        assert read_bytes(tmp_path / "w1" / name) == read_bytes(tmp_path / "w2" / name)
-    _, reps = read_csv(tmp_path / "w1" / "replications.csv")
+    argv = ["experiment", "--model", "model1", "--T", "2000", "--reps", "3", "--seed", "42",
+            "--estimators", "dfa,dcca,hxa,ccf"]
+    runs = experiment_runs(tmp_path, monkeypatch, argv, 2000)
+    assert all(files == runs[1, None] for files in runs.values())
+    _, reps = read_csv(tmp_path / "w1-capNone" / "replications.csv")
     failed = [r for r in reps if r[0] == "1"]
     assert [(r[2], r[3]) for r in failed] == [
         ("dfa", "hx"), ("dfa", "hy"), ("dcca", "hxy"), ("hxa", "hxy"), ("ccf", "rho"),
@@ -845,10 +899,10 @@ def test_experiment_failed_simulation_becomes_failed_rows(tmp_path, monkeypatch)
     assert all(r[1] == "43" and r[4:] == ["failed", "", "", "0", "simulation blew up"]
                for r in failed)
     assert {r[0] for r in reps if r[4] == "ok"} == {"0", "2"}
-    _, summary = read_csv(tmp_path / "w1" / "summary.csv")
+    _, summary = read_csv(tmp_path / "w1-capNone" / "summary.csv")
     assert len(summary) == 4 and all(row[2] == "2" for row in summary)
     # the CCF mean is over the two replications that ran
-    _, ccf = read_csv(tmp_path / "w1" / "ccf_mean.csv")
+    _, ccf = read_csv(tmp_path / "w1-capNone" / "ccf_mean.csv")
     lag0 = [sample_ccf(s.x, s.y, 100)[100] for s in (real(model1(), 2000, seed) for seed in (42, 44))]
     assert float(ccf[100][1]) == pytest.approx(np.mean(lag0), rel=1e-11)
 
@@ -955,7 +1009,7 @@ def test_experiment_workers_validated_and_clamped(tmp_path, monkeypatch, capsys)
         assert "workers" in capsys.readouterr().err
         assert not out.exists()
 
-    # a pool is never asked for more processes than replications or cores
+    # a pool is never asked for more processes than chunks of replications or cores
     started = []
 
     class FakePool:
@@ -977,7 +1031,8 @@ def test_experiment_workers_validated_and_clamped(tmp_path, monkeypatch, capsys)
         out = tmp_path / f"w{i}"
         assert main(base + ["--reps", reps, "--workers", workers, "--output", str(out)]) == 0
         assert (out / "summary.csv").exists()
-    assert started == [3, 8, 2]  # one replication runs without a pool
+    # 10 replications on 8 workers are 5 chunks of 2, and one replication runs without a pool
+    assert started == [3, 5, 2]
 
 
 def test_experiment_rejects_empty_estimators(tmp_path, capsys):
@@ -1117,24 +1172,43 @@ def test_unreadable_config_file_is_a_config_error(tmp_path, capsys, kind):
     assert not out.exists()
 
 
-def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # hxa and sample_ccf reduce in numpy's own loop: a BLAS dot product
-    # splits a sum of more than about 1e4 terms across its threads, and
-    # its last bits, and some 12-digit cells, then follow the thread count
+def runs_at_blas_threads(tmp_path, argv):
+    """(stdout, {file name: bytes}) of the CLI call argv, run in a fresh
+    interpreter from tmp_path into "out" at 1 and at 2 BLAS threads."""
     src = str(Path(crossarfima.__file__).resolve().parents[1])
-    argv = ["experiment", "--model", "model1", "--T", "50000", "--reps", "2", "--seed", "1",
-            "--estimators", "hxa,ccf", "--output", "out"]
     runs = []
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         run_dir = tmp_path / f"threads{threads}"
         run_dir.mkdir()
-        proc = subprocess.run([sys.executable, "-m", "crossarfima.cli", *argv],
+        proc = subprocess.run([sys.executable, "-m", "crossarfima.cli", *argv, "--output", "out"],
                               cwd=run_dir, capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         runs.append((proc.stdout, {p.name: read_bytes(p) for p in sorted((run_dir / "out").iterdir())}))
+    return runs
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # hxa and sample_ccf reduce in numpy's own loop: a BLAS dot product
+    # splits a sum of more than about 1e4 terms across its threads, and
+    # its last bits, and some 12-digit cells, then follow the thread count
+    argv = ["experiment", "--model", "model1", "--T", "50000", "--reps", "2", "--seed", "1",
+            "--estimators", "hxa,ccf"]
+    runs = runs_at_blas_threads(tmp_path, argv)
     assert list(runs[0][1]) == ["ccf_mean.csv", "replications.csv", "summary.csv"]
+    assert runs[0] == runs[1]
+
+
+def test_dfa_and_dcca_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the projections of a stack of 2 pairs are BLAS matmuls, run pair by
+    # pair, that split no sum across threads; the sums of products reduce
+    # in np.einsum
+    argv = ["experiment", "--model", "model1", "--T", "50000", "--reps", "2", "--seed", "1",
+            "--estimators", "dfa,dcca", "--workers", "1"]
+    assert cli.STACK_ROWS // 50_000 == 2
+    runs = runs_at_blas_threads(tmp_path, argv)
+    assert list(runs[0][1]) == ["replications.csv", "summary.csv"]
     assert runs[0] == runs[1]
 
 

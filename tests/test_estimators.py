@@ -21,6 +21,7 @@ from crossarfima.estimators import (
     hxa,
     ols,
     sample_ccf,
+    stacked_fluctuations,
 )
 from crossarfima.models import PRESETS, ma_weights, simulate
 
@@ -297,6 +298,68 @@ def test_a_failed_series_fails_only_the_keys_that_use_it():
     assert set(fluctuations(x, y, hxa=wh, ccf=wc)) == {"hxa", "ccf"}
     assert set(fluctuations(x, dfa=w, dcca=w, hxa=wh, ccf=wc)) == {"x"}
     assert fluctuations(x, y) == {}
+
+
+def _assert_stacks_keep_each_pairs_bits(pairs, windows, seed=0):
+    # stacks of every size from 1 to len(pairs), each a random subset in a
+    # random order: each pair's result holds the bits and errors of its own call
+    alone = [fluctuations(x, y, **windows) for x, y in pairs]
+    rng = np.random.default_rng(seed)
+    for size in range(1, len(pairs) + 1):
+        picked = rng.permutation(len(pairs))[:size].tolist()
+        for i, got in zip(picked, stacked_fluctuations([pairs[i] for i in picked], **windows), strict=True):
+            assert got.keys() == alone[i].keys(), (picked, i)
+            for key, want in alone[i].items():
+                value = dict.__getitem__(got, key)
+                if isinstance(want, Exception):
+                    assert (type(value), str(value)) == (type(want), str(want)), (picked, i, key)
+                elif isinstance(want, FluctuationSeries):
+                    assert np.array_equal(value.scales, want.scales), (picked, i, key)
+                    assert np.array_equal(value.values, want.values), (picked, i, key)
+                else:
+                    assert np.array_equal(value, want), (picked, i, key)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize(
+    "dfa_window, dcca_window",
+    [({}, {}), ({"s_min": 11}, {"s_min": 11}), ({"s_min": 14, "step": 7}, {})],
+    ids=["g10", "g1", "dfa-g7-dcca-g10"],
+)
+def test_a_stack_keeps_each_pairs_bits(dfa_window, dcca_window, order):
+    # at g = 1 a box size's dot products run to T = 1e4 terms, beyond the
+    # 8,192 of numpy's buffer, past which np.einsum's row bits follow the
+    # number of rows it reduces
+    T = 10_000
+    cfg = default_config(t=T)
+    wd = {**cfg.window("dfa"), **dfa_window, "detrend_order": order}
+    wc = {**cfg.window("dcca"), **dcca_window, "detrend_order": order}
+    if dfa_window.get("s_min") == 11:
+        assert (T // 11) * 11 > np.getbufsize()
+    pairs = [(s.x, s.y) for s in (simulate(PRESETS["model2"](), T, seed) for seed in range(5))]
+    _assert_stacks_keep_each_pairs_bits(pairs, dict(dfa=wd, dcca=wc))
+
+
+def test_a_failed_series_in_a_stack_fails_only_its_own_keys():
+    # DFA on base boxes of 7 points, DCCA of 10: the pair whose y fails
+    # keeps only DFA of x, and takes no base boxes of 10 points
+    T = 3000
+    cfg = default_config(t=T)
+    windows = dict(dfa={**cfg.window("dfa"), "s_min": 14, "step": 7}, dcca=cfg.window("dcca"),
+                   hxa=cfg.window("hxa"), ccf=cfg.window("ccf"))
+    pairs = [(s.x.copy(), s.y.copy()) for s in (simulate(PRESETS["model1"](), T, seed) for seed in range(5))]
+    pairs[1][1][100] = np.nan
+    pairs[2][0][5] = np.inf
+    pairs[3][0][0] = pairs[3][1][0] = np.nan
+    _assert_stacks_keep_each_pairs_bits(pairs, windows)
+    got = stacked_fluctuations(pairs, **windows)
+    failed = [{key for key, value in result.items() if isinstance(value, Exception)} for result in got]
+    assert failed == [set(), {"y", "xy", "hxa", "ccf"}, {"x", "xy", "hxa", "ccf"}, {"x", "y", "xy", "hxa", "ccf"}, set()]
+    with pytest.raises(ValueError, match="^y contains non-finite values$"):
+        got[1]["xy"]
+    # the pairs of a stack share one length
+    with pytest.raises(ValueError, match="equal length"):
+        stacked_fluctuations([pairs[0], (pairs[4][0][:-1], pairs[4][1][:-1])], **windows)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])

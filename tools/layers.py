@@ -5,18 +5,24 @@ draw, ``simulate`` (a later draw, which
 finds its weight spectra cached by the warm-up, and a first draw, which
 clears that cache before each call and builds them), ``dfa``, ``dcca``,
 the pair pass (``fluctuations`` with the dfa and dcca windows: the
-DFA/DCCA part of the CLI's one pass per pair, which gives DFA of x and
-of y and DCCA of the pair in one loop; a later call, which finds its
-coefficients kept, and a first call, which clears them before each
-call; and a later call with both windows at s_min = 11, whose box sizes
-share no factor, so that its base boxes are single points, g = 1),
-``hxa`` and ``sample_ccf``, plus the write and the
+DFA/DCCA part of the CLI's pass, which gives DFA of x and of y and DCCA
+of the pair in one loop; a later call, which finds its coefficients
+kept, and a first call, which clears them before each call; and a later
+call with both windows at s_min = 11, whose box sizes share no factor,
+so that its base boxes are single points, g = 1), the same pass on a
+stack of 10 pairs (``stacked_fluctuations`` of 10 draws, as an
+``experiment`` job runs its chunk of replications, reported per pair
+and timed in turns with the later single-pair call, so that a drift in
+the machine's speed reaches both alike), ``hxa`` and ``sample_ccf``,
+plus the write and the
 read of one series file as the CLI does them, a ``simulate`` CLI call of
 4 replications and an ``estimate --estimators hxa,ccf`` CLI call on its
 4 files, each run serially and on the process pool (the pool rows only
 where at least 2 CPUs are usable; the serial and the pooled call take
-turns in one timing loop, so that a drift in the machine's speed reaches
-both alike), and the pooled ``estimate`` once more
+turns in one timing loop), at T = 1e4 only an ``experiment`` CLI call of
+10 replications with all four estimators, on 1 worker (one stack of 10)
+and on 2 (two stacks of 5), taking turns in the same way, and the pooled
+``estimate`` once more
 in a fresh interpreter at the default BLAS threads, where pool children
 that each ran a multi-threaded BLAS call on the same cores would show.
 Every timing is of model1 with fixed seeds, estimator windows are the
@@ -44,7 +50,7 @@ model2 ``simulate``, in a fresh interpreter for each call that reads its
 own peak resident MB after the draw, as the start-up row does.
 
 Run from the repository root; it times the ``src/`` tree beside this
-directory and takes well under a minute on a 2-core VM:
+directory and takes about a minute and a half on a 2-core VM:
 
     python tools/layers.py --output layers.json
 """
@@ -77,7 +83,16 @@ import numpy as np  # noqa: E402
 import crossarfima  # noqa: E402
 from crossarfima import cli  # noqa: E402
 from crossarfima.config import default_config  # noqa: E402
-from crossarfima.estimators import _grid, _window_coefficients, dcca, dfa, fluctuations, hxa, sample_ccf  # noqa: E402
+from crossarfima.estimators import (  # noqa: E402
+    _grid,
+    _window_coefficients,
+    dcca,
+    dfa,
+    fluctuations,
+    hxa,
+    sample_ccf,
+    stacked_fluctuations,
+)
 from crossarfima.innovations import sample  # noqa: E402
 from crossarfima.models import _weight_spectrum, model1, simulate, theoretical_ccf, weight_spectra  # noqa: E402
 
@@ -92,6 +107,8 @@ RUNS = 7
 CCF_LAGS = (100, 1000)
 # replications of the simulate CLI rows, and files of the estimate CLI rows
 SIM_REPS = 4
+# pairs of the stacked pass row, and replications of the experiment CLI rows (at SIZES[0] only)
+STACK = 10
 # a CLI call's start: import the CLI and build its config (as perfbench's
 # setup_s does), then print the peak resident set in KiB
 STARTUP = (
@@ -214,7 +231,6 @@ def layer_rows(T: int, workdir: str) -> dict:
         "dfa": lambda: dfa(x, **cfg.window("dfa")),
         "dcca": lambda: dcca(x, y, **cfg.window("dcca")),
         "pair pass (g = 1)": lambda: fluctuations(x, y, dfa=cfg.window("dfa") | G1, dcca=cfg.window("dcca") | G1),
-        "pair pass": lambda: fluctuations(x, y, dfa=cfg.window("dfa"), dcca=cfg.window("dcca")),
         "pair pass (first call)": lambda: (
             _window_coefficients.cache_clear(), fluctuations(x, y, dfa=cfg.window("dfa"), dcca=cfg.window("dcca"))
         ),
@@ -224,12 +240,26 @@ def layer_rows(T: int, workdir: str) -> dict:
         "csv read": lambda: cli._load_series_file(path),
     }
     rows = {name: _time(call) for name, call in calls.items()}
+    windows = {"dfa": cfg.window("dfa"), "dcca": cfg.window("dcca")}
+    pairs = [(s.x, s.y) for s in (simulate(model, T, SEED + r) for r in range(STACK))]
+    stacked = f"pair pass, stack of {STACK} (per pair)"
+    rows.update(_time_turns({
+        "pair pass": lambda: fluctuations(x, y, **windows),
+        stacked: lambda: stacked_fluctuations(pairs, **windows),
+    }))  # fmt: skip
+    rows[stacked] = {name: ms / STACK for name, ms in rows[stacked].items()}
+    del pairs
     pooled = cli._usable_cpus() >= 2
     # the estimate rows read the files that the simulate rows write
     cli_calls = {
         f"simulate CLI, {SIM_REPS} reps": lambda pool: _simulate_cli(T, workdir, pool),
         f"estimate CLI, {SIM_REPS} files": lambda pool: _cli(_estimate_argv(workdir), pool),
     }
+    if T == SIZES[0]:
+        cli_calls[f"experiment CLI, {STACK} reps"] = lambda pool: _cli(
+            ["experiment", "--model", "model1", "--T", str(T), "--reps", str(STACK), "--seed", str(SEED),
+             "--workers", "2" if pool else "1", "--output", os.path.join(workdir, "exp")], pool
+        )  # fmt: skip
     for name, call in cli_calls.items():
         turns = {f"{name}, serial": functools.partial(call, False)}
         if pooled:
