@@ -202,7 +202,7 @@ def _simulate_worker(job: tuple[ExperimentConfig, int, int]) -> str:
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     _ensure_outdir(cfg)
     workers = _pool_workers(cfg.replications, cfg.replications * cfg.T)
-    # built before a pool forks, so that no child builds them again
+    # built here, before _pool forks its children, so that no child builds them again
     weight_spectra(cfg.model, cfg.T)
     jobs = [(cfg, rep, seed) for rep, seed in enumerate(cfg.seeds())]
     for path in _map_replications(_simulate_worker, jobs, workers):
@@ -305,30 +305,19 @@ def cmd_theory(cfg: ExperimentConfig, spectrum_points: int) -> int:
     return 0
 
 
-class ProcessPoolExecutor:
-    """concurrent.futures.ProcessPoolExecutor, loaded when the first pool is made.
+def _pool(workers: int):
+    """A ProcessPoolExecutor of workers processes; only a run that makes one loads its modules.
 
-    Only experiment --workers > 1 and a simulate, estimate or experiment
-    without --workers large enough to gain from one (_pool_workers) fork
-    a pool, so no other run pays the time and memory of importing
-    concurrent.futures.process and multiprocessing.  It stays a class of
-    this module, so that a caller can subclass it or swap in another.
+    On Linux it forks, whatever Python's default start method, so that its
+    children start fast and inherit what the parent built, such as the
+    weight spectra.  Elsewhere it takes the platform's default: macOS
+    advises against fork, and Windows has none.
     """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    def __init__(self, max_workers):
-        from concurrent.futures import ProcessPoolExecutor
-
-        self._executor = ProcessPoolExecutor(max_workers)
-
-    def __enter__(self):
-        self._executor.__enter__()
-        return self
-
-    def __exit__(self, *exc):
-        return self._executor.__exit__(*exc)
-
-    def map(self, fn, jobs):
-        return self._executor.map(fn, jobs)
+    context = multiprocessing.get_context("fork") if sys.platform.startswith("linux") else None
+    return ProcessPoolExecutor(workers, mp_context=context)
 
 
 def _usable_cpus() -> int:
@@ -349,13 +338,19 @@ def _pool_workers(jobs: int, rows: int) -> int:
 def _map_replications(worker, jobs, workers: int):
     """worker over jobs, yielding each result in job order as it arrives.
 
-    More than one worker runs the jobs on a ProcessPoolExecutor of that
-    many processes, open until the last result is taken; one runs them
-    here.  A job that raises raises here, at its place in the order.
+    More than one worker runs the jobs on a _pool of that many processes,
+    open until the last result is taken; one runs them here.  A job that
+    raises raises here, at its place in the order, and a worker process
+    that dies (killed, or out of memory) raises a CrossArfimaError.
     """
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(worker, jobs)
+        from concurrent.futures import BrokenExecutor
+
+        try:
+            with _pool(workers) as pool:
+                yield from pool.map(worker, jobs)
+        except BrokenExecutor as e:
+            raise CrossArfimaError(str(e)) from None
     else:
         yield from map(worker, jobs)
 
@@ -373,10 +368,10 @@ def cmd_experiment(cfg: ExperimentConfig, workers: int | None) -> int:
     elif workers < 1:
         raise ConfigError(f"workers: must be >= 1, got {workers}")
     outdir = _ensure_outdir(cfg)
-    weight_spectra(cfg.model, cfg.T)  # before a pool forks, so no child builds them
+    weight_spectra(cfg.model, cfg.T)  # before _pool forks its children, so no child builds them
     seeds = cfg.seeds()
     # a job is a chunk of seeds, as many as the workers share out, of STACK_ROWS series rows at most;
-    # a fork pool starts all max_workers processes at the first submit
+    # a forking pool starts all its processes at the first submit
     workers = min(workers, _usable_cpus())
     size = min(-(-len(seeds) // workers), max(1, STACK_ROWS // cfg.T))
     chunks = [(cfg, seeds[i : i + size]) for i in range(0, len(seeds), size)]

@@ -366,7 +366,7 @@ def weight_spectra(model: ModelSpec, T: int):
     """(M, nfft, terms) of a length-T draw: the MA cut M = max(T, 10000),
     the FFT length nfft >= T + M, and (stream, component, weight spectrum
     or None for white) per component of non-zero weight.  The spectra are
-    cached, so a call before a pool forks builds them for every child."""
+    cached, so a call before cli._pool forks builds them for every child."""
     M = max(T, DEFAULT_SIM_TRUNCATION)
     nfft = _smooth_length(T + M)
     terms = [
@@ -395,7 +395,7 @@ def simulate(model: ModelSpec, T: int, seed: int) -> BivariateSeries:
 
     x, y = np.zeros(T), np.zeros(T)
     acc, f = np.empty((2, nfft // 2 + 1), dtype=complex)
-    r = np.empty(nfft)
+    r = f.view(float)[:nfft]  # f's memory, free once its product is in acc: a white product, the irfft
     for s, side in enumerate((x, y)):
         acc[:] = 0.0
         for i, c, spectrum in (term for term in terms if term[0] // 2 == s):

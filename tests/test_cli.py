@@ -1,10 +1,12 @@
 """End-to-end command line runs: files written, exit codes, determinism."""
 
+import contextlib
 import csv
 import os
 import shutil
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -81,17 +83,16 @@ def simulate_in(run_dir, capsys, T, reps):
     return run_in(run_dir, capsys, argv, "sims")
 
 
+def inline_pool(workers):
+    """A stand-in for cli._pool that runs its jobs in this process."""
+    return contextlib.nullcontext(types.SimpleNamespace(map=map))
+
+
 @pytest.fixture
 def pools(monkeypatch):
-    """The max_workers of each pool cli makes, with 2 usable CPUs; the pools fork real processes."""
-    made = []
-
-    class CountedPool(cli.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            super().__init__(max_workers)
-            made.append(max_workers)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountedPool)
+    """The workers of each pool cli._pool makes, with 2 usable CPUs; the pools fork real processes."""
+    made, pool = [], cli._pool
+    monkeypatch.setattr(cli, "_pool", lambda workers: made.append(workers) or pool(workers))
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     return made
 
@@ -144,6 +145,36 @@ def test_simulate_failed_draw_in_a_worker_exits_2(tmp_path, monkeypatch, capsys)
     assert files2["series_r0000.csv"] == files["series_r0000.csv"]
 
 
+@pytest.mark.parametrize("command", ["simulate", "estimate", "experiment"])
+def test_a_worker_process_that_dies_exits_2(tmp_path, monkeypatch, capsys, command):
+    # a pool child that dies in a job (by os._exit here, as when the kernel
+    # kills one that runs out of memory) ends the run with exit 2 and one
+    # error line, as a job that raises does, not with a traceback
+    parent = os.getpid()
+
+    def die():
+        assert os.getpid() != parent, "the job ran in the parent"
+        os._exit(9)
+
+    argv = [command, "--output", str(tmp_path / "out")]
+    if command == "estimate":
+        files = simulate_files(tmp_path, T=300, reps=3)
+        load = cli._load_series_file
+        monkeypatch.setattr(cli, "_load_series_file", lambda path: die() if path == files[1] else load(path))
+        argv += ["--estimators", "hxa", *files]
+    else:
+        real = cli.simulate
+        monkeypatch.setattr(cli, "simulate", lambda model, T, seed: die() if seed == 43 else real(model, T, seed))
+        argv += ["--model", "model1", "--T", "300", "--reps", "4", "--seed", "42"]
+        argv += ["--estimators", "hxa", "--workers", "2"] if command == "experiment" else []
+    monkeypatch.setattr(cli, "POOL_ROWS", 0)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def pooled_draw_misses(tmp_path, monkeypatch, argv):
     """Run argv on a 2-worker pool with cli.simulate counted: each draw's
     (process, weight spectrum cache misses), in seed order from 42."""
@@ -182,6 +213,28 @@ def test_experiment_pool_children_find_their_weight_spectra_built(tmp_path, monk
     assert os.getpid() not in {pid for pid, _ in draws}
     assert [misses for _, misses in draws] == [0, 0, 0, 0]
     assert models._weight_spectrum.cache_info().misses == 2
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="pools fork on Linux only")
+@pytest.mark.parametrize("method", ["forkserver", "spawn"])
+def test_pools_fork_whatever_the_default_start_method(tmp_path, method):
+    # Python 3.14 makes forkserver the default on Linux.  cli's pool forks all
+    # the same, so the tests that rest on fork pass in a process whose default
+    # is another method: pooled runs write the serial run's bytes, and their
+    # children see this process's patched simulate and find its spectra built
+    tests = ["test_simulate_pool_gate_and_results", "test_experiment_worker_count_does_not_change_results",
+             "test_simulate_pool_children_find_their_weight_spectra_built",
+             "test_experiment_pool_children_find_their_weight_spectra_built"]  # fmt: skip
+    src = str(Path(crossarfima.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = "import multiprocessing, sys, pytest\n" \
+           "multiprocessing.set_start_method(sys.argv[1], force=True)\n" \
+           "sys.exit(pytest.main(sys.argv[2:]))\n"  # fmt: skip
+    proc = subprocess.run([sys.executable, "-c", code, method, "-q", "-p", "no:cacheprovider",
+                           f"--basetemp={tmp_path / 'inner'}", *(f"{__file__}::{name}" for name in tests)],
+                          capture_output=True, text=True, env=env)  # fmt: skip
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "4 passed" in proc.stdout
 
 
 def test_usable_cpus_is_the_affinity_mask(monkeypatch):
@@ -652,20 +705,7 @@ def test_the_fluctuation_pass_runs_once_per_chunk_and_only_where_asked(tmp_path,
         assert calls == [(3, want)], estimators
 
     # a chunk holds STACK_ROWS series rows at most, and the workers share the replications out
-    class InlinePool:
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli, "_pool", inline_pool)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     for reps, workers, stack_rows, want in ((3, 1, 2000, [2, 1]), (5, 2, 10**5, [3, 2]), (5, 2, 1000, [1] * 5),
                                             (5, 2, 999, [1] * 5), (1, 2, 10**5, [1])):
@@ -1012,20 +1052,7 @@ def test_experiment_workers_validated_and_clamped(tmp_path, monkeypatch, capsys)
     # a pool is never asked for more processes than chunks of replications or cores
     started = []
 
-    class FakePool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli, "_pool", lambda workers: started.append(workers) or inline_pool(workers))
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
     for i, (workers, reps) in enumerate((("500", "3"), ("500", "10"), ("2", "10"), ("8", "1"))):
         out = tmp_path / f"w{i}"
