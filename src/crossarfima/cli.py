@@ -202,7 +202,7 @@ def _simulate_worker(job: tuple[ExperimentConfig, int, int]) -> str:
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     _ensure_outdir(cfg)
     workers = _pool_workers(cfg.replications, cfg.replications * cfg.T)
-    # built here, before _pool forks its children, so that no child builds them again
+    # built before a pool forks, so that no child builds them again
     weight_spectra(cfg.model, cfg.T)
     jobs = [(cfg, rep, seed) for rep, seed in enumerate(cfg.seeds())]
     for path in _map_replications(_simulate_worker, jobs, workers):
@@ -305,19 +305,41 @@ def cmd_theory(cfg: ExperimentConfig, spectrum_points: int) -> int:
     return 0
 
 
-def _pool(workers: int):
-    """A ProcessPoolExecutor of workers processes; only a run that makes one loads its modules.
-
-    On Linux it forks, whatever Python's default start method, so that its
-    children start fast and inherit what the parent built, such as the
-    weight spectra.  Elsewhere it takes the platform's default: macOS
-    advises against fork, and Windows has none.
-    """
+def _pool_context():
+    """multiprocessing's fork context wherever there is one but on macOS,
+    which advises against it, else its default: forked pool children start
+    fast and inherit what the parent built, such as the weight spectra,
+    whatever Python's default start method (forkserver from 3.14)."""
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
 
-    context = multiprocessing.get_context("fork") if sys.platform.startswith("linux") else None
-    return ProcessPoolExecutor(workers, mp_context=context)
+    fork = sys.platform != "darwin" and "fork" in multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if fork else None)
+
+
+class ProcessPoolExecutor:
+    """concurrent.futures.ProcessPoolExecutor on _pool_context(), loaded when the first pool is made.
+
+    Only experiment --workers > 1 and a simulate, estimate or experiment
+    without --workers large enough to gain from one (_pool_workers) fork
+    a pool, so no other run pays the time and memory of importing
+    concurrent.futures.process and multiprocessing.  It stays a class of
+    this module, so that a caller can subclass it or swap in another.
+    """
+
+    def __init__(self, max_workers):
+        from concurrent.futures import ProcessPoolExecutor
+
+        self._executor = ProcessPoolExecutor(max_workers, mp_context=_pool_context())
+
+    def __enter__(self):
+        self._executor.__enter__()
+        return self
+
+    def __exit__(self, *exc):
+        return self._executor.__exit__(*exc)
+
+    def map(self, fn, jobs):
+        return self._executor.map(fn, jobs)
 
 
 def _usable_cpus() -> int:
@@ -338,16 +360,17 @@ def _pool_workers(jobs: int, rows: int) -> int:
 def _map_replications(worker, jobs, workers: int):
     """worker over jobs, yielding each result in job order as it arrives.
 
-    More than one worker runs the jobs on a _pool of that many processes,
-    open until the last result is taken; one runs them here.  A job that
-    raises raises here, at its place in the order, and a worker process
-    that dies (killed, or out of memory) raises a CrossArfimaError.
+    More than one worker runs the jobs on a ProcessPoolExecutor of that
+    many processes, open until the last result is taken; one runs them
+    here.  A job that raises raises here, at its place in the order, and
+    a worker process that dies (killed, out of memory) raises a
+    CrossArfimaError.
     """
     if workers > 1:
         from concurrent.futures import BrokenExecutor
 
         try:
-            with _pool(workers) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 yield from pool.map(worker, jobs)
         except BrokenExecutor as e:
             raise CrossArfimaError(str(e)) from None
@@ -368,10 +391,10 @@ def cmd_experiment(cfg: ExperimentConfig, workers: int | None) -> int:
     elif workers < 1:
         raise ConfigError(f"workers: must be >= 1, got {workers}")
     outdir = _ensure_outdir(cfg)
-    weight_spectra(cfg.model, cfg.T)  # before _pool forks its children, so no child builds them
+    weight_spectra(cfg.model, cfg.T)  # before a pool forks, so no child builds them
     seeds = cfg.seeds()
     # a job is a chunk of seeds, as many as the workers share out, of STACK_ROWS series rows at most;
-    # a forking pool starts all its processes at the first submit
+    # a fork pool starts all max_workers processes at the first submit
     workers = min(workers, _usable_cpus())
     size = min(-(-len(seeds) // workers), max(1, STACK_ROWS // cfg.T))
     chunks = [(cfg, seeds[i : i + size]) for i in range(0, len(seeds), size)]

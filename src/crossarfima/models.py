@@ -366,7 +366,7 @@ def weight_spectra(model: ModelSpec, T: int):
     """(M, nfft, terms) of a length-T draw: the MA cut M = max(T, 10000),
     the FFT length nfft >= T + M, and (stream, component, weight spectrum
     or None for white) per component of non-zero weight.  The spectra are
-    cached, so a call before cli._pool forks builds them for every child."""
+    cached, so a call before a pool forks builds them for every child."""
     M = max(T, DEFAULT_SIM_TRUNCATION)
     nfft = _smooth_length(T + M)
     terms = [

@@ -1,12 +1,10 @@
 """End-to-end command line runs: files written, exit codes, determinism."""
 
-import contextlib
 import csv
 import os
 import shutil
 import subprocess
 import sys
-import types
 import warnings
 from pathlib import Path
 
@@ -83,16 +81,17 @@ def simulate_in(run_dir, capsys, T, reps):
     return run_in(run_dir, capsys, argv, "sims")
 
 
-def inline_pool(workers):
-    """A stand-in for cli._pool that runs its jobs in this process."""
-    return contextlib.nullcontext(types.SimpleNamespace(map=map))
-
-
 @pytest.fixture
 def pools(monkeypatch):
-    """The workers of each pool cli._pool makes, with 2 usable CPUs; the pools fork real processes."""
-    made, pool = [], cli._pool
-    monkeypatch.setattr(cli, "_pool", lambda workers: made.append(workers) or pool(workers))
+    """The max_workers of each pool cli makes, with 2 usable CPUs; the pools fork real processes."""
+    made = []
+
+    class CountedPool(cli.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers)
+            made.append(max_workers)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountedPool)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     return made
 
@@ -215,11 +214,11 @@ def test_experiment_pool_children_find_their_weight_spectra_built(tmp_path, monk
     assert models._weight_spectrum.cache_info().misses == 2
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="pools fork on Linux only")
+@pytest.mark.skipif(cli._pool_context().get_start_method() != "fork", reason="pools fork here only where they may")
 @pytest.mark.parametrize("method", ["forkserver", "spawn"])
 def test_pools_fork_whatever_the_default_start_method(tmp_path, method):
-    # Python 3.14 makes forkserver the default on Linux.  cli's pool forks all
-    # the same, so the tests that rest on fork pass in a process whose default
+    # Python 3.14 makes forkserver the default on Linux and other POSIX systems
+    # but macOS.  cli's pool forks all the same, so the tests that rest on fork pass in a process whose default
     # is another method: pooled runs write the serial run's bytes, and their
     # children see this process's patched simulate and find its spectra built
     tests = ["test_simulate_pool_gate_and_results", "test_experiment_worker_count_does_not_change_results",
@@ -705,7 +704,20 @@ def test_the_fluctuation_pass_runs_once_per_chunk_and_only_where_asked(tmp_path,
         assert calls == [(3, want)], estimators
 
     # a chunk holds STACK_ROWS series rows at most, and the workers share the replications out
-    monkeypatch.setattr(cli, "_pool", inline_pool)
+    class InlinePool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     for reps, workers, stack_rows, want in ((3, 1, 2000, [2, 1]), (5, 2, 10**5, [3, 2]), (5, 2, 1000, [1] * 5),
                                             (5, 2, 999, [1] * 5), (1, 2, 10**5, [1])):
@@ -1052,7 +1064,20 @@ def test_experiment_workers_validated_and_clamped(tmp_path, monkeypatch, capsys)
     # a pool is never asked for more processes than chunks of replications or cores
     started = []
 
-    monkeypatch.setattr(cli, "_pool", lambda workers: started.append(workers) or inline_pool(workers))
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
     for i, (workers, reps) in enumerate((("500", "3"), ("500", "10"), ("2", "10"), ("8", "1"))):
         out = tmp_path / f"w{i}"

@@ -156,7 +156,7 @@ def calls() -> list[list[str]]:
                     "--estimators", ALL_ESTIMATORS, "--output", f"exp-{m}-300"])
     out += [
         # the inline model's first draws, on the pool, from weight spectra
-        # that this process builds before cli._pool forks
+        # that this process builds before it forks
         ["experiment", "--config", INLINE_CONFIG, "--reps", "2", "--T", "1000", "--workers", "2",
          "--output", "exp-inline-w2"],
         ["simulate", "--config", INLINE_CONFIG, "--T", "1000", "--reps", "2", "--output", "sim-inline"],

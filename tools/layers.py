@@ -34,10 +34,11 @@ grid's coefficients (``estimators._window_coefficients``, 0 where the
 grid is too large to keep) and the model's weight spectra
 (``models._weight_spectrum``).  Two
 last rows time what a pool costs and what every CLI call pays: a
-2-worker ``cli._pool`` started (by one no-op job per worker) and shut
-down, named with the start method it used, and the start-up of a fresh
-interpreter that imports ``crossarfima.cli`` and builds one config, with
-its peak resident MB (``VmHWM``, which, unlike ``ru_maxrss``, a child does not
+2-worker ``cli.ProcessPoolExecutor`` started (by one no-op job per
+worker) and shut down, named with its start method
+(``cli._pool_context``), and the start-up of a fresh interpreter that
+imports ``crossarfima.cli`` and builds one config, with its peak
+resident MB (``VmHWM``, which, unlike ``ru_maxrss``, a child does not
 inherit from the process that started it).  Together with the serial and
 pooled CLI rows they give the break-even of ``cli.POOL_ROWS`` on the
 machine at hand; these last rows and ``theoretical_ccf`` (at L = 100 and
@@ -209,11 +210,10 @@ def pooled_unpinned_row(workdir: str) -> dict:
     return {"median_ms": 1e3 * statistics.median(times), "best_ms": 1e3 * min(times)}
 
 
-def _pool_start() -> str:
-    """A 2-worker cli._pool, started by one no-op job per worker, and shut down; its start method."""
-    with cli._pool(2) as pool:
+def _pool_start() -> None:
+    """A 2-worker cli.ProcessPoolExecutor, started by one no-op job per worker, and shut down."""
+    with cli.ProcessPoolExecutor(2) as pool:
         list(pool.map(abs, (0, 0)))
-    return pool._mp_context.get_start_method()
 
 
 def layer_rows(T: int, workdir: str) -> dict:
@@ -361,7 +361,9 @@ def main(argv=None) -> int:
     result["layers"]["theoretical_ccf"] = {
         f"L={L}": _time(lambda: theoretical_ccf(model1(), max_lag=L)) for L in CCF_LAGS
     }
-    result["layers"]["process pool"] = {f"2 workers, start + stop ({_pool_start()})": _time(_pool_start)}
+    result["layers"]["process pool"] = {
+        f"2 workers, start + stop ({cli._pool_context().get_start_method()})": _time(_pool_start)
+    }
     result["layers"]["start-up"] = {"import cli + config": startup_row()}
     result["layers"][f"T={LARGE_T}"] = {**large_rows(), "model2 simulate, fresh interpreter": large_draw_row()}
     result["total_s"] = time.perf_counter() - started
