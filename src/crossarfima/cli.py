@@ -202,7 +202,7 @@ def _simulate_worker(job: tuple[ExperimentConfig, int, int]) -> str:
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     _ensure_outdir(cfg)
     workers = _pool_workers(cfg.replications, cfg.replications * cfg.T)
-    # built before a pool forks, so that no child builds them again
+    # spectra built and numpy.random loaded before a pool forks, so that no child builds or imports them
     weight_spectra(cfg.model, cfg.T)
     jobs = [(cfg, rep, seed) for rep, seed in enumerate(cfg.seeds())]
     for path in _map_replications(_simulate_worker, jobs, workers):
@@ -391,7 +391,7 @@ def cmd_experiment(cfg: ExperimentConfig, workers: int | None) -> int:
     elif workers < 1:
         raise ConfigError(f"workers: must be >= 1, got {workers}")
     outdir = _ensure_outdir(cfg)
-    weight_spectra(cfg.model, cfg.T)  # before a pool forks, so no child builds them
+    weight_spectra(cfg.model, cfg.T)  # before a pool forks, so no child builds them or imports numpy.random
     seeds = cfg.seeds()
     # a job is a chunk of seeds, as many as the workers share out, of STACK_ROWS series rows at most;
     # a fork pool starts all max_workers processes at the first submit

@@ -384,7 +384,11 @@ def dcca(
 def dfa(
     x, s_min: int = 10, s_max: int | None = None, step: int = 10, detrend_order: int = 1
 ) -> FluctuationSeries:
-    """Detrended fluctuation F^2(s): the x = y special case of dcca."""
+    """Detrended fluctuation F^2(s): the x = y special case of dcca.
+
+    s_max defaults to T//5, dcca's default.  The CLI's DFA default is
+    max(T//20, s_min + 3 step), since larger boxes drag the slope down;
+    config.default_config(t=T).window("dfa") gives that window."""
     return fluctuations(x, dfa=dict(s_min=s_min, s_max=s_max, step=step, detrend_order=detrend_order))["x"]
 
 

@@ -366,7 +366,13 @@ def weight_spectra(model: ModelSpec, T: int):
     """(M, nfft, terms) of a length-T draw: the MA cut M = max(T, 10000),
     the FFT length nfft >= T + M, and (stream, component, weight spectrum
     or None for white) per component of non-zero weight.  The spectra are
-    cached, so a call before a pool forks builds them for every child."""
+    cached, and the call loads numpy.random, which the draw uses: a call
+    before a pool forks gives both to every child, which then neither
+    builds a spectrum nor imports the module (an import that maps its
+    libraries again in each child).  Package import leaves numpy.random
+    unloaded, so a run that draws nothing does not pay for it."""
+    import numpy.random  # noqa: F401
+
     M = max(T, DEFAULT_SIM_TRUNCATION)
     nfft = _smooth_length(T + M)
     terms = [

@@ -16,6 +16,8 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
+
 import crossarfima
 
 PACKAGE_DIR = Path(crossarfima.__file__).resolve().parent
@@ -84,6 +86,26 @@ def test_only_a_process_pool_loads_its_modules(tmp_path):
     assert sorted(p.name for p in (tmp_path / "sims").iterdir()) == ["series_r0000.csv", "series_r0001.csv"]
     assert (tmp_path / "est" / "estimates.csv").read_text().count(",ok,") == 2
     assert (tmp_path / "exp" / "replications.csv").read_text().count(",ok,") == 3
+
+
+def test_only_the_draw_set_up_loads_numpy_random(tmp_path):
+    # weight_spectra, which simulate and experiment call before a pool forks,
+    # loads numpy.random, so that every forked child inherits it rather than
+    # importing it; importing the CLI, a theory run and an estimate run leave
+    # it unloaded, so a CLI start and a run that draws nothing do not pay for it
+    t = np.arange(300)
+    np.savetxt(tmp_path / "series.csv", np.column_stack([t, np.sin(0.1 * t) + 0.01 * t, np.cos(0.07 * t)]),
+               delimiter=",")  # fmt: skip
+    theory = f"crossarfima.cli.main(['theory', '--model', 'model1', '--output', {str(tmp_path / 'th')!r}])"
+    estimate = (
+        "crossarfima.cli.main(['estimate', '--estimators', 'dfa,dcca,hxa,ccf',"
+        f" '--output', {str(tmp_path / 'est')!r}, {str(tmp_path / 'series.csv')!r}])"
+    )
+    for modules in (modules_loaded_by_cli_import(), modules_after(theory), modules_after(estimate)):
+        assert "numpy.random" not in modules
+    assert (tmp_path / "th" / "exponents.csv").exists()
+    assert (tmp_path / "est" / "estimates.csv").read_text().count(",ok,") == 4
+    assert "numpy.random" in modules_after("crossarfima.models.weight_spectra(crossarfima.models.model2(), 1000)")
 
 
 def test_all_lists_exactly_the_public_names():

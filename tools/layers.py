@@ -25,6 +25,11 @@ and on 2 (two stacks of 5), taking turns in the same way, and the pooled
 ``estimate`` once more
 in a fresh interpreter at the default BLAS threads, where pool children
 that each ran a multi-threaded BLAS call on the same cores would show.
+At T = 1e5 a pooled ``simulate`` CLI call of 4 model2 replications runs
+in a fresh interpreter for each call, which reads the peak resident MB
+of its largest pool child (``RUSAGE_CHILDREN``'s ``ru_maxrss``): what a
+forked child inherits from a parent that has drawn nothing, which an
+in-process row cannot show, as the rows before it have drawn.
 Every timing is of model1 with fixed seeds, estimator windows are the
 CLI's T-scaled defaults, and each row reports the median and the best of
 its runs after one untimed warm-up call.  BLAS runs on one thread,
@@ -128,6 +133,21 @@ LARGE_DRAW = (
     "seconds = time.perf_counter() - start\n"
     "with open('/proc/self/status') as f:\n"
     "    print(seconds, next(line.split()[1] for line in f if line.startswith('VmHWM:')))\n"
+)
+# a simulate CLI call of SIM_REPS model2 replications at T = argv[1], which
+# pools them where 2 CPUs are usable: prints the call's seconds and the peak
+# resident set in KiB of its largest pool child (RUSAGE_CHILDREN's ru_maxrss,
+# of the workers alone, as this interpreter starts no other child)
+POOLED_DRAW = (
+    "import contextlib, io, resource, sys, tempfile, time\n"
+    "from crossarfima import cli\n"
+    "with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):\n"
+    "    start = time.perf_counter()\n"
+    f"    argv = ['simulate', '--model', 'model2', '--T', sys.argv[1], '--reps', '{SIM_REPS}', '--seed', '{SEED}']\n"
+    "    if cli.main([*argv, '--output', out]) != 0:\n"
+    "        raise SystemExit(f'failed: {argv}')\n"
+    "    seconds = time.perf_counter() - start\n"
+    "print(seconds, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
 )
 # the CLI call of argv[2:] on the pool, once untimed and argv[1] times
 # timed; prints the timed calls' seconds
@@ -268,14 +288,16 @@ def layer_rows(T: int, workdir: str) -> dict:
         rows.update(_time_turns(turns))
     if pooled:
         rows[f"estimate CLI, {SIM_REPS} files, pool, default BLAS threads"] = pooled_unpinned_row(workdir)
+    if pooled and T == SIZES[1]:
+        rows[f"model2 simulate CLI, {SIM_REPS} reps, pool children"] = fresh_row(POOLED_DRAW, str(T))
     rows["csv write"]["bytes"] = os.path.getsize(path)
     return rows
 
 
-def _child(script: str) -> list[str]:
-    """The words that script prints, run in a fresh interpreter on this src/ tree."""
+def _child(script: str, *argv: str) -> list[str]:
+    """The words that script prints, run with argv in a fresh interpreter on this src/ tree."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, check=True, capture_output=True, text=True)
     return proc.stdout.split()
 
 
@@ -287,10 +309,10 @@ def startup_row() -> dict:
     return row
 
 
-def large_draw_row() -> dict:
-    """_time's figures for LARGE_DRAW's one draw, each in a fresh interpreter,
-    plus the median of those interpreters' peak resident MB."""
-    runs = [_child(LARGE_DRAW) for _ in range(1 + RUNS)][1:]
+def fresh_row(script: str, *argv: str) -> dict:
+    """_time's figures for the one call of script (LARGE_DRAW, POOLED_DRAW), each
+    in a fresh interpreter, plus the median of the peak resident MB it prints."""
+    runs = [_child(script, *argv) for _ in range(1 + RUNS)][1:]
     times = [float(seconds) for seconds, _ in runs]
     return {
         "median_ms": 1e3 * statistics.median(times),
@@ -365,7 +387,7 @@ def main(argv=None) -> int:
         f"2 workers, start + stop ({cli._pool_context().get_start_method()})": _time(_pool_start)
     }
     result["layers"]["start-up"] = {"import cli + config": startup_row()}
-    result["layers"][f"T={LARGE_T}"] = {**large_rows(), "model2 simulate, fresh interpreter": large_draw_row()}
+    result["layers"][f"T={LARGE_T}"] = {**large_rows(), "model2 simulate, fresh interpreter": fresh_row(LARGE_DRAW)}
     result["total_s"] = time.perf_counter() - started
 
     Path(args.output).write_text(json.dumps(result, indent=2) + "\n")
