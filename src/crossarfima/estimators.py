@@ -164,9 +164,15 @@ def _hxa(S: np.ndarray, xc: np.ndarray, yc: np.ndarray, taus: np.ndarray) -> Flu
     return FluctuationSeries(scales=taus, values=sums[taus - 1] / (xc.size - taus), method=HXA)
 
 
-def _taus(T: int, tau_min=1, tau_max=100) -> np.ndarray:
-    check_taus(int(tau_min), int(tau_max), T)
-    return np.arange(int(tau_min), int(tau_max) + 1)
+def _taus(T: int, tau_min=1, tau_max=None) -> np.ndarray:
+    tau_min, tau_max = int(tau_min), int(min(100, T // 10) if tau_max is None else tau_max)
+    check_taus(tau_min, tau_max, T)
+    return np.arange(tau_min, tau_max + 1)
+
+
+def _lags(T: int, max_lag) -> int:
+    check_max_lag(int(max_lag), T)
+    return int(max_lag)
 
 
 def _profile(z: np.ndarray) -> np.ndarray:
@@ -256,7 +262,8 @@ def _grid(T: int, s_min=10, s_max=None, step=10, detrend_order=1) -> set[tuple[i
     return {(s, order, g) for s in range(s_min, s_max + 1, step)}
 
 
-# the series that each key of a pass's result uses, and the rows of a stacked pair (x's profile, y's) it pairs
+# an estimator's keys and how its window is sized at a length T; a key's series and rows (x's profile, y's) of a pair
+_ESTIMATORS = {DFA: (("x", "y"), _grid), DCCA: (("xy",), _grid), HXA: ((HXA,), _taus), "ccf": (("ccf",), _lags)}
 _USES = {"x": "x", "y": "y", "xy": "xy", HXA: "xy", "ccf": "xy"}
 _ROWS = {"x": (0, 0), "y": (1, 1), "xy": (0, 1)}
 
@@ -280,27 +287,29 @@ def fluctuations(x, y=None, dfa=None, dcca=None, hxa=None, ccf=None) -> Fluctuat
     "hxa" and "ccf" for the others.  Each series is demeaned and checked
     once, and profiled once where dfa or dcca asks for it; hxa and ccf need
     no profile, but the pair's lag sums, taken once for both (_lag_sums).  A
-    series that fails its check fails only the keys that use it, and a
-    zero-variance pair fails only "ccf".  DFA and DCCA run in one loop over
-    the box sizes of both, from base boxes of g points, g the gcd of each
-    window's box sizes: their means and moments are taken once (_base_boxes),
-    then each box size costs O(T/g) (_box_sums), with coefficients kept for
-    repeated passes over one grid (_window_coefficients) where they fit.  A
-    pair is a stack of one (stacked_fluctuations).
+    series that fails its check fails only the keys that use it, a window
+    that does not fit T only its estimator's keys, and a zero-variance pair
+    only "ccf".  DFA and DCCA run in one loop over the box sizes of both, from
+    base boxes of g points, g the gcd of each window's box sizes: their means
+    and moments are taken once (_base_boxes), then each box size costs O(T/g)
+    (_box_sums), with coefficients kept for repeated passes over one grid
+    (_window_coefficients) where they fit.  A pair is a stack of one.
     """
     return stacked_fluctuations([(x, y)], dfa=dfa, dcca=dcca, hxa=hxa, ccf=ccf)[0]
 
 
 def stacked_fluctuations(pairs, dfa=None, dcca=None, hxa=None, ccf=None) -> list[Fluctuations]:
-    """fluctuations of each (x, y) of pairs, an iterable of pairs of one length, y None or not, in order;
-    an exception in place of a pair fails its every key.
+    """fluctuations of each (x, y) of pairs, an iterable of pairs of one length, y None or not, in order.
 
-    Each pair is demeaned, checked, profiled and given its lag sums alone, then held only by its result and its
-    base boxes (_base_boxes), on which one loop over the box sizes serves every pair (_box_sums).  A pair that
-    profiles one series stacks it twice.  No step mixes two pairs, so each keeps the bits of its own call.
+    One failure rule, key by key: an exception in place of a pair fails its every key, a series that fails its check
+    the keys that use it, and a window that does not fit the stack's length T its estimator's keys, by an error named
+    after it ("dcca.s_max = 2000 exceeds T/2 = 750"); the first pair that gives T sizes each window, once, as nothing
+    else does.  Each pair is demeaned, checked, profiled and given its lag sums alone, then held only by its result
+    and its base boxes (_base_boxes) at each g and order of the windows that fit, from its own rows (one series twice),
+    on which one loop over the box sizes serves every pair (_box_sums): no step mixes two pairs, so each keeps its bits.
     """
-    asked = {"x": dfa, "y": dfa, "xy": dcca, HXA: hxa, "ccf": ccf}
-    grids, T = {}, None
+    windows = {name: w for name, w in zip(_ESTIMATORS, (dfa, dcca, hxa, ccf)) if w is not None}
+    sized, grids, bases, T = {}, {}, set(), None
 
     def summarise(pair):
         """pair's result, the keys of it that the stack is to give, and its base boxes"""
@@ -308,36 +317,40 @@ def stacked_fluctuations(pairs, dfa=None, dcca=None, hxa=None, ccf=None) -> list
         if isinstance(pair, Exception):  # a pair that could not be made fails every key
             return Fluctuations.fromkeys(_USES, pair), [], {}
         series = {"x": pair[0]} if pair[1] is None else {"x": pair[0], "y": pair[1]}
-        windows = {key: w for key, w in asked.items() if w is not None and set(_USES[key]) <= series.keys()}
+        asked = [key for name in windows for key in _ESTIMATORS[name][0] if set(_USES[key]) <= series.keys()]
         out, centred = Fluctuations(), {}
         for name, z in series.items():
             try:
                 centred[name] = _demean(z, name)
             except ValueError as e:
-                out.update((key, e) for key in windows if name in _USES[key] and key not in out)
-        windows = {key: w for key, w in windows.items() if key not in out}
-        if not windows:
+                out.update((key, e) for key in asked if name in _USES[key] and key not in out)
+        if out.keys() == set(asked):
             return out, [], {}
-        T = T or next(iter(centred.values())).size
+        if T is None:  # each window sized once, at the stack's length
+            T = next(iter(centred.values())).size
+            for name, window in windows.items():
+                try:
+                    window = _ESTIMATORS[name][1](T, **window)
+                except ValueError as e:
+                    window = ValueError(f"{name}.{e}")
+                sized.update(dict.fromkeys(_ESTIMATORS[name][0], window))
+            bases.update((g, o) for key in ("x", "xy") if isinstance(sized.get(key), set) for _, o, g in sized[key])
         if any(c.size != T for c in centred.values()):
             raise ValueError("x and y must have equal length, as must the pairs of a stack")
-        keys = [key for key in windows if key in _ROWS]
-        grids.update((key, _grid(T, **windows[key])) for key in keys if key not in grids)
-        if "ccf" in windows or HXA in windows:
-            L = int(windows["ccf"]["max_lag"]) if "ccf" in windows else 0
-            check_max_lag(L, T if "ccf" in windows else None)
-            taus = _taus(T, **windows[HXA]) if HXA in windows else np.arange(1, 2)
+        out.update((key, sized[key]) for key in asked if key not in out and isinstance(sized[key], Exception))
+        live = {key: sized[key] for key in asked if key not in out}
+        grids.update((key, window) for key, window in live.items() if key in _ROWS)
+        if "ccf" in live or HXA in live:
+            L, taus = live.get("ccf", 0), live.get(HXA, np.arange(1, 2))
             xc, yc = centred["x"], centred["y"]
             S = _lag_sums(xc, yc, max(L, int(taus[-1]) - 1))
-            if "ccf" in windows:
-                out["ccf"] = _ccf(S, xc, yc, L)
-            if HXA in windows:
-                out[HXA] = _hxa(S, xc, yc, taus)
+            out.update((key, lags(S, xc, yc, live[key])) for key, lags in (("ccf", _ccf), (HXA, _hxa)) if key in live)
+        keys = [key for key in live if key in _ROWS]
         if not keys:
             return out, [], {}
-        profiles = {name: _profile(c) for name, c in centred.items() if any(name in key for key in keys)}
-        stack = np.stack([profiles.get("x", profiles.get("y")), profiles.get("y", profiles.get("x"))])
-        return out, keys, {base: _base_boxes(stack, *base) for base in {(g, o) for k in keys for _, o, g in grids[k]}}
+        profiles = [_profile(c) for c in centred.values()]
+        stack = np.stack([profiles[0], profiles[-1]])
+        return out, keys, {base: _base_boxes(stack, *base) for base in bases}
 
     # each pair is dropped once summarised, before the next is made
     outs = list(map(summarise, pairs))
@@ -346,22 +359,18 @@ def stacked_fluctuations(pairs, dfa=None, dcca=None, hxa=None, ccf=None) -> list
         return [out for out, _, _ in outs]
     grid = {size: [key for key in grids if size in grids[key]] for size in sorted(set().union(*grids.values()))}
     kept = _window_coefficients(tuple(grid))
-    bases = {}
-    for base in {(g, order) for _, order, g in grid}:
-        # a pair without this base has none of its keys: another pair's stands in for it, and its values are dropped
-        donor = next(b[base] for *_, b in stacked if base in b)
-        parts = [b.pop(base, donor) for *_, b in stacked]
-        bases[base] = [None if p[0] is None else np.stack(p, axis=1) for p in zip(*parts)]
-    del donor, parts  # so that each pair's own base boxes are freed
+    # each pair's base boxes stacked on axis 1, popped so that the pair's own are freed
+    stacks = {base: [None if p[0] is None else np.stack(p, axis=1) for p in zip(*[b.pop(base) for *_, b in stacked])]
+              for base in bases}
     values = {key: [] for key in grids}
     for n, ((s, order, g), keys) in enumerate(grid.items()):
         D = _box_basis(s, order, g) if kept is None else kept[n]
-        means, moments, _ = bases[g, order]
+        means, moments, _ = stacks[g, order]
         for key, value in zip(keys, _box_sums(means, moments, s, g, D, [_ROWS[key] for key in keys])):
             values[key] += value
     for key, keyed in grids.items():
         (_, order, g), (a, b) = next(iter(keyed)), _ROWS[key]
-        means, _, products = bases[g, order]
+        means, _, products = stacks[g, order]
         scales = np.array(sorted(s for s, _, _ in keyed))
         n, sums = means.shape[-1] // (scales // g), np.concatenate(values[key]).reshape(len(scales), 2, -1)
         own = 0.0 if products is None else products[a, :, b][:, n * (scales // g) - 1].T
@@ -392,12 +401,13 @@ def dfa(
     return fluctuations(x, dfa=dict(s_min=s_min, s_max=s_max, step=step, detrend_order=detrend_order))["x"]
 
 
-def hxa(x, y, tau_min: int = 1, tau_max: int = 100) -> FluctuationSeries:
+def hxa(x, y, tau_min: int = 1, tau_max: int | None = None) -> FluctuationSeries:
     """Height cross-correlation K(tau) of the two profiles at q = 2.
 
     K(tau) = mean over t of (X_{t+tau} - X_t)(Y_{t+tau} - Y_t) with
     divisor T - tau; scales as tau^(2 H_xy).  Requires
-    1 <= tau_min < tau_max <= T/10.
+    1 <= tau_min < tau_max <= T/10; tau_max defaults to min(100, T//10),
+    the CLI's default.
     """
     return fluctuations(x, y, hxa=dict(tau_min=tau_min, tau_max=tau_max))[HXA]
 

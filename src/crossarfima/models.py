@@ -320,37 +320,30 @@ def _cross_covariance(model: ModelSpec, left, right, max_lag: int) -> np.ndarray
 def theoretical_exponents(model: ModelSpec) -> ExponentReport:
     """Theoretical H_x, H_y, H_xy and process standard deviations.
 
-    Component exponents are 0.5 + d for fractional components and 0.5 for
-    ar1/white.  H_x (H_y) is the maximum over components with nonzero
-    weight.  H_xy is the maximum of (H_i + H_j)/2 over cross pairs whose
-    weights and innovation covariance are all nonzero, floored at 0.5.
-    Standard deviations are exact for the untruncated process:
-    sigma_x^2 = sum_{i,j} w_i w_j sigma_ij sum_k a_k^(i) a_k^(j).
+    As lambda -> 0 a pair of streams (i, j) adds w_i w_j sigma_ij A_i A_j e^{i pi (d_i - d_j)/2} lambda^-(d_i + d_j)
+    to a spectrum, A = 1/(1 - theta) for AR(1) and 1 otherwise.  dominant groups x's own pairs, y's or the cross
+    pairs by d_i + d_j: an exponent is 0.5 plus half the largest sum whose group's real total is non-zero, relative
+    to its terms' size, else 0.5, and dominating_pair is the first cross pair of H_xy's group, or None.  Standard
+    deviations are exact for the untruncated process: sigma_x^2 = sum_{i,j} w_i w_j sigma_ij sum_k a_k^(i) a_k^(j).
     """
 
     def side_sigma(streams):
         return math.sqrt(max(_cross_covariance(model, streams, streams, 0)[0], 0.0))
 
-    def side_hurst(comps):
-        hs = [c.hurst for c in comps if c.weight != 0.0]
-        return max(hs) if hs else 0.5
+    def dominant(left, right):
+        groups = {}
+        for w, ci, cj, pair in model.coupled_pairs(left, right):
+            c = w * math.prod(1.0 / (1.0 - k.param) if k.kind == AR1 else 1.0 for k in (ci, cj))
+            term = (c * math.cos(0.5 * math.pi * (ci.memory - cj.memory)), abs(c), 0.5 * (ci.hurst + cj.hurst), pair)
+            groups.setdefault(round(ci.memory + cj.memory, 12), []).append(term)
+        for _, group in sorted(groups.items(), reverse=True):
+            if abs(sum(t[0] for t in group)) > 1e-12 * sum(t[1] for t in group):
+                return group[0][2:]
+        return 0.5, None
 
-    best = None
-    best_pair = None
-    for _, ci, cj, pair in model.coupled_pairs():
-        h = 0.5 * (ci.hurst + cj.hurst)
-        if best is None or h > best:
-            best = h
-            best_pair = pair
-
-    return ExponentReport(
-        H_x=side_hurst(model.x_components),
-        H_y=side_hurst(model.y_components),
-        H_xy=max(best, 0.5) if best is not None else 0.5,
-        sigma_x=side_sigma((1, 2)),
-        sigma_y=side_sigma((3, 4)),
-        dominating_pair=best_pair,
-    )
+    (H_x, _), (H_y, _) = dominant((1, 2), (1, 2)), dominant((3, 4), (3, 4))
+    H_xy, pair = dominant((1, 2), (3, 4))
+    return ExponentReport(H_x, H_y, H_xy, side_sigma((1, 2)), side_sigma((3, 4)), pair)
 
 
 # keyed on plain values (a ModelSpec is unhashable); 4 entries hold one model's components

@@ -445,9 +445,9 @@ def test_detrend_order_also_sets_dfa(tmp_path):
 
 
 def test_estimate_short_input_fails_alone(tmp_path, capsys):
-    # a file too short for a pinned CCF max_lag fails its own rows, with the
-    # config's message at the file's length; the good file's tables are
-    # still written
+    # a file too short for a pinned CCF max_lag fails its CCF row, with the
+    # config's message at the file's length; its HXA, whose window fits, is
+    # estimated (and fails its fit), and the good file's tables are still written
     good = simulate_files(tmp_path, T=3000)[0]
     rng = np.random.default_rng(8)
     short = tmp_path / "short.csv"
@@ -460,9 +460,10 @@ def test_estimate_short_input_fails_alone(tmp_path, capsys):
     assert [(r[0], r[1], r[3]) for r in rows] == [
         (good, "hxa", "ok"), (str(short), "hxa", "failed"), (str(short), "ccf", "failed"),
     ]
+    fit = "hxa: only 0 positive fluctuation values, need >= 4 for a fit"
     note = "ccf.max_lag: need T > 2*max_lag, got T=150, max_lag=100"
     assert [r[1:] for r in rows[1:]] == [
-        ["hxa", "hxy", "failed", "", "", "0", note], ["ccf", "rho", "failed", "", "", "0", note],
+        ["hxa", "hxy", "failed", "", "", "0", fit], ["ccf", "rho", "failed", "", "", "0", note],
     ]
     assert sorted(os.listdir(out)) == ["ccf_series_r0000.csv", "estimates.csv"]
     # the short file alone: every estimate failed
@@ -623,8 +624,9 @@ def test_estimate_missing_input_on_a_pool_fails_at_its_place(tmp_path, pools, mo
 
 
 def test_estimate_short_or_empty_input_fails_alone_on_a_pool(tmp_path, pools, monkeypatch, capsys):
-    # a file too short for the CCF, or with no rows, fails its own rows in
-    # its worker, and the good file between them is estimated
+    # a file too short for the CCF fails its CCF row (its HXA fails its fit),
+    # and one with no rows its every row, in its worker, and the good file
+    # between them is estimated
     good = simulate_files(tmp_path, model="model2", T=400)[0]
     short = tmp_path / "short.csv"
     np.savetxt(short, np.random.default_rng(8).standard_normal((150, 2)), delimiter=",")
@@ -642,7 +644,8 @@ def test_estimate_short_or_empty_input_fails_alone_on_a_pool(tmp_path, pools, mo
     _, rows = read_csv(tmp_path / "pool" / "est" / "estimates.csv")
     short_note = "ccf.max_lag: need T > 2*max_lag, got T=150, max_lag=100"
     assert [(r[0], r[1], r[3], r[7]) for r in rows] == [
-        (str(short), "hxa", "failed", short_note), (str(short), "ccf", "failed", short_note),
+        (str(short), "hxa", "failed", "hxa: only 0 positive fluctuation values, need >= 4 for a fit"),
+        (str(short), "ccf", "failed", short_note),
         (good, "hxa", "ok", ""),
         *((str(empty), name, "failed", f"{empty}: no data rows") for name in ("hxa", "ccf")),
     ]
@@ -1182,15 +1185,36 @@ def test_a_pinned_window_still_binds_its_estimator(tmp_path, monkeypatch, capsys
     assert main(argv + ["--output", "o"]) == 1
     assert capsys.readouterr().err == "config error: dcca.s_max = 999999 exceeds T/2 = 500\n"
     assert os.listdir(tmp_path) == ["run.ini"]
-    # estimate checks it at each file's length: a 1000-row file fails its rows
+    # estimate checks it at each file's length: a 1000-row file fails its DCCA row alone
     path = simulate_files(tmp_path, T=1000)[0]
-    assert main(["estimate", "--config", "run.ini", "--output", "est", path]) == 2
+    assert main(["estimate", "--config", "run.ini", "--output", "est", path]) == 0
     _, rows = read_csv(tmp_path / "est" / "estimates.csv")
-    note = "dcca.s_max = 999999 exceeds T/2 = 500"
-    assert [r[1:] for r in rows] == [
-        [name, target, "failed", "", "", "0", note]
-        for name, target in (("dfa", "hx"), ("dfa", "hy"), ("dcca", "hxy"), ("hxa", "hxy"))
+    assert [r[1:4] for r in rows] == [
+        ["dfa", "hx", "ok"], ["dfa", "hy", "ok"], ["dcca", "hxy", "failed"], ["hxa", "hxy", "ok"],
     ]
+    assert rows[2][4:] == ["", "", "0", "dcca.s_max = 999999 exceeds T/2 = 500"]
+
+
+def test_a_window_that_does_not_fit_a_file_fails_only_its_estimators_row(tmp_path, capsys):
+    # DCCA's --s-max 2000 exceeds T/2 = 750 of a model1 file of 1500 rows: the
+    # DCCA row fails, and DFA, HXA and the CCF, whose windows fit, give what
+    # they give without DCCA
+    path = simulate_files(tmp_path, T=1500)[0]
+    capsys.readouterr()
+    argv = ["estimate", "--s-max", "2000", path]
+    assert main([*argv, "--estimators", "dfa,dcca,hxa,ccf", "--output", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+    _, rows = read_csv(tmp_path / "o" / "estimates.csv")
+    assert [r[1:4] for r in rows] == [
+        ["dfa", "hx", "ok"], ["dfa", "hy", "ok"], ["dcca", "hxy", "failed"], ["hxa", "hxy", "ok"],
+    ]
+    assert rows[2][4:] == ["", "", "0", "dcca.s_max = 2000 exceeds T/2 = 750"]
+    assert main([*argv, "--estimators", "dfa,hxa,ccf", "--output", str(tmp_path / "ref")]) == 0
+    _, ref = read_csv(tmp_path / "ref" / "estimates.csv")
+    assert rows[:2] + rows[3:] == ref
+    ccf = "ccf_series_r0000.csv"
+    assert sorted(os.listdir(tmp_path / "o")) == [ccf, "estimates.csv"]
+    assert (tmp_path / "o" / ccf).read_bytes() == (tmp_path / "ref" / ccf).read_bytes()
 
 
 def test_theory_checks_max_lag_at_no_length(tmp_path, capsys):

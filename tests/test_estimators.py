@@ -1,6 +1,7 @@
 """Sample CCF, DFA/DCCA/HXA fluctuation functions, and power-law fitting."""
 
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -342,7 +343,7 @@ def test_a_stack_keeps_each_pairs_bits(dfa_window, dcca_window, order):
 
 def test_a_failed_series_in_a_stack_fails_only_its_own_keys():
     # DFA on base boxes of 7 points, DCCA of 10: the pair whose y fails
-    # keeps only DFA of x, and takes no base boxes of 10 points
+    # keeps only DFA of x, and takes its base boxes of both from x alone
     T = 3000
     cfg = default_config(t=T)
     windows = dict(dfa={**cfg.window("dfa"), "s_min": 14, "step": 7}, dcca=cfg.window("dcca"),
@@ -360,6 +361,48 @@ def test_a_failed_series_in_a_stack_fails_only_its_own_keys():
     # the pairs of a stack share one length
     with pytest.raises(ValueError, match="equal length"):
         stacked_fluctuations([pairs[0], (pairs[4][0][:-1], pairs[4][1][:-1])], **windows)
+
+
+@pytest.mark.parametrize(
+    "bad, window, message",
+    [
+        ("dfa", {"s_max": 1501}, "dfa.s_max = 1501 exceeds T/2 = 1500"),
+        ("dcca", {"s_max": 2000}, "dcca.s_max = 2000 exceeds T/2 = 1500"),
+        ("hxa", {"tau_max": 301}, "hxa.tau_max = 301 exceeds T/10 = 300"),
+        ("ccf", {"max_lag": 1500}, "ccf.max_lag: need T > 2*max_lag, got T=3000, max_lag=1500"),
+    ],
+    ids=["dfa", "dcca", "hxa", "ccf"],
+)
+def test_a_window_that_does_not_fit_fails_only_its_own_keys(bad, window, message):
+    # a stack of 4 pairs, the third with a NaN in y, DFA on base boxes of 7
+    # points beside DCCA's 10: the bad window fails its estimator's keys in
+    # every pair, where no failed series did first, and every other key holds
+    # the bits and errors of the pair's own call without that window
+    T = 3000
+    cfg = default_config(t=T)
+    windows = dict(dfa={**cfg.window("dfa"), "s_min": 14, "step": 7}, dcca=cfg.window("dcca"),
+                   hxa=cfg.window("hxa"), ccf=cfg.window("ccf"))
+    pairs = [(s.x.copy(), s.y.copy()) for s in (simulate(PRESETS["model1"](), T, seed) for seed in range(4))]
+    pairs[2][1][100] = np.nan
+    got = stacked_fluctuations(pairs, **{**windows, bad: {**windows[bad], **window}})
+    keys = {"dfa": {"x", "y"}, "dcca": {"xy"}, "hxa": {"hxa"}, "ccf": {"ccf"}}[bad]
+    others = {name: w for name, w in windows.items() if name != bad}
+    for i, ((x, y), result) in enumerate(zip(pairs, got, strict=True)):
+        alone = fluctuations(x, y, **others)
+        assert result.keys() == alone.keys() | keys
+        for key, value in result.items():
+            if key in keys:
+                want = "y contains non-finite values" if i == 2 and key != "x" else message
+                assert (type(value), str(value)) == (ValueError, want), (i, key)
+            elif isinstance(want := dict.__getitem__(alone, key), Exception):
+                assert (type(value), str(value)) == (type(want), str(want)), (i, key)
+            elif isinstance(want, FluctuationSeries):
+                assert np.array_equal(value.scales, want.scales) and np.array_equal(value.values, want.values)
+            else:
+                assert np.array_equal(value, want), (i, key)
+    # a library call raises the window's error through its key
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fluctuations(*pairs[0], **{bad: {**windows[bad], **window}})[min(keys)]
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])
@@ -791,6 +834,11 @@ def test_hxa_preconditions():
         hxa(z, z, tau_min=1, tau_max=21)
     with pytest.raises(ValueError, match="equal length"):
         hxa(z, z[:-1])
+    # tau_max defaults to min(100, T//10), the CLI's default, which fits every T
+    for T, tau_max in ((500, 50), (2000, 100)):
+        z = np.random.default_rng(T).standard_normal(T)
+        assert np.array_equal(hxa(z, z).values, hxa(z, z, 1, tau_max).values)
+        assert hxa(z, z).scales[-1] == tau_max
 
 
 # ----------------------------------------------------------------------

@@ -234,6 +234,48 @@ def test_exponents_pick_strongest_admissible_pair():
     assert rep.dominating_pair == (1, 4)
 
 
+def _fractional_model(x_d, y_d, covariances, variances=(1, 1, 1, 1)):
+    """x and y each two fractional components of unit weight, with the memory x_d and y_d."""
+    return ModelSpec(tuple(fractional(d, 1.0) for d in x_d), tuple(fractional(d, 1.0) for d in y_d),
+                     CovarianceSpec(variances=variances, covariances=covariances))
+
+
+def test_exponents_count_pairs_that_cancel_only_where_they_do_not():
+    # exact cancellation: sigma_13 and sigma_24 couple pairs of equal memory
+    # with opposite signs, so the theoretical CCF is 0 at every lag
+    m = _fractional_model((0.4, 0.4), (0.4, 0.4), {(1, 3): 0.5, (2, 4): -0.5})
+    rep = theoretical_exponents(m)
+    assert (rep.H_x, rep.H_y, rep.H_xy, rep.dominating_pair) == (0.9, 0.9, 0.5, None)
+    assert not np.any(theoretical_ccf(m, max_lag=50))
+    # antisymmetric: the cross-spectrum is purely imaginary as lambda -> 0, so
+    # rho(k) = -rho(-k) and DCCA and HXA, which weight lags symmetrically, see none of it
+    m = _fractional_model((0.4, 0.2), (0.2, 0.4), {(1, 3): 0.5, (2, 4): -0.5})
+    rep = theoretical_exponents(m)
+    assert (rep.H_x, rep.H_y, rep.H_xy, rep.dominating_pair) == (0.9, 0.9, 0.5, None)
+    rho = theoretical_ccf(m, max_lag=10)
+    assert rho[10] == 0.0 and rho[20] == pytest.approx(0.0158, abs=1e-4) and rho[0] == -rho[20]
+    # less than exact: the pair counts again
+    rep = theoretical_exponents(_fractional_model((0.4, 0.2), (0.2, 0.4), {(1, 3): 0.5, (2, 4): -0.4}))
+    assert (rep.H_xy, rep.dominating_pair) == (0.8, (1, 3))
+    # a side that cancels: stream 2 is minus stream 1, so x is identically 0
+    m = _fractional_model((0.4, 0.4), (0.3, 0.4), {(1, 2): -1.0, (1, 3): 0.5, (2, 3): -0.5})
+    rep = theoretical_exponents(m)
+    assert (rep.H_x, rep.H_y, rep.H_xy, rep.dominating_pair, rep.sigma_x) == (0.5, 0.9, 0.5, None, 0.0)
+
+
+def test_exponents_weigh_ar1_pairs_by_their_gain_at_zero():
+    # the d = 0 group's terms are w sigma A_i A_j, A = 1/(1 - theta): 1 * 2 * 1 and
+    # -3 * (2/3) * 1 cancel, so the co-spectrum vanishes at lambda -> 0
+    m = ModelSpec((ar1(0.5, 1.0), ar1(-0.5, 1.0)), (white(1.0), white(1.0)),
+                  CovarianceSpec(variances=(1, 9, 1, 9), covariances={(1, 3): 1.0, (2, 4): -3.0}))
+    rep = theoretical_exponents(m)
+    assert (rep.H_xy, rep.dominating_pair) == (0.5, None)
+    assert abs(cross_spectrum(m, np.array([1e-6]))[0].real) < 1e-11  # each term's is of order 1
+    rep = theoretical_exponents(ModelSpec(m.x_components, m.y_components, CovarianceSpec(
+        variances=(1, 9, 1, 9), covariances={(1, 3): 1.0, (2, 4): -2.0})))
+    assert (rep.H_xy, rep.dominating_pair) == (0.5, (1, 3))
+
+
 def test_process_sigma_approaches_weight_sum_limit():
     """Process sigmas equal the closed-form weight-sum limits.
 

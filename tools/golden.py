@@ -46,11 +46,14 @@ this process builds before it forks); the CCF alone at ``--max-lag 7``, by
 s_max = 999999``, ``simulate`` and ``theory``, which run no estimator,
 and ``experiment`` at T = 1000 with ``--estimators hxa`` and with
 ``--estimators dcca`` (a window is checked only where its estimator
-runs, so only the last is a config error); and last, ``experiment`` on
-model2 at T = 3e4 (2 replications, DFA and DCCA), whose windows'
-coefficients are too large to keep, so that the pass builds them at
-each box size.  Each ``estimate`` input gets the windows of its own length.  A run
-takes 3 to 5 s on a 2-core VM.
+runs, so only the last is a config error); ``experiment`` on model2 at
+T = 3e4 (2 replications, DFA and DCCA), whose windows' coefficients are
+too large to keep, so that the pass builds them at each box size; and
+last, ``simulate --model model1 --T 1500 --reps 1`` and ``estimate
+--estimators dfa,dcca,hxa,ccf --s-max 2000`` on its file, whose DCCA
+window exceeds T/2 = 750 while DFA, HXA and the CCF fit.  Each
+``estimate`` input gets the windows of its own length.  A run takes 3 to
+5 s on a 2-core VM.
 """
 
 from __future__ import annotations
@@ -176,6 +179,10 @@ def calls() -> list[list[str]]:
     # windows whose coefficients (5.8 MB) are too large to keep: each is built per box size
     out.append(["experiment", "--model", "model2", "--T", "30000", "--reps", "2", "--seed", "42",
                 "--estimators", "dfa,dcca", "--output", "exp-model2-30000"])
+    # a DCCA window that this file's length cannot fit: its DCCA row fails, and its other rows stand
+    out.append(["simulate", "--model", "model1", "--T", "1500", "--reps", "1", "--output", "sim-model1-1500"])
+    out.append(["estimate", "--estimators", ALL_ESTIMATORS, "--s-max", "2000", "--output", "est-model1-1500-s-max",
+                "sim-model1-1500/series_r0000.csv"])
     return out
 
 
