@@ -15,16 +15,15 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import attrgetter
 
 import numpy as np
 
-from .config import SETTINGS, WINDOWS, ExperimentConfig, check_windows, parse_config
+from .config import SETTINGS, WINDOWS, ExperimentConfig, check_windows, parse_config, validate_config
 from .errors import ConfigError, CrossArfimaError
 from .estimators import dcca, fit_hurst, stacked_fluctuations  # noqa: F401 (dcca: bound for perfbench's tests)
 from .models import cross_spectrum, simulate, theoretical_ccf, theoretical_exponents, weight_spectra
@@ -236,13 +235,14 @@ def _ccf_table_name(path: str) -> str:
     return f"ccf_{os.path.splitext(os.path.basename(path))[0]}.csv"
 
 
-def _estimate_worker(job: tuple[ExperimentConfig, functools.partial, str]):
+def _estimate_worker(job: tuple[ExperimentConfig, str]):
     """_pair_rows of one input file, at the windows of its own length; a window that does not fit fails its rows alone."""
-    cfg, config_at, path = job
+    cfg, path = job
 
     def make_pair():
         x, y = _load_series_file(path)
-        return config_at(x.size), (x, y)
+        # a file shorter than config.MIN_T fails as a config of its length would
+        return validate_config(replace(cfg, T=x.size)), (x, y)
 
     made = _made(make_pair)
     cfg, pair = (cfg, made) if isinstance(made, Exception) else made
@@ -254,11 +254,10 @@ def _input_rows(path: str) -> int:
     return os.path.getsize(path) // SERIES_ROW_BYTES if os.path.isfile(path) else 0
 
 
-def cmd_estimate(config_at: functools.partial, inputs: list[str]) -> int:
-    # A file's row count is its T.  Every length check only relaxes as T grows
-    # and every T-scaled default grows with T, so the windows fail at an
-    # unbounded length exactly when no length can fix them: a config error.
-    cfg = config_at(sys.maxsize)
+def cmd_estimate(cfg: ExperimentConfig, inputs: list[str]) -> int:
+    # cfg is read at T = sys.maxsize, as a file's row count is its T.  Every length
+    # check only relaxes as T grows and every T-scaled default grows with T, so the
+    # windows fail at that length exactly when no length can fix them: a config error.
     check_windows(cfg)
     if "ccf" in cfg.estimators:
         # one CCF table per file stem: two inputs must not share a stem
@@ -269,7 +268,7 @@ def cmd_estimate(config_at: functools.partial, inputs: list[str]) -> int:
                 raise ConfigError(f"inputs {owners[name]} and {path} would both write {name}")
     outdir = _ensure_outdir(cfg)
     workers = _pool_workers(len(inputs), sum(map(_input_rows, inputs)))
-    jobs = [(cfg, config_at, path) for path in inputs]
+    jobs = [(cfg, path) for path in inputs]
     table = []
     for path, (rows, ccf) in zip(inputs, _map_replications(_estimate_worker, jobs, workers)):
         table.append(([path], rows, ccf))
@@ -290,7 +289,7 @@ def cmd_theory(cfg: ExperimentConfig, spectrum_points: int) -> int:
     rows.append(["dominating_pair", "-".join(map(str, rep.dominating_pair or ()))])
     _write_csv(os.path.join(outdir, "exponents.csv"), ["quantity", "value"], rows)
 
-    _write_ccf(os.path.join(outdir, "theoretical_ccf.csv"), rho=theoretical_ccf(cfg.model, cfg.ccf_max_lag))
+    _write_ccf(os.path.join(outdir, "theoretical_ccf.csv"), rho=theoretical_ccf(cfg.model, **cfg.window("ccf")))
 
     lo, hi, _ = SPECTRUM_GRID
     grid = np.geomspace(lo, hi, spectrum_points)
@@ -436,7 +435,7 @@ def cmd_experiment(cfg: ExperimentConfig, workers: int | None) -> int:
     ccfs = [ccf for _, ccf in results if ccf is not None]
     if ccfs:
         mean = np.mean(ccfs, axis=0)
-        theory = theoretical_ccf(cfg.model, cfg.ccf_max_lag)
+        theory = theoretical_ccf(cfg.model, **cfg.window("ccf"))
         path = os.path.join(outdir, "ccf_mean.csv")
         _write_ccf(path, mean_sample_rho=mean, theory_rho=theory, abs_diff=np.abs(mean - theory))
 
@@ -455,7 +454,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-_WINDOWS = ("estimators", *(n for n, s in SETTINGS.items() if any(s.section in w[1] for w in WINDOWS.values())))
+_WINDOWS = ("estimators", *(n for n, s in SETTINGS.items() if any(s.section in w for w in WINDOWS.values())))
 # the settings each subcommand reads, which it takes as flags in the table's
 # order; theory reads T through the default max_lag, estimate from each file
 COMMAND_SETTINGS = {
@@ -501,15 +500,8 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _config_at(text: str, overrides: dict, T: int | None = None) -> ExperimentConfig:
-    """The config of INI text and overrides at length T; T None keeps the text's own T."""
-    length = {} if T is None else {("experiment", "t"): str(T)}
-    return parse_config(text, overrides={**overrides, **length})
-
-
-def _config_reader(args: argparse.Namespace) -> functools.partial:
-    """config_at(T): _config_at of the --config text, read here once, and
-    the flags.  A partial, not a closure, so that it pickles into a pool."""
+def _config_from_args(args: argparse.Namespace, T: int | None = None) -> ExperimentConfig:
+    """The config of the --config file and the flags, at length T; T None keeps the file's own T."""
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as f:
@@ -518,25 +510,21 @@ def _config_reader(args: argparse.Namespace) -> functools.partial:
             raise ConfigError(str(e)) from None
     else:
         text = "[experiment]\n"
-    overrides = {}
+    overrides = {} if T is None else {("experiment", "t"): str(T)}
     for s in SETTINGS.values():
         # argparse stores --max-lag as max_lag
         value = getattr(args, s.flag[2:].replace("-", "_"), None)
         if value is not None:
             overrides[s.section, s.key] = str(value)
-    return functools.partial(_config_at, text, overrides)
-
-
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    return _config_reader(args)()
+    return parse_config(text, overrides=overrides)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        cfg = _config_from_args(args, sys.maxsize if args.command == "estimate" else None)
         if args.command == "estimate":
-            return cmd_estimate(_config_reader(args), args.inputs)
-        cfg = _config_from_args(args)
+            return cmd_estimate(cfg, args.inputs)
         if args.command == "simulate":
             return cmd_simulate(cfg)
         if args.command == "theory":

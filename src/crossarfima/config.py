@@ -18,18 +18,13 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Mapping
 
 from .errors import ConfigError, NotPositiveSemiDefiniteError
-from .estimators import check_max_lag, check_scales, check_taus
+from .estimators import size_window
 from .innovations import N_STREAMS, PAIRS, CovarianceSpec
 from .models import PRESETS, WHITE, ComponentSpec, ModelSpec
 
-# Each estimator's window check and the sections of its settings, whose keys name
-# parameters of the estimator (dfa, dcca, hxa, sample_ccf) and of the check alike.
-WINDOWS = {
-    "dfa": (check_scales, ("dfa", "fluctuation")),
-    "dcca": (check_scales, ("dcca", "fluctuation")),
-    "hxa": (check_taus, ("hxa",)),
-    "ccf": (check_max_lag, ("ccf",)),
-}
+# The sections of each estimator's window settings, whose keys name parameters of
+# the estimator (dfa, dcca, hxa, sample_ccf) and of its sizer (size_window) alike.
+WINDOWS = {"dfa": ("dfa", "fluctuation"), "dcca": ("dcca", "fluctuation"), "hxa": ("hxa",), "ccf": ("ccf",)}
 ESTIMATOR_NAMES = tuple(WINDOWS)
 INLINE = "inline"
 MIN_T = 100
@@ -42,8 +37,9 @@ _COMPONENT_SECTIONS = ("component.x1", "component.x2", "component.y1", "componen
 class Setting:
     """How one ExperimentConfig field is read from INI, written back and set by flag.
 
-    ``default`` is a constant or a function of the resolved settings (a
-    mapping by field name), which lets the estimator windows scale with T.
+    ``default`` is a constant, or for a T-scaled window setting, which reads
+    None until set, a function of the config that ExperimentConfig.window
+    applies to give the setting at the config's T.
     """
 
     section: str
@@ -74,12 +70,14 @@ def _estimator_list(text: str) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved run description; every field is concrete.
+    """Run description: each setting as set, or its default.
 
-    Fields are declared in the order the CLI lists their flags.  Every
-    field but ``model`` is a setting; ``model`` is built from
-    ``model_name`` and, for an inline model, the [component.*] and
-    [covariance] sections.
+    The four T-scaled window settings (dcca_s_max, dfa_s_max, hxa_tau_max,
+    ccf_max_lag) read None until set, and window() gives each its default
+    at T: one config serves every length.  Fields are declared in the
+    order the CLI lists their flags.  Every field but ``model`` is a
+    setting; ``model`` is built from ``model_name`` and, for an inline
+    model, the [component.*] and [covariance] sections.
     """
 
     model_name: str = _setting(
@@ -98,16 +96,16 @@ class ExperimentConfig:
         ("dfa", "dcca", "hxa"), cast=_estimator_list, render=", ".join,
     )
     dcca_s_min: int = _setting("dcca", "s_min", "--s-min", "smallest DCCA box size", 10)
-    dcca_s_max: int = _setting(
-        "dcca", "s_max", "--s-max", "largest DCCA box size", lambda v: max(v["T"] // 5, 1)
+    dcca_s_max: int | None = _setting(
+        "dcca", "s_max", "--s-max", "largest DCCA box size", lambda c: max(c.T // 5, 1)
     )
     dcca_step: int = _setting("dcca", "step", "--step", "DCCA box size step", 10)
     dfa_s_min: int = _setting("dfa", "s_min", "--dfa-s-min", "smallest DFA box size", 10)
     # DFA fits only scales with >= 20 boxes by default; larger boxes sit in
     # the finite-size saturation regime and drag the slope down.
-    dfa_s_max: int = _setting(
+    dfa_s_max: int | None = _setting(
         "dfa", "s_max", "--dfa-s-max", "largest DFA box size",
-        lambda v: max(v["T"] // 20, v["dfa_s_min"] + 3 * v["dfa_step"]),
+        lambda c: max(c.T // 20, c.dfa_s_min + 3 * c.dfa_step),
     )
     dfa_step: int = _setting("dfa", "step", "--dfa-step", "DFA box size step", 10)
     detrend_order: int = _setting(
@@ -115,12 +113,12 @@ class ExperimentConfig:
     )
     # scale-dependent defaults stay valid down to T = MIN_T
     hxa_tau_min: int = _setting("hxa", "tau_min", "--tau-min", "smallest HXA lag", 1)
-    hxa_tau_max: int = _setting(
-        "hxa", "tau_max", "--tau-max", "largest HXA lag", lambda v: min(100, v["T"] // 10)
+    hxa_tau_max: int | None = _setting(
+        "hxa", "tau_max", "--tau-max", "largest HXA lag", lambda c: min(100, c.T // 10)
     )
-    ccf_max_lag: int = _setting(
+    ccf_max_lag: int | None = _setting(
         "ccf", "max_lag", "--max-lag", "CCF maximum lag, sample and theoretical",
-        lambda v: min(100, (v["T"] - 1) // 2),
+        lambda c: min(100, (c.T - 1) // 2),
     )
 
     def seeds(self) -> list[int]:
@@ -128,8 +126,10 @@ class ExperimentConfig:
         return [self.base_seed + r for r in range(self.replications)]
 
     def window(self, name: str) -> dict[str, int]:
-        """Estimator ``name``'s settings as keyword arguments of it and of its check."""
-        return {s.key: getattr(self, f) for f, s in SETTINGS.items() if s.section in WINDOWS[name][1]}
+        """Estimator ``name``'s settings as keyword arguments of it and of its sizer, at length T:
+        an unset T-scaled one by its default rule (replace(cfg, T=n).window(name) at length n)."""
+        settings = ((s, getattr(self, f)) for f, s in SETTINGS.items() if s.section in WINDOWS[name])
+        return {s.key: s.default(self) if value is None else value for s, value in settings}
 
 
 SETTINGS: dict[str, Setting] = {
@@ -161,21 +161,12 @@ def _read(parser: configparser.ConfigParser, section: str, key: str, cast):
         raise ConfigError(f"[{section}] {key}: expected {what}, got {text!r}") from None
 
 
-class _Resolved(dict):
-    """Setting values by field name, each read or defaulted on first lookup."""
-
-    def __init__(self, parser: configparser.ConfigParser):
-        super().__init__()
-        self.parser = parser
-
-    def __missing__(self, name):
-        s = SETTINGS[name]
-        if self.parser.has_option(s.section, s.key):
-            value = _read(self.parser, s.section, s.key, s.cast)
-        else:
-            value = s.default(self) if callable(s.default) else s.default
-        self[name] = value
-        return value
+def _setting_value(parser: configparser.ConfigParser, name: str):
+    """Setting name as set, else its constant default; None for an unset T-scaled window setting."""
+    s = SETTINGS[name]
+    if parser.has_option(s.section, s.key):
+        return _read(parser, s.section, s.key, s.cast)
+    return None if callable(s.default) else s.default
 
 
 def _parse_model(parser: configparser.ConfigParser, model_name: str) -> ModelSpec:
@@ -243,15 +234,12 @@ def parse_config(
     if not parser.has_section("experiment"):
         raise ConfigError("missing [experiment] section")
 
-    values = _Resolved(parser)
-    model = _parse_model(parser, values["model_name"])
-    cfg = ExperimentConfig(model=model, **{name: values[name] for name in SETTINGS})
-    validate_config(cfg)
-    return cfg
+    model = _parse_model(parser, _setting_value(parser, "model_name"))  # its error before any other setting's
+    return validate_config(ExperimentConfig(model=model, **{name: _setting_value(parser, name) for name in SETTINGS}))
 
 
-def validate_config(cfg: ExperimentConfig) -> None:
-    """Check the run-level settings; a window is checked by check_windows, where it runs."""
+def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
+    """Check the run-level settings at cfg.T, and give cfg back; a window is checked by check_windows, where it runs."""
 
     def bad(field, message):
         raise ConfigError(f"{field}: {message}")
@@ -264,19 +252,21 @@ def validate_config(cfg: ExperimentConfig) -> None:
         bad("base_seed", f"must be >= 0, got {cfg.base_seed}")
     if cfg.detrend_order < 0:
         bad("fluctuation.detrend_order", f"must be >= 0, got {cfg.detrend_order}")
-    if cfg.ccf_max_lag < 0:
+    if cfg.window("ccf")["max_lag"] < 0:
         bad("ccf.max_lag", f"must be >= 0, got {cfg.ccf_max_lag}")
     if not cfg.output_dir:
         bad("output_dir", "must be non-empty")
+    return cfg
 
 
 def check_windows(cfg: ExperimentConfig) -> None:
-    """Check the window of each of cfg.estimators, in table order, at length cfg.T."""
+    """Size the window of each of cfg.estimators, in table order, at length cfg.T, as the pass
+    does (size_window): one that does not fit is a ConfigError with the pass's message."""
     for name in cfg.estimators:
         try:
-            WINDOWS[name][0](**cfg.window(name), T=cfg.T)
+            size_window(name, cfg.T, cfg.window(name))
         except ValueError as e:
-            raise ConfigError(f"{name}.{e}") from None
+            raise ConfigError(str(e)) from None
 
 
 def default_config(model_name: str = "model1", **overrides) -> ExperimentConfig:
@@ -286,10 +276,11 @@ def default_config(model_name: str = "model1", **overrides) -> ExperimentConfig:
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    """Render a config back to INI text; inverse of parse_config."""
+    """Render a config back to INI text, leaving out an unset T-scaled setting; inverse of parse_config."""
     body: dict[str, dict[str, str]] = {}
     for name, s in SETTINGS.items():
-        body.setdefault(s.section, {})[s.key] = s.render(getattr(cfg, name))
+        if getattr(cfg, name) is not None:
+            body.setdefault(s.section, {})[s.key] = s.render(getattr(cfg, name))
     if cfg.model_name == INLINE:
         for section, comp in zip(_COMPONENT_SECTIONS, cfg.model.components):
             body[section] = {"kind": comp.kind, "weight": repr(comp.weight)}

@@ -78,35 +78,8 @@ def _demean(z: np.ndarray, name: str) -> np.ndarray:
     return z - z.mean()
 
 
-# Window preconditions, shared with config validation.  Each message
-# starts with the offending parameter's name, so that a caller can put
-# its config section in front.
-
-
-def check_scales(s_min: int, s_max: int, step: int, detrend_order: int, T: int) -> None:
-    """DFA/DCCA box sizes s_min, s_min + step, ..., s_max for a series of length T."""
-    if detrend_order < 0:
-        raise ValueError(f"detrend_order: must be >= 0, got {detrend_order}")
-    if s_min < detrend_order + 2:
-        raise ValueError(f"s_min: must be >= detrend_order + 2 = {detrend_order + 2}, got {s_min}")
-    if step < 1:
-        raise ValueError(f"step: must be >= 1, got {step}")
-    if s_max > T // 2:
-        raise ValueError(f"s_max = {s_max} exceeds T/2 = {T // 2}")
-    if s_max < s_min:
-        raise ValueError(f"s_max: scale range [{s_min}, {s_max}] is empty")
-
-
-def check_taus(tau_min: int, tau_max: int, T: int) -> None:
-    """HXA lags: 1 <= tau_min < tau_max <= T/10."""
-    if not 1 <= tau_min < tau_max:
-        raise ValueError(f"tau_min: need 1 <= tau_min < tau_max, got [{tau_min}, {tau_max}]")
-    if tau_max > T // 10:
-        raise ValueError(f"tau_max = {tau_max} exceeds T/10 = {T // 10}")
-
-
 def check_max_lag(max_lag: int, T: int | None = None) -> None:
-    """CCF lags: max_lag >= 0 and, where the length T is given, T > 2*max_lag."""
+    """CCF lags: max_lag >= 0 and, where the length T is given, T > 2*max_lag (see size_window)."""
     if max_lag < 0:
         raise ValueError(f"max_lag: must be >= 0, got {max_lag}")
     if T is not None and T <= 2 * max_lag:
@@ -155,19 +128,23 @@ def _window_sums(S: np.ndarray, tau_max: int) -> np.ndarray:
     return np.cumsum(np.cumsum(pairs))
 
 
-def _hxa(S: np.ndarray, xc: np.ndarray, yc: np.ndarray, taus: np.ndarray) -> FluctuationSeries:
+def _hxa(S: np.ndarray, xc: np.ndarray, yc: np.ndarray, taus: range) -> FluctuationSeries:
     """hxa of two demeaned series of one length from their lag sums S: _window_sums less the windows over the
     start, whose sums are the profile's head X_j, j < tau, and over the end, of the last i < tau values."""
+    taus = np.asarray(taus)
     heads = np.cumsum(np.cumsum(xc[: taus[-1]]) * np.cumsum(yc[: taus[-1]]))
     tails = np.cumsum(np.cumsum(xc[: -taus[-1] : -1]) * np.cumsum(yc[: -taus[-1] : -1]))
     sums = _window_sums(S, taus[-1]) - heads - np.concatenate(([0.0], tails))
     return FluctuationSeries(scales=taus, values=sums[taus - 1] / (xc.size - taus), method=HXA)
 
 
-def _taus(T: int, tau_min=1, tau_max=None) -> np.ndarray:
+def _taus(T: int, tau_min=1, tau_max=None) -> range:
     tau_min, tau_max = int(tau_min), int(min(100, T // 10) if tau_max is None else tau_max)
-    check_taus(tau_min, tau_max, T)
-    return np.arange(tau_min, tau_max + 1)
+    if not 1 <= tau_min < tau_max:
+        raise ValueError(f"tau_min: need 1 <= tau_min < tau_max, got [{tau_min}, {tau_max}]")
+    if tau_max > T // 10:
+        raise ValueError(f"tau_max = {tau_max} exceeds T/10 = {T // 10}")
+    return range(tau_min, tau_max + 1)
 
 
 def _lags(T: int, max_lag) -> int:
@@ -254,18 +231,37 @@ def _box_sums(means, moments, s: int, g: int, D: np.ndarray, pairs: list) -> lis
     return [(np.einsum("rj,rj->r", delta[a], delta[b]), np.einsum("rj,rj->r", proj[a], proj[b])) for a, b in pairs]
 
 
-def _grid(T: int, s_min=10, s_max=None, step=10, detrend_order=1) -> set[tuple[int, int, int]]:
-    """A dfa or dcca window's (box size, detrend order, gcd g of its box sizes) at length T; s_max defaults to T//5."""
+def _grid(T: int, s_min=10, s_max=None, step=10, detrend_order=1) -> tuple[range, int, int]:
+    """A dfa or dcca window at length T: (its box sizes s_min, s_min + step, ..., s_max, its detrend order, g the
+    gcd of its box sizes), in O(1) at any T; s_max defaults to T//5 and must not exceed T//2."""
     s_min, s_max, step, order = int(s_min), int(T // 5 if s_max is None else s_max), int(step), int(detrend_order)
-    check_scales(s_min, s_max, step, order, T)
-    g = math.gcd(*range(s_min, s_max + 1, step))
-    return {(s, order, g) for s in range(s_min, s_max + 1, step)}
+    if order < 0:
+        raise ValueError(f"detrend_order: must be >= 0, got {order}")
+    if s_min < order + 2:
+        raise ValueError(f"s_min: must be >= detrend_order + 2 = {order + 2}, got {s_min}")
+    if step < 1:
+        raise ValueError(f"step: must be >= 1, got {step}")
+    if s_max > T // 2:
+        raise ValueError(f"s_max = {s_max} exceeds T/2 = {T // 2}")
+    if s_max < s_min:
+        raise ValueError(f"s_max: scale range [{s_min}, {s_max}] is empty")
+    sizes = range(s_min, s_max + 1, step)
+    return sizes, order, math.gcd(*sizes[:2])
 
 
 # an estimator's keys and how its window is sized at a length T; a key's series and rows (x's profile, y's) of a pair
 _ESTIMATORS = {DFA: (("x", "y"), _grid), DCCA: (("xy",), _grid), HXA: ((HXA,), _taus), "ccf": (("ccf",), _lags)}
 _USES = {"x": "x", "y": "y", "xy": "xy", HXA: "xy", "ccf": "xy"}
 _ROWS = {"x": (0, 0), "y": (1, 1), "xy": (0, 1)}
+
+
+def size_window(name: str, T: int, window: dict):
+    """Estimator name's window (keyword arguments of dfa, dcca, hxa or sample_ccf) sized at length T by its sizer, for
+    the pass and config.check_windows alike; a sizer's error is named after the estimator ("dcca.s_max = ...")."""
+    try:
+        return _ESTIMATORS[name][1](T, **window)
+    except ValueError as e:
+        raise ValueError(f"{name}.{e}") from None
 
 
 class Fluctuations(dict):
@@ -302,11 +298,11 @@ def stacked_fluctuations(pairs, dfa=None, dcca=None, hxa=None, ccf=None) -> list
     """fluctuations of each (x, y) of pairs, an iterable of pairs of one length, y None or not, in order.
 
     One failure rule, key by key: an exception in place of a pair fails its every key, a series that fails its check
-    the keys that use it, and a window that does not fit the stack's length T its estimator's keys, by an error named
-    after it ("dcca.s_max = 2000 exceeds T/2 = 750"); the first pair that gives T sizes each window, once, as nothing
-    else does.  Each pair is demeaned, checked, profiled and given its lag sums alone, then held only by its result
-    and its base boxes (_base_boxes) at each g and order of the windows that fit, from its own rows (one series twice),
-    on which one loop over the box sizes serves every pair (_box_sums): no step mixes two pairs, so each keeps its bits.
+    the keys that use it, and a window that does not fit the stack's length T its estimator's keys, by the error that
+    size_window names after it; the first pair that gives T sizes each window with it, once, in O(1) at any T.  Each
+    pair is demeaned, checked, profiled and given its lag sums alone, then held only by its result and its base boxes
+    (_base_boxes) at each g and order of the windows that fit, from its own rows (one series twice), on which one
+    loop over the box sizes serves every pair (_box_sums): no step mixes two pairs, so each keeps its bits.
     """
     windows = {name: w for name, w in zip(_ESTIMATORS, (dfa, dcca, hxa, ccf)) if w is not None}
     sized, grids, bases, T = {}, {}, set(), None
@@ -330,18 +326,18 @@ def stacked_fluctuations(pairs, dfa=None, dcca=None, hxa=None, ccf=None) -> list
             T = next(iter(centred.values())).size
             for name, window in windows.items():
                 try:
-                    window = _ESTIMATORS[name][1](T, **window)
+                    window = size_window(name, T, window)
                 except ValueError as e:
-                    window = ValueError(f"{name}.{e}")
+                    window = e
                 sized.update(dict.fromkeys(_ESTIMATORS[name][0], window))
-            bases.update((g, o) for key in ("x", "xy") if isinstance(sized.get(key), set) for _, o, g in sized[key])
+            bases.update((w[2], w[1]) for w in map(sized.get, ("x", "xy")) if isinstance(w, tuple))
         if any(c.size != T for c in centred.values()):
             raise ValueError("x and y must have equal length, as must the pairs of a stack")
         out.update((key, sized[key]) for key in asked if key not in out and isinstance(sized[key], Exception))
         live = {key: sized[key] for key in asked if key not in out}
         grids.update((key, window) for key, window in live.items() if key in _ROWS)
         if "ccf" in live or HXA in live:
-            L, taus = live.get("ccf", 0), live.get(HXA, np.arange(1, 2))
+            L, taus = live.get("ccf", 0), live.get(HXA, range(1, 2))
             xc, yc = centred["x"], centred["y"]
             S = _lag_sums(xc, yc, max(L, int(taus[-1]) - 1))
             out.update((key, lags(S, xc, yc, live[key])) for key, lags in (("ccf", _ccf), (HXA, _hxa)) if key in live)
@@ -357,7 +353,8 @@ def stacked_fluctuations(pairs, dfa=None, dcca=None, hxa=None, ccf=None) -> list
     stacked = [summary for summary in outs if summary[1]]
     if not stacked:
         return [out for out, _, _ in outs]
-    grid = {size: [key for key in grids if size in grids[key]] for size in sorted(set().union(*grids.values()))}
+    sizes = {key: {(s, order, g) for s in box_sizes} for key, (box_sizes, order, g) in grids.items()}
+    grid = {size: [key for key in sizes if size in sizes[key]] for size in sorted(set().union(*sizes.values()))}
     kept = _window_coefficients(tuple(grid))
     # each pair's base boxes stacked on axis 1, popped so that the pair's own are freed
     stacks = {base: [None if p[0] is None else np.stack(p, axis=1) for p in zip(*[b.pop(base) for *_, b in stacked])]
@@ -368,10 +365,9 @@ def stacked_fluctuations(pairs, dfa=None, dcca=None, hxa=None, ccf=None) -> list
         means, moments, _ = stacks[g, order]
         for key, value in zip(keys, _box_sums(means, moments, s, g, D, [_ROWS[key] for key in keys])):
             values[key] += value
-    for key, keyed in grids.items():
-        (_, order, g), (a, b) = next(iter(keyed)), _ROWS[key]
-        means, _, products = stacks[g, order]
-        scales = np.array(sorted(s for s, _, _ in keyed))
+    for key, (box_sizes, order, g) in grids.items():
+        (a, b), (means, _, products) = _ROWS[key], stacks[g, order]
+        scales = np.array(box_sizes)
         n, sums = means.shape[-1] // (scales // g), np.concatenate(values[key]).reshape(len(scales), 2, -1)
         own = 0.0 if products is None else products[a, :, b][:, n * (scales // g) - 1].T
         rows = ((g * sums[:, 0] - sums[:, 1] + own) / (n * scales)[:, None]).T

@@ -1036,6 +1036,55 @@ def test_estimate_impossible_window_is_a_config_error(tmp_path, capsys):
     assert rows[1][:4] == [str(long), "hxa", "hxy", "ok"]
 
 
+class InlinePool:
+    """A pool that runs its jobs in this process, in order."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("pool", [False, True], ids=["serial", "pool"])
+def test_estimate_parses_its_config_once(tmp_path, monkeypatch, pool):
+    # one parse per run; each file is sized on a copy of that config at its own length
+    paths = simulate_files(tmp_path, T=1000, reps=3)
+    if pool:
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "POOL_ROWS", 0)
+    lengths, real = [], cli.parse_config
+
+    def counted(*args, **kwargs):
+        cfg = real(*args, **kwargs)
+        lengths.append(cfg.T)
+        return cfg
+
+    monkeypatch.setattr(cli, "parse_config", counted)
+    assert main(["estimate", *ALL_ESTIMATORS, "--output", str(tmp_path / "est"), *paths]) == 0
+    assert lengths == [sys.maxsize]
+    _, rows = read_csv(tmp_path / "est" / "estimates.csv")
+    assert len(rows) == 3 * 4 and all(r[3] == "ok" for r in rows)
+
+
+def test_estimate_ignores_the_length_its_config_sets(tmp_path, capsys):
+    # a file's row count is its T, so a T under the minimum in estimate's config is no error
+    path = simulate_files(tmp_path, T=1000)[0]
+    ini = tmp_path / "run.ini"
+    ini.write_text("[experiment]\nt = 50\n")
+    assert main(["estimate", "--config", str(ini), "--output", str(tmp_path / "o"), path]) == 0
+    assert main(["estimate", "--output", str(tmp_path / "ref"), path]) == 0
+    assert read_bytes(tmp_path / "o" / "estimates.csv") == read_bytes(tmp_path / "ref" / "estimates.csv")
+    assert "config error" not in capsys.readouterr().err
+
+
 def test_experiment_without_workers_takes_the_pool_rule(tmp_path, pools, monkeypatch, capsys):
     # with no --workers, experiment forks cli's own pool of min(reps, usable
     # CPUs) workers only from POOL_ROWS series rows, as simulate does; its

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from crossarfima import estimators
 from crossarfima.cli import COMMAND_SETTINGS, _config_from_args, build_parser
 from crossarfima.config import (
     ESTIMATOR_NAMES,
@@ -69,18 +70,35 @@ def test_minimal_config_fills_every_default():
     assert cfg.replications == 100
     assert cfg.base_seed == 42
     assert cfg.estimators == ("dfa", "dcca", "hxa")
-    assert (cfg.dfa_s_min, cfg.dfa_s_max, cfg.dfa_step) == (10, 500, 10)
-    assert (cfg.dcca_s_min, cfg.dcca_s_max, cfg.dcca_step) == (10, 2000, 10)
+    assert cfg.window("dfa") == {"s_min": 10, "s_max": 500, "step": 10, "detrend_order": 1}
+    assert cfg.window("dcca") == {"s_min": 10, "s_max": 2000, "step": 10, "detrend_order": 1}
     assert cfg.detrend_order == 1
-    assert (cfg.hxa_tau_min, cfg.hxa_tau_max) == (1, 100)
-    assert cfg.ccf_max_lag == 100
+    assert cfg.window("hxa") == {"tau_min": 1, "tau_max": 100}
+    assert cfg.window("ccf") == {"max_lag": 100}
     assert cfg.output_dir == "out"
 
 
 def test_scale_defaults_follow_T():
     cfg = parse_config("[experiment]\nmodel = model2\nt = 40000\n")
-    assert cfg.dfa_s_max == 2000  # T/20
-    assert cfg.dcca_s_max == 8000  # T/5
+    assert cfg.window("dfa")["s_max"] == 2000  # T/20
+    assert cfg.window("dcca")["s_max"] == 8000  # T/5
+
+
+def test_an_unset_window_setting_reads_none_and_follows_the_length():
+    # one config serves every length: a T-scaled setting that is not set reads None,
+    # and window() applies its default rule at the config's T
+    cfg = parse_config(MINIMAL)
+    assert (cfg.dcca_s_max, cfg.dfa_s_max, cfg.hxa_tau_max, cfg.ccf_max_lag) == (None,) * 4
+    at = replace(cfg, T=40_000)
+    assert at.window("dfa")["s_max"] == 2000
+    assert at.window("dcca")["s_max"] == 8000
+    assert at.window("hxa")["tau_max"] == 100
+    assert at.window("ccf")["max_lag"] == 100
+    assert replace(cfg, T=150).window("ccf") == {"max_lag": 74}
+    # a set one stays as set at every length
+    pinned = parse_config(MINIMAL + "[hxa]\ntau_max = 30\n")
+    for T in (500, 40_000):
+        assert replace(pinned, T=T).window("hxa") == {"tau_min": 1, "tau_max": 30}
 
 
 def test_estimator_list_is_canonicalized():
@@ -112,12 +130,12 @@ def test_inline_model_parsing():
 def test_overrides_beat_file_values_and_defaults():
     cfg = parse_config(MINIMAL, overrides={("experiment", "t"): "20000"})
     assert cfg.T == 20_000
-    assert cfg.dcca_s_max == 4000  # recomputed from the overridden T
+    assert cfg.window("dcca")["s_max"] == 4000  # recomputed from the overridden T
     cfg = parse_config(
         "[experiment]\nmodel = model1\nt = 500\n",
         overrides={("experiment", "t"): "1000", ("hxa", "tau_max"): "80"},
     )
-    assert cfg.T == 1000 and cfg.hxa_tau_max == 80
+    assert cfg.T == 1000 and cfg.window("hxa")["tau_max"] == 80
 
 
 def test_default_config_helper():
@@ -162,6 +180,14 @@ def test_rejects_unknown_model():
 def test_rejects_non_integer_field():
     with pytest.raises(ConfigError, match=r"\[experiment\] t: expected an integer"):
         parse_config("[experiment]\nt = ten\n")
+
+
+def test_the_model_is_read_before_the_other_settings():
+    # the model's error is reported, not that of a setting read after it
+    with pytest.raises(ConfigError, match=r"^\[experiment\] model: unknown name 'bogus'"):
+        parse_config("[experiment]\nmodel = bogus\nt = abc\n")
+    with pytest.raises(ConfigError, match=r"^inline model needs a \[component.x1\] section$"):
+        parse_config("[experiment]\nmodel = inline\nt = abc\nreplications = 0\n")
 
 
 def test_rejects_short_series():
@@ -209,12 +235,13 @@ def test_window_gives_each_estimator_its_keyword_arguments():
     assert cfg.window("dcca") == {"s_min": 10, "s_max": 2000, "step": 10, "detrend_order": 2}
     assert cfg.window("hxa") == {"tau_min": 1, "tau_max": 100}
     assert cfg.window("ccf") == {"max_lag": 100}
-    # each key names a parameter of the estimator and of its check
+    # each key names a parameter of the estimator and of its sizer
     calls = {"dfa": dfa, "dcca": dcca, "hxa": hxa, "ccf": sample_ccf}
     assert tuple(WINDOWS) == ESTIMATOR_NAMES == tuple(calls)
-    for name, (check, _) in WINDOWS.items():
+    for name in WINDOWS:
+        sizer = estimators._ESTIMATORS[name][1]
         assert set(cfg.window(name)) <= set(inspect.signature(calls[name]).parameters), name
-        assert set(inspect.signature(check).parameters) == {*cfg.window(name), "T"}, name
+        assert set(inspect.signature(sizer).parameters) == {*cfg.window(name), "T"}, name
 
 
 def test_rejects_removed_theory_section():
@@ -315,6 +342,15 @@ def test_validate_config_runs_standalone():
 # ----------------------------------------------------------------------
 # serialization round-trips
 # ----------------------------------------------------------------------
+
+
+def test_roundtrip_leaves_unset_window_settings_out():
+    cfg = parse_config(MINIMAL)
+    text = serialize_config(cfg)
+    assert not re.search(r"^(s_max|tau_max|max_lag) =", text, re.MULTILINE), text
+    assert "[ccf]" not in text
+    assert parse_config(text) == cfg
+    assert serialize_config(parse_config(text)) == text
 
 
 def test_roundtrip_preset():

@@ -51,8 +51,11 @@ T = 3e4 (2 replications, DFA and DCCA), whose windows' coefficients are
 too large to keep, so that the pass builds them at each box size; and
 last, ``simulate --model model1 --T 1500 --reps 1`` and ``estimate
 --estimators dfa,dcca,hxa,ccf --s-max 2000`` on its file, whose DCCA
-window exceeds T/2 = 750 while DFA, HXA and the CCF fit.  Each
-``estimate`` input gets the windows of its own length.  A run takes 3 to
+window exceeds T/2 = 750 while DFA, HXA and the CCF fit; then
+``estimate`` on that file at ``--s-min 1``, a window that no length
+fits (a config error, exit 1), and on a ``--config`` file that sets
+``t = 50``, under the minimum T, which ``estimate`` does not read (exit
+0).  Each ``estimate`` input gets the windows of its own length.  A run takes 3 to
 5 s on a 2-core VM.
 """
 
@@ -81,6 +84,9 @@ INLINE_CONFIG = "inputs/inline.ini"
 # a DCCA window that no T = 1000 or T = 1e4 call can fit
 PINNED_CONFIG = "inputs/pinned.ini"
 PINNED_INI = "[experiment]\n\n[dcca]\ns_max = 999999\n"
+# a T under the minimum, which estimate does not read
+SHORT_T_CONFIG = "inputs/short_t.ini"
+SHORT_T_INI = "[experiment]\nt = 50\n"
 # the README's inline model; write_inputs adds the detrend order
 INLINE_INI = """[experiment]
 model = inline
@@ -183,6 +189,11 @@ def calls() -> list[list[str]]:
     out.append(["simulate", "--model", "model1", "--T", "1500", "--reps", "1", "--output", "sim-model1-1500"])
     out.append(["estimate", "--estimators", ALL_ESTIMATORS, "--s-max", "2000", "--output", "est-model1-1500-s-max",
                 "sim-model1-1500/series_r0000.csv"])
+    # estimate checks its windows at an unbounded length: one that no length fits is a config error,
+    # and the T its config sets is no error, since each file's row count is its T
+    out.append(["estimate", "--s-min", "1", "--output", "est-model1-s-min-1", "sim-model1-1500/series_r0000.csv"])
+    out.append(["estimate", "--config", SHORT_T_CONFIG, "--output", "est-model1-1500-t-50",
+                "sim-model1-1500/series_r0000.csv"])
     return out
 
 
@@ -192,6 +203,7 @@ def write_inputs(detrend_section: str) -> None:
     os.makedirs("inputs/adir")
     Path(INLINE_CONFIG).write_text(f"{INLINE_INI}\n[{detrend_section}]\ndetrend_order = 2\n")
     Path(PINNED_CONFIG).write_text(PINNED_INI)
+    Path(SHORT_T_CONFIG).write_text(SHORT_T_INI)
     Path("inputs/header_only.csv").write_text("t,x,y\n")
     Path("inputs/empty.csv").write_text("")
     np.savetxt("inputs/four_columns.csv", np.ones((3000, 4)), delimiter=",")
@@ -304,6 +316,7 @@ def main() -> int:
     results = [run(cli, argv) for argv in calls()]
     os.remove(INLINE_CONFIG)
     os.remove(PINNED_CONFIG)
+    os.remove(SHORT_T_CONFIG)
     with open("calls.json", "w") as f:
         json.dump(results, f, indent=1)
         f.write("\n")

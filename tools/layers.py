@@ -340,7 +340,9 @@ def held_bytes(T: int) -> dict:
     """Bytes that the two caches hold after layer_rows(T), read back by the keys its calls used."""
     cfg = default_config("model1", t=str(T))
     misses = _window_coefficients.cache_info().misses + _weight_spectrum.cache_info().misses
-    kept = _window_coefficients(tuple(sorted(_grid(T, **cfg.window("dfa")) | _grid(T, **cfg.window("dcca")))))
+    # the pass's key: each (box size, order, g) of the two windows' grids, sorted
+    grids = (_grid(T, **cfg.window(name)) for name in ("dfa", "dcca"))
+    kept = _window_coefficients(tuple(sorted({(s, order, g) for sizes, order, g in grids for s in sizes})))
     # one array per distinct (kind, param), as the cache holds them
     spectra = {(c.kind, c.param): s for _, c, s in weight_spectra(model1(), T)[2] if s is not None}
     held = {
