@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import SETTINGS, WINDOWS, ExperimentConfig, check_windows, parse_config, validate_config
 from .errors import ConfigError, CrossArfimaError
-from .estimators import dcca, fit_hurst, stacked_fluctuations  # noqa: F401 (dcca: bound for perfbench's tests)
+from .estimators import dcca, fit_hurst, size_window, stacked_fluctuations  # noqa: F401 (dcca: for perfbench's tests)
 from .models import cross_spectrum, simulate, theoretical_ccf, theoretical_exponents, weight_spectra
 
 SPECTRUM_GRID = (1e-4, float(np.pi), 200)
@@ -242,11 +242,10 @@ def _estimate_worker(job: tuple[ExperimentConfig, str]):
     def make_pair():
         x, y = _load_series_file(path)
         # a file shorter than config.MIN_T fails as a config of its length would
-        return validate_config(replace(cfg, T=x.size)), (x, y)
+        validate_config(replace(cfg, T=x.size))
+        return x, y
 
-    made = _made(make_pair)
-    cfg, pair = (cfg, made) if isinstance(made, Exception) else made
-    return _pair_rows(cfg, [pair])[0]
+    return _pair_rows(cfg, [_made(make_pair)])[0]
 
 
 def _input_rows(path: str) -> int:
@@ -289,7 +288,9 @@ def cmd_theory(cfg: ExperimentConfig, spectrum_points: int) -> int:
     rows.append(["dominating_pair", "-".join(map(str, rep.dominating_pair or ()))])
     _write_csv(os.path.join(outdir, "exponents.csv"), ["quantity", "value"], rows)
 
-    _write_ccf(os.path.join(outdir, "theoretical_ccf.csv"), rho=theoretical_ccf(cfg.model, **cfg.window("ccf")))
+    # a set lag is taken as it is: no sample CCF binds it to T
+    max_lag = size_window("ccf", cfg.T, {}) if cfg.ccf_max_lag is None else cfg.ccf_max_lag
+    _write_ccf(os.path.join(outdir, "theoretical_ccf.csv"), rho=theoretical_ccf(cfg.model, max_lag))
 
     lo, hi, _ = SPECTRUM_GRID
     grid = np.geomspace(lo, hi, spectrum_points)
@@ -314,7 +315,8 @@ def _pool_context():
 
 
 class ProcessPoolExecutor:
-    """concurrent.futures.ProcessPoolExecutor on _pool_context(), loaded when the first pool is made.
+    """concurrent.futures.ProcessPoolExecutor on _pool_context(), loaded when the first pool is made;
+    ``with`` gives that executor.
 
     Only experiment --workers > 1 and a simulate, estimate or experiment
     without --workers large enough to gain from one (_pool_workers) fork
@@ -329,14 +331,10 @@ class ProcessPoolExecutor:
         self._executor = ProcessPoolExecutor(max_workers, mp_context=_pool_context())
 
     def __enter__(self):
-        self._executor.__enter__()
-        return self
+        return self._executor.__enter__()
 
     def __exit__(self, *exc):
         return self._executor.__exit__(*exc)
-
-    def map(self, fn, jobs):
-        return self._executor.map(fn, jobs)
 
 
 def _usable_cpus() -> int:
@@ -435,7 +433,7 @@ def cmd_experiment(cfg: ExperimentConfig, workers: int | None) -> int:
     ccfs = [ccf for _, ccf in results if ccf is not None]
     if ccfs:
         mean = np.mean(ccfs, axis=0)
-        theory = theoretical_ccf(cfg.model, **cfg.window("ccf"))
+        theory = theoretical_ccf(cfg.model, size_window("ccf", cfg.T, cfg.window("ccf")))
         path = os.path.join(outdir, "ccf_mean.csv")
         _write_ccf(path, mean_sample_rho=mean, theory_rho=theory, abs_diff=np.abs(mean - theory))
 

@@ -27,7 +27,7 @@ from .models import PRESETS, WHITE, ComponentSpec, ModelSpec
 WINDOWS = {"dfa": ("dfa", "fluctuation"), "dcca": ("dcca", "fluctuation"), "hxa": ("hxa",), "ccf": ("ccf",)}
 ESTIMATOR_NAMES = tuple(WINDOWS)
 INLINE = "inline"
-MIN_T = 100
+MIN_T = 100  # every default window fits from this length on
 
 # the inline model's components, in stream order: section i is driven by stream i
 _COMPONENT_SECTIONS = ("component.x1", "component.x2", "component.y1", "component.y2")
@@ -37,9 +37,9 @@ _COMPONENT_SECTIONS = ("component.x1", "component.x2", "component.y1", "componen
 class Setting:
     """How one ExperimentConfig field is read from INI, written back and set by flag.
 
-    ``default`` is a constant, or for a T-scaled window setting, which reads
-    None until set, a function of the config that ExperimentConfig.window
-    applies to give the setting at the config's T.
+    ``default`` is the value of a setting that is not set: None for a
+    window setting, whose default its estimator's sizer holds
+    (estimators.size_window).
     """
 
     section: str
@@ -51,7 +51,7 @@ class Setting:
     render: Callable[[Any], str] = str
 
 
-def _setting(section, key, flag, help, default, cast=int, render=str):
+def _setting(section, key, flag, help, default=None, cast=int, render=str):
     return field(metadata={"setting": Setting(section, key, flag, help, default, cast, render)})
 
 
@@ -72,10 +72,10 @@ def _estimator_list(text: str) -> tuple[str, ...]:
 class ExperimentConfig:
     """Run description: each setting as set, or its default.
 
-    The four T-scaled window settings (dcca_s_max, dfa_s_max, hxa_tau_max,
-    ccf_max_lag) read None until set, and window() gives each its default
-    at T: one config serves every length.  Fields are declared in the
-    order the CLI lists their flags.  Every field but ``model`` is a
+    The window settings, those of the [dfa], [dcca], [fluctuation], [hxa]
+    and [ccf] sections, read None until set: the estimators' sizers hold
+    their defaults, so one config serves every length.  Fields are declared
+    in the order the CLI lists their flags.  Every field but ``model`` is a
     setting; ``model`` is built from ``model_name`` and, for an inline
     model, the [component.*] and [covariance] sections.
     """
@@ -95,41 +95,28 @@ class ExperimentConfig:
         "experiment", "estimators", "--estimators", "comma list from dfa,dcca,hxa,ccf",
         ("dfa", "dcca", "hxa"), cast=_estimator_list, render=", ".join,
     )
-    dcca_s_min: int = _setting("dcca", "s_min", "--s-min", "smallest DCCA box size", 10)
-    dcca_s_max: int | None = _setting(
-        "dcca", "s_max", "--s-max", "largest DCCA box size", lambda c: max(c.T // 5, 1)
+    dcca_s_min: int | None = _setting("dcca", "s_min", "--s-min", "smallest DCCA box size")
+    dcca_s_max: int | None = _setting("dcca", "s_max", "--s-max", "largest DCCA box size")
+    dcca_step: int | None = _setting("dcca", "step", "--step", "DCCA box size step")
+    dfa_s_min: int | None = _setting("dfa", "s_min", "--dfa-s-min", "smallest DFA box size")
+    dfa_s_max: int | None = _setting("dfa", "s_max", "--dfa-s-max", "largest DFA box size")
+    dfa_step: int | None = _setting("dfa", "step", "--dfa-step", "DFA box size step")
+    detrend_order: int | None = _setting(
+        "fluctuation", "detrend_order", "--detrend-order", "polynomial detrend order of DFA and DCCA boxes"
     )
-    dcca_step: int = _setting("dcca", "step", "--step", "DCCA box size step", 10)
-    dfa_s_min: int = _setting("dfa", "s_min", "--dfa-s-min", "smallest DFA box size", 10)
-    # DFA fits only scales with >= 20 boxes by default; larger boxes sit in
-    # the finite-size saturation regime and drag the slope down.
-    dfa_s_max: int | None = _setting(
-        "dfa", "s_max", "--dfa-s-max", "largest DFA box size",
-        lambda c: max(c.T // 20, c.dfa_s_min + 3 * c.dfa_step),
-    )
-    dfa_step: int = _setting("dfa", "step", "--dfa-step", "DFA box size step", 10)
-    detrend_order: int = _setting(
-        "fluctuation", "detrend_order", "--detrend-order", "polynomial detrend order of DFA and DCCA boxes", 1
-    )
-    # scale-dependent defaults stay valid down to T = MIN_T
-    hxa_tau_min: int = _setting("hxa", "tau_min", "--tau-min", "smallest HXA lag", 1)
-    hxa_tau_max: int | None = _setting(
-        "hxa", "tau_max", "--tau-max", "largest HXA lag", lambda c: min(100, c.T // 10)
-    )
-    ccf_max_lag: int | None = _setting(
-        "ccf", "max_lag", "--max-lag", "CCF maximum lag, sample and theoretical",
-        lambda c: min(100, (c.T - 1) // 2),
-    )
+    hxa_tau_min: int | None = _setting("hxa", "tau_min", "--tau-min", "smallest HXA lag")
+    hxa_tau_max: int | None = _setting("hxa", "tau_max", "--tau-max", "largest HXA lag")
+    ccf_max_lag: int | None = _setting("ccf", "max_lag", "--max-lag", "CCF maximum lag, sample and theoretical")
 
     def seeds(self) -> list[int]:
         """Replication seed schedule: base_seed, base_seed+1, ..."""
         return [self.base_seed + r for r in range(self.replications)]
 
     def window(self, name: str) -> dict[str, int]:
-        """Estimator ``name``'s settings as keyword arguments of it and of its sizer, at length T:
-        an unset T-scaled one by its default rule (replace(cfg, T=n).window(name) at length n)."""
+        """Estimator ``name``'s settings that were set, as keyword arguments of it and of its sizer:
+        size_window(name, n, cfg.window(name)) sizes the window at length n."""
         settings = ((s, getattr(self, f)) for f, s in SETTINGS.items() if s.section in WINDOWS[name])
-        return {s.key: s.default(self) if value is None else value for s, value in settings}
+        return {s.key: value for s, value in settings if value is not None}
 
 
 SETTINGS: dict[str, Setting] = {
@@ -162,11 +149,9 @@ def _read(parser: configparser.ConfigParser, section: str, key: str, cast):
 
 
 def _setting_value(parser: configparser.ConfigParser, name: str):
-    """Setting name as set, else its constant default; None for an unset T-scaled window setting."""
+    """Setting name as set, else its default."""
     s = SETTINGS[name]
-    if parser.has_option(s.section, s.key):
-        return _read(parser, s.section, s.key, s.cast)
-    return None if callable(s.default) else s.default
+    return _read(parser, s.section, s.key, s.cast) if parser.has_option(s.section, s.key) else s.default
 
 
 def _parse_model(parser: configparser.ConfigParser, model_name: str) -> ModelSpec:
@@ -250,9 +235,9 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         bad("replications", f"must be >= 1, got {cfg.replications}")
     if cfg.base_seed < 0:
         bad("base_seed", f"must be >= 0, got {cfg.base_seed}")
-    if cfg.detrend_order < 0:
+    if (cfg.detrend_order or 0) < 0:
         bad("fluctuation.detrend_order", f"must be >= 0, got {cfg.detrend_order}")
-    if cfg.window("ccf")["max_lag"] < 0:
+    if (cfg.ccf_max_lag or 0) < 0:
         bad("ccf.max_lag", f"must be >= 0, got {cfg.ccf_max_lag}")
     if not cfg.output_dir:
         bad("output_dir", "must be non-empty")
@@ -276,7 +261,7 @@ def default_config(model_name: str = "model1", **overrides) -> ExperimentConfig:
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    """Render a config back to INI text, leaving out an unset T-scaled setting; inverse of parse_config."""
+    """Render a config back to INI text, leaving out an unset window setting; inverse of parse_config."""
     body: dict[str, dict[str, str]] = {}
     for name, s in SETTINGS.items():
         if getattr(cfg, name) is not None:

@@ -147,9 +147,10 @@ def _taus(T: int, tau_min=1, tau_max=None) -> range:
     return range(tau_min, tau_max + 1)
 
 
-def _lags(T: int, max_lag) -> int:
-    check_max_lag(int(max_lag), T)
-    return int(max_lag)
+def _lags(T: int, max_lag=None) -> int:
+    max_lag = int(min(100, (T - 1) // 2) if max_lag is None else max_lag)
+    check_max_lag(max_lag, T)
+    return max_lag
 
 
 def _profile(z: np.ndarray) -> np.ndarray:
@@ -233,7 +234,7 @@ def _box_sums(means, moments, s: int, g: int, D: np.ndarray, pairs: list) -> lis
 
 def _grid(T: int, s_min=10, s_max=None, step=10, detrend_order=1) -> tuple[range, int, int]:
     """A dfa or dcca window at length T: (its box sizes s_min, s_min + step, ..., s_max, its detrend order, g the
-    gcd of its box sizes), in O(1) at any T; s_max defaults to T//5 and must not exceed T//2."""
+    gcd of its box sizes), in O(1) at any T; s_max must not exceed T//2 and defaults to T//5, DCCA's default."""
     s_min, s_max, step, order = int(s_min), int(T // 5 if s_max is None else s_max), int(step), int(detrend_order)
     if order < 0:
         raise ValueError(f"detrend_order: must be >= 0, got {order}")
@@ -249,15 +250,22 @@ def _grid(T: int, s_min=10, s_max=None, step=10, detrend_order=1) -> tuple[range
     return sizes, order, math.gcd(*sizes[:2])
 
 
+def _dfa_grid(T: int, s_min=10, s_max=None, step=10, detrend_order=1) -> tuple[range, int, int]:
+    """A dfa window at length T, as _grid sizes it, but s_max defaults to max(T//20, s_min + 3 step): DFA boxes
+    larger than T/20 sit in the finite-size saturation regime and drag the slope down (Kantelhardt et al. 2001)."""
+    s_max = max(T // 20, int(s_min) + 3 * int(step)) if s_max is None else s_max
+    return _grid(T, s_min, s_max, step, detrend_order)
+
+
 # an estimator's keys and how its window is sized at a length T; a key's series and rows (x's profile, y's) of a pair
-_ESTIMATORS = {DFA: (("x", "y"), _grid), DCCA: (("xy",), _grid), HXA: ((HXA,), _taus), "ccf": (("ccf",), _lags)}
+_ESTIMATORS = {DFA: (("x", "y"), _dfa_grid), DCCA: (("xy",), _grid), HXA: ((HXA,), _taus), "ccf": (("ccf",), _lags)}
 _USES = {"x": "x", "y": "y", "xy": "xy", HXA: "xy", "ccf": "xy"}
 _ROWS = {"x": (0, 0), "y": (1, 1), "xy": (0, 1)}
 
 
 def size_window(name: str, T: int, window: dict):
-    """Estimator name's window (keyword arguments of dfa, dcca, hxa or sample_ccf) sized at length T by its sizer, for
-    the pass and config.check_windows alike; a sizer's error is named after the estimator ("dcca.s_max = ...")."""
+    """Estimator name's window (keyword arguments of dfa, dcca, hxa or sample_ccf) sized at length T by its sizer, the
+    one holder of its defaults, for the pass and check_windows alike; an error names the estimator ("dcca.s_max ...")."""
     try:
         return _ESTIMATORS[name][1](T, **window)
     except ValueError as e:
@@ -391,9 +399,8 @@ def dfa(
 ) -> FluctuationSeries:
     """Detrended fluctuation F^2(s): the x = y special case of dcca.
 
-    s_max defaults to T//5, dcca's default.  The CLI's DFA default is
-    max(T//20, s_min + 3 step), since larger boxes drag the slope down;
-    config.default_config(t=T).window("dfa") gives that window."""
+    s_max defaults to max(T//20, s_min + 3 step), the CLI's default, since
+    larger boxes drag the slope down, and must not exceed T//2."""
     return fluctuations(x, dfa=dict(s_min=s_min, s_max=s_max, step=step, detrend_order=detrend_order))["x"]
 
 

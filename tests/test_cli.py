@@ -707,19 +707,6 @@ def test_the_fluctuation_pass_runs_once_per_chunk_and_only_where_asked(tmp_path,
         assert calls == [(3, want)], estimators
 
     # a chunk holds STACK_ROWS series rows at most, and the workers share the replications out
-    class InlinePool:
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     for reps, workers, stack_rows, want in ((3, 1, 2000, [2, 1]), (5, 2, 10**5, [3, 2]), (5, 2, 1000, [1] * 5),
@@ -1116,18 +1103,9 @@ def test_experiment_workers_validated_and_clamped(tmp_path, monkeypatch, capsys)
     # a pool is never asked for more processes than chunks of replications or cores
     started = []
 
-    class FakePool:
+    class FakePool(InlinePool):
         def __init__(self, max_workers):
             started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)

@@ -20,7 +20,7 @@ from crossarfima.config import (
     validate_config,
 )
 from crossarfima.errors import ConfigError
-from crossarfima.estimators import dcca, dfa, hxa, sample_ccf
+from crossarfima.estimators import dcca, dfa, hxa, sample_ccf, size_window
 from crossarfima.models import model2
 
 MINIMAL = "[experiment]\nmodel = model1\n"
@@ -70,35 +70,35 @@ def test_minimal_config_fills_every_default():
     assert cfg.replications == 100
     assert cfg.base_seed == 42
     assert cfg.estimators == ("dfa", "dcca", "hxa")
-    assert cfg.window("dfa") == {"s_min": 10, "s_max": 500, "step": 10, "detrend_order": 1}
-    assert cfg.window("dcca") == {"s_min": 10, "s_max": 2000, "step": 10, "detrend_order": 1}
-    assert cfg.detrend_order == 1
-    assert cfg.window("hxa") == {"tau_min": 1, "tau_max": 100}
-    assert cfg.window("ccf") == {"max_lag": 100}
+    assert size_window("dfa", cfg.T, cfg.window("dfa")) == (range(10, 501, 10), 1, 10)
+    assert size_window("dcca", cfg.T, cfg.window("dcca")) == (range(10, 2001, 10), 1, 10)
+    assert size_window("hxa", cfg.T, cfg.window("hxa")) == range(1, 101)
+    assert size_window("ccf", cfg.T, cfg.window("ccf")) == 100
     assert cfg.output_dir == "out"
 
 
 def test_scale_defaults_follow_T():
     cfg = parse_config("[experiment]\nmodel = model2\nt = 40000\n")
-    assert cfg.window("dfa")["s_max"] == 2000  # T/20
-    assert cfg.window("dcca")["s_max"] == 8000  # T/5
+    assert size_window("dfa", cfg.T, cfg.window("dfa"))[0][-1] == 2000  # T/20
+    assert size_window("dcca", cfg.T, cfg.window("dcca"))[0][-1] == 8000  # T/5
 
 
 def test_an_unset_window_setting_reads_none_and_follows_the_length():
-    # one config serves every length: a T-scaled setting that is not set reads None,
-    # and window() applies its default rule at the config's T
+    # one config serves every length: a window setting that is not set reads None,
+    # and its estimator's sizer applies its default at the length it sizes
     cfg = parse_config(MINIMAL)
-    assert (cfg.dcca_s_max, cfg.dfa_s_max, cfg.hxa_tau_max, cfg.ccf_max_lag) == (None,) * 4
-    at = replace(cfg, T=40_000)
-    assert at.window("dfa")["s_max"] == 2000
-    assert at.window("dcca")["s_max"] == 8000
-    assert at.window("hxa")["tau_max"] == 100
-    assert at.window("ccf")["max_lag"] == 100
-    assert replace(cfg, T=150).window("ccf") == {"max_lag": 74}
+    assert all(getattr(cfg, name) is None for name, s in SETTINGS.items() if s.section != "experiment")
+    assert all(cfg.window(name) == {} for name in WINDOWS)
+    assert size_window("dfa", 40_000, cfg.window("dfa"))[0][-1] == 2000
+    assert size_window("dcca", 40_000, cfg.window("dcca"))[0][-1] == 8000
+    assert size_window("hxa", 40_000, cfg.window("hxa"))[-1] == 100
+    assert size_window("ccf", 40_000, cfg.window("ccf")) == 100
+    assert size_window("ccf", 150, cfg.window("ccf")) == 74
     # a set one stays as set at every length
     pinned = parse_config(MINIMAL + "[hxa]\ntau_max = 30\n")
+    assert pinned.window("hxa") == {"tau_max": 30}
     for T in (500, 40_000):
-        assert replace(pinned, T=T).window("hxa") == {"tau_min": 1, "tau_max": 30}
+        assert size_window("hxa", T, pinned.window("hxa")) == range(1, 31)
 
 
 def test_estimator_list_is_canonicalized():
@@ -130,12 +130,12 @@ def test_inline_model_parsing():
 def test_overrides_beat_file_values_and_defaults():
     cfg = parse_config(MINIMAL, overrides={("experiment", "t"): "20000"})
     assert cfg.T == 20_000
-    assert cfg.window("dcca")["s_max"] == 4000  # recomputed from the overridden T
+    assert size_window("dcca", cfg.T, cfg.window("dcca"))[0][-1] == 4000  # recomputed from the overridden T
     cfg = parse_config(
         "[experiment]\nmodel = model1\nt = 500\n",
         overrides={("experiment", "t"): "1000", ("hxa", "tau_max"): "80"},
     )
-    assert cfg.T == 1000 and cfg.window("hxa")["tau_max"] == 80
+    assert cfg.T == 1000 and size_window("hxa", cfg.T, cfg.window("hxa"))[-1] == 80
 
 
 def test_default_config_helper():
@@ -147,7 +147,8 @@ def test_default_config_helper():
 
 def test_default_config_takes_values_as_well_as_text():
     assert default_config("model2", t=2000) == default_config("model2", t="2000")
-    assert default_config(t=10000).window("dfa") == {"s_min": 10, "s_max": 500, "step": 10, "detrend_order": 1}
+    cfg = default_config(t=10000)
+    assert size_window("dfa", cfg.T, cfg.window("dfa")) == (range(10, 501, 10), 1, 10)
     with pytest.raises(ConfigError, match=r"^\[experiment\] t: expected an integer, got 'None'$"):
         default_config(t=None)
 
@@ -231,17 +232,18 @@ def test_windows_are_checked_only_for_the_estimators_that_run():
 
 def test_window_gives_each_estimator_its_keyword_arguments():
     cfg = parse_config(MINIMAL + "[fluctuation]\ndetrend_order = 2\n")
-    assert cfg.window("dfa") == {"s_min": 10, "s_max": 500, "step": 10, "detrend_order": 2}
-    assert cfg.window("dcca") == {"s_min": 10, "s_max": 2000, "step": 10, "detrend_order": 2}
-    assert cfg.window("hxa") == {"tau_min": 1, "tau_max": 100}
-    assert cfg.window("ccf") == {"max_lag": 100}
-    # each key names a parameter of the estimator and of its sizer
+    assert cfg.window("dfa") == cfg.window("dcca") == {"detrend_order": 2}
+    assert size_window("dfa", cfg.T, cfg.window("dfa")) == (range(10, 501, 10), 2, 10)
+    assert size_window("dcca", cfg.T, cfg.window("dcca")) == (range(10, 2001, 10), 2, 10)
+    assert cfg.window("hxa") == cfg.window("ccf") == {}
+    # the keys that a window's sections can set are the parameters of the estimator and of its sizer
     calls = {"dfa": dfa, "dcca": dcca, "hxa": hxa, "ccf": sample_ccf}
     assert tuple(WINDOWS) == ESTIMATOR_NAMES == tuple(calls)
     for name in WINDOWS:
+        keys = {s.key for s in SETTINGS.values() if s.section in WINDOWS[name]}
         sizer = estimators._ESTIMATORS[name][1]
-        assert set(cfg.window(name)) <= set(inspect.signature(calls[name]).parameters), name
-        assert set(inspect.signature(sizer).parameters) == {*cfg.window(name), "T"}, name
+        assert keys <= set(inspect.signature(calls[name]).parameters), name
+        assert set(inspect.signature(sizer).parameters) == {*keys, "T"}, name
 
 
 def test_rejects_removed_theory_section():
@@ -351,6 +353,11 @@ def test_roundtrip_leaves_unset_window_settings_out():
     assert "[ccf]" not in text
     assert parse_config(text) == cfg
     assert serialize_config(parse_config(text)) == text
+
+
+def test_a_minimal_config_serializes_to_its_experiment_section_alone():
+    text = serialize_config(parse_config(MINIMAL))
+    assert re.findall(r"^\[(.*)\]$", text, re.MULTILINE) == ["experiment"], text
 
 
 def test_roundtrip_preset():

@@ -1,5 +1,6 @@
 """Sample CCF, DFA/DCCA/HXA fluctuation functions, and power-law fitting."""
 
+import inspect
 import pickle
 import re
 
@@ -216,7 +217,7 @@ def test_dcca_incomplete_tail_boxes_are_dropped():
 
 
 def test_fluctuation_series_stays_read_only_through_a_pickle():
-    # the process pool pickles results; the copy must stay frozen like the original
+    # a user's pickled copy of a fluctuation series stays read-only, as the original is
     f = dfa(np.random.default_rng(3).standard_normal(500), s_min=10, s_max=50, step=10)
     again = pickle.loads(pickle.dumps(f))
     assert np.array_equal(again.scales, f.scales) and np.array_equal(again.values, f.values)
@@ -432,7 +433,8 @@ def test_dfa_builds_one_profile(monkeypatch):
 
 def test_dcca_sign_flip_negates_values():
     x = np.random.default_rng(12).standard_normal(500)
-    assert np.array_equal(dcca(x, -x).values, -dfa(x).values)
+    window = dict(s_min=10, s_max=100, step=10)
+    assert np.array_equal(dcca(x, -x, **window).values, -dfa(x, **window).values)
 
 
 def test_dcca_anticorrelated_input_refuses_a_hurst_fit():
@@ -609,8 +611,8 @@ def test_basis_factor_is_the_inverse_qr_factor(s):
         assert np.max(np.abs(Q.T @ Q - np.eye(order + 1))) <= 1e-13, order
 
 
-def _pass_grid(T, *windows):
-    grids = (estimators._grid(T, **w) for w in windows)
+def _pass_grid(T, dfa_window, dcca_window):
+    grids = (estimators.size_window(name, T, w) for name, w in (("dfa", dfa_window), ("dcca", dcca_window)))
     return tuple(sorted({(s, order, g) for sizes, order, g in grids for s in sizes}))
 
 
@@ -840,6 +842,26 @@ def test_hxa_preconditions():
         z = np.random.default_rng(T).standard_normal(T)
         assert np.array_equal(hxa(z, z).values, hxa(z, z, 1, tau_max).values)
         assert hxa(z, z).scales[-1] == tau_max
+
+
+@pytest.mark.parametrize("T", [1000, 40_000])
+def test_dfa_defaults_to_the_clis_window(T):
+    # boxes up to max(T/20, s_min + 3 step): larger DFA boxes sit in the finite-size saturation regime
+    x = np.random.default_rng(T).standard_normal(T)
+    want = dfa(x, s_min=10, s_max=max(T // 20, 40), step=10)
+    got = dfa(x)
+    assert np.array_equal(got.scales, want.scales) and np.array_equal(got.values, want.values)
+
+
+def test_the_wrappers_default_to_their_sizers_windows():
+    # a sizer holds its window's defaults; each public wrapper's signature repeats them, and nothing else does
+    for call, name in ((dfa, "dfa"), (dcca, "dcca"), (hxa, "hxa")):
+        sizer = inspect.signature(estimators._ESTIMATORS[name][1]).parameters
+        params = inspect.signature(call).parameters
+        shared = sizer.keys() & params.keys()
+        assert shared == sizer.keys() - {"T"}, name
+        for key in shared:
+            assert params[key].default == sizer[key].default, (name, key)
 
 
 # ----------------------------------------------------------------------

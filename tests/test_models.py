@@ -476,7 +476,7 @@ def test_series_is_read_only():
 
 
 def test_series_stays_read_only_through_a_pickle():
-    # the process pool pickles each result back to the parent
+    # a user's pickled copy of a series stays read-only, as the original is
     s = simulate(model2(), T=50, seed=1)
     again = pickle.loads(pickle.dumps(s))
     assert np.array_equal(again.x, s.x) and np.array_equal(again.y, s.y)

@@ -46,7 +46,11 @@ this process builds before it forks); the CCF alone at ``--max-lag 7``, by
 s_max = 999999``, ``simulate`` and ``theory``, which run no estimator,
 and ``experiment`` at T = 1000 with ``--estimators hxa`` and with
 ``--estimators dcca`` (a window is checked only where its estimator
-runs, so only the last is a config error); ``experiment`` on model2 at
+runs, so only the last is a config error); ``experiment`` on model1 at
+T = 1e4 (3 replications on 1 worker, one stack) with DFA and DCCA at
+``--s-min 11 --dfa-s-min 11``, whose base boxes of single points give
+rows of about 1e4 terms, past numpy's 8,192-term einsum buffer, so that
+the pass reduces them one row per call; ``experiment`` on model2 at
 T = 3e4 (2 replications, DFA and DCCA), whose windows' coefficients are
 too large to keep, so that the pass builds them at each box size; and
 last, ``simulate --model model1 --T 1500 --reps 1`` and ``estimate
@@ -182,6 +186,10 @@ def calls() -> list[list[str]]:
     for estimators in ("hxa", "dcca"):
         out.append(["experiment", "--config", PINNED_CONFIG, "--estimators", estimators,
                     "--T", "1000", "--reps", "2", "--output", f"exp-pinned-{estimators}"])
+    # base boxes of single points (g = 1): rows of about 1e4 terms, past numpy's einsum buffer,
+    # in a stack of 3, so that _box_sums reduces them one row per call
+    out.append(["experiment", "--model", "model1", "--T", "10000", "--reps", "3", "--workers", "1",
+                "--estimators", "dfa,dcca", "--s-min", "11", "--dfa-s-min", "11", "--output", "exp-model1-g1"])
     # windows whose coefficients (5.8 MB) are too large to keep: each is built per box size
     out.append(["experiment", "--model", "model2", "--T", "30000", "--reps", "2", "--seed", "42",
                 "--estimators", "dfa,dcca", "--output", "exp-model2-30000"])

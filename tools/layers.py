@@ -90,13 +90,13 @@ import crossarfima  # noqa: E402
 from crossarfima import cli  # noqa: E402
 from crossarfima.config import default_config  # noqa: E402
 from crossarfima.estimators import (  # noqa: E402
-    _grid,
     _window_coefficients,
     dcca,
     dfa,
     fluctuations,
     hxa,
     sample_ccf,
+    size_window,
     stacked_fluctuations,
 )
 from crossarfima.innovations import sample  # noqa: E402
@@ -256,7 +256,7 @@ def layer_rows(T: int, workdir: str) -> dict:
             _window_coefficients.cache_clear(), fluctuations(x, y, dfa=cfg.window("dfa"), dcca=cfg.window("dcca"))
         ),
         "hxa": lambda: hxa(x, y, **cfg.window("hxa")),
-        "sample_ccf": lambda: sample_ccf(x, y, **cfg.window("ccf")),
+        "sample_ccf": lambda: sample_ccf(x, y, size_window("ccf", T, cfg.window("ccf"))),
         "csv write": lambda: _write_series(cfg, series),
         "csv read": lambda: cli._load_series_file(path),
     }
@@ -331,7 +331,7 @@ def large_rows() -> dict:
     wd, wc = ({**cfg.window(name), "step": LARGE_STEP} for name in ("dfa", "dcca"))
     return {
         "hxa": _time(lambda: hxa(x, y, **cfg.window("hxa"))),
-        "sample_ccf": _time(lambda: sample_ccf(x, y, **cfg.window("ccf"))),
+        "sample_ccf": _time(lambda: sample_ccf(x, y, size_window("ccf", LARGE_T, cfg.window("ccf")))),
         f"pair pass, box sizes at step {LARGE_STEP}": _time(lambda: fluctuations(x, y, dfa=wd, dcca=wc)),
     }
 
@@ -341,7 +341,7 @@ def held_bytes(T: int) -> dict:
     cfg = default_config("model1", t=str(T))
     misses = _window_coefficients.cache_info().misses + _weight_spectrum.cache_info().misses
     # the pass's key: each (box size, order, g) of the two windows' grids, sorted
-    grids = (_grid(T, **cfg.window(name)) for name in ("dfa", "dcca"))
+    grids = (size_window(name, T, cfg.window(name)) for name in ("dfa", "dcca"))
     kept = _window_coefficients(tuple(sorted({(s, order, g) for sizes, order, g in grids for s in sizes})))
     # one array per distinct (kind, param), as the cache holds them
     spectra = {(c.kind, c.param): s for _, c, s in weight_spectra(model1(), T)[2] if s is not None}
