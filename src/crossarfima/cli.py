@@ -18,7 +18,7 @@ import csv
 import os
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from operator import attrgetter
 
 import numpy as np
@@ -93,17 +93,6 @@ def _ensure_outdir(cfg: ExperimentConfig) -> str:
     return cfg.output_dir
 
 
-@dataclass(frozen=True)
-class EstimateRow:
-    estimator: str
-    target: str
-    ok: bool
-    exponent: float
-    stderr: float
-    n_points: int
-    message: str
-
-
 # One row per key of a pair's one pass, fluctuations: (estimator, target, theory
 # attribute, key).  A Hurst estimate's row holds its fit; the CCF's, a failure only.
 ESTIMATES = (
@@ -130,8 +119,11 @@ def _pair_rows(cfg: ExperimentConfig, pairs) -> list:
     """Estimate rows and CCF (an array over lags -L..L, or None) of each of pairs, in order.
 
     pairs gives each _made result when the stack reaches it, and all run as
-    one stack at cfg's windows: a pair's error fails its every key, and a
-    failed key or fit is a failed row.
+    one stack at cfg's windows: a pair's error fails its every key.  A row is
+    (estimator, target, fit, notes): fit is fit_hurst's ScalingFit, with its
+    warnings as notes, or None for a failed key or fit, with the error's
+    message as notes.  The error itself is not kept: its traceback's frames
+    would hold the pair's arrays until the command ends.
     """
     table = []
     for result in stacked_fluctuations(pairs, **{name: cfg.window(name) for name in cfg.estimators}):
@@ -145,18 +137,24 @@ def _pair_rows(cfg: ExperimentConfig, pairs) -> list:
                     value = result[key]
                     fit = None if key == "ccf" else fit_hurst(value)
                 except (CrossArfimaError, ValueError, OSError) as e:
-                    rows.append(EstimateRow(name, target, False, np.nan, np.nan, 0, str(e)))
+                    rows.append((name, target, None, str(e)))
                     continue
             if fit is None:
                 ccf = value
             else:
-                notes = "; ".join(str(w.message) for w in caught)
-                rows.append(EstimateRow(name, target, True, fit.exponent, fit.stderr, fit.n_points, notes))
+                rows.append((name, target, fit, "; ".join(str(w.message) for w in caught)))
         table.append((rows, ccf))
     return table
 
 
 ESTIMATE_COLUMNS = ["estimator", "target", "status", "exponent", "stderr", "n_points", "notes"]
+
+
+def _fit_cells(fit) -> list[str]:
+    """The status, exponent, stderr and n_points cells of a row's fit, a ScalingFit or None."""
+    if fit is None:
+        return ["failed", "", "", "0"]
+    return ["ok", _fmt(fit.exponent), _fmt(fit.stderr), str(fit.n_points)]
 
 
 def _write_estimates(path: str, prefix_columns: list[str], table) -> bool:
@@ -167,21 +165,13 @@ def _write_estimates(path: str, prefix_columns: list[str], table) -> bool:
         path,
         prefix_columns + ESTIMATE_COLUMNS,
         (
-            prefix
-            + [
-                row.estimator,
-                row.target,
-                "ok" if row.ok else "failed",
-                _fmt(row.exponent) if row.ok else "",
-                _fmt(row.stderr) if row.ok else "",
-                str(row.n_points),
-                row.message,
-            ]
+            prefix + [name, target, *_fit_cells(fit), notes]
             for prefix, rows, _ in table
-            for row in rows
+            for name, target, fit, notes in rows
         ),
     )
-    return any(row.ok for _, rows, _ in table for row in rows) or any(ccf is not None for *_, ccf in table)
+    fits = [fit for _, rows, _ in table for _, _, fit, _ in rows]
+    return any(fit is not None for fit in fits) or any(ccf is not None for *_, ccf in table)
 
 
 def _simulate_worker(job: tuple[ExperimentConfig, int, int]) -> str:
@@ -402,9 +392,8 @@ def cmd_experiment(cfg: ExperimentConfig, workers: int | None) -> int:
     theory = theoretical_exponents(cfg.model)
     summary_rows = []
     for name, target, attr, _ in ESTIMATES:
-        vals = np.array(
-            [r.exponent for _, rows, _ in table for r in rows if r.ok and (r.estimator, r.target) == (name, target)]
-        )
+        fits = [fit for _, rows, _ in table for *key, fit, _ in rows if key == [name, target]]
+        vals = np.array([fit.exponent for fit in fits if fit is not None])
         if vals.size == 0:
             continue
         summary_rows.append(

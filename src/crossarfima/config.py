@@ -224,7 +224,9 @@ def parse_config(
 
 
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Check the run-level settings at cfg.T, and give cfg back; a window is checked by check_windows, where it runs."""
+    """Check at cfg.T the run-level settings that every subcommand checks, and give cfg back: T,
+    replications, base_seed, output_dir, detrend_order >= 0 and ccf.max_lag >= 0.  The rest of a
+    window is checked only where its estimator runs (check_windows)."""
 
     def bad(field, message):
         raise ConfigError(f"{field}: {message}")

@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 
 from crossarfima.errors import CrossArfimaError
-from crossarfima.estimators import fit_hurst, fluctuations, sample_ccf
+from crossarfima.cli import STACK_ROWS
+from crossarfima.estimators import fit_hurst, sample_ccf, stacked_fluctuations
 from crossarfima.models import PRESETS, simulate
 
 N_REPS = 100
 BASE_SEED = 42
 SERIES_LENGTH = 10_000
+# replications per stacked pass: the CLI's experiment chunk at this T (10)
+STACK_REPS = STACK_ROWS // SERIES_LENGTH
 
 # experiment protocol: DFA stops at T/20 to stay clear of the finite-size
 # saturation regime, DCCA keeps the wider T/5 window, HXA uses lags 1..T/100
@@ -36,6 +39,14 @@ def _quiet_fit(fluct):
 EXPONENT_KEYS = {"dfa_x": "dfa_hx", "dfa_y": "dfa_hy", "dcca": "dcca", "hxa": "hxa"}
 
 
+def _drawn_pairs(model, seeds, truncations):
+    """(x, y) of each seed's draw, made as the stack reaches it; each draw's MA cut M is added to truncations."""
+    for seed in seeds:
+        s = simulate(model, T=SERIES_LENGTH, seed=seed)
+        truncations.add(s.truncation)
+        yield s.x, s.y
+
+
 @pytest.fixture(scope="session")
 def study():
     """Monte Carlo estimates for every preset: 100 reps of T = 1e4, seeds 42..141.
@@ -48,7 +59,9 @@ def study():
     and ``truncation`` (the MA cut M of every simulation) let a test
     compute what the protocol predicts for these statistics.  Several
     acceptance checks and the preset-ordering tests all read from this
-    one study.
+    one study.  The replications run as the CLI's experiment runs them:
+    one stacked pass per chunk of STACK_REPS seeds, each drawn when the
+    pass reaches it.
     """
     t0 = time.perf_counter()
     out = {}
@@ -57,22 +70,23 @@ def study():
         rows = {k: [] for k in EXPONENT_KEYS.values()}
         curves = {k: [] for k in EXPONENT_KEYS}
         ccfs = []
-        for rep in range(N_REPS):
-            s = simulate(model, T=SERIES_LENGTH, seed=BASE_SEED + rep)
-            # every estimate in the CLI's one pass per pair
-            ccf = {"max_lag": CCF_MAX_LAG} if name == "model1" else None
-            pair = fluctuations(s.x, s.y, dfa=DFA_WINDOW, dcca=DCCA_WINDOW, hxa=HXA_WINDOW, ccf=ccf)
-            fluct = {"dfa_x": pair["x"], "dfa_y": pair["y"], "dcca": pair["xy"], "hxa": pair["hxa"]}
-            for key, f in fluct.items():
-                curves[key].append(f.values)
-                rows[EXPONENT_KEYS[key]].append(_quiet_fit(f))
-            if ccf:
-                ccfs.append(pair["ccf"])
+        truncations = set()
+        ccf = {"max_lag": CCF_MAX_LAG} if name == "model1" else None
+        seeds = range(BASE_SEED, BASE_SEED + N_REPS)
+        for i in range(0, N_REPS, STACK_REPS):
+            pairs = _drawn_pairs(model, seeds[i : i + STACK_REPS], truncations)
+            for pair in stacked_fluctuations(pairs, dfa=DFA_WINDOW, dcca=DCCA_WINDOW, hxa=HXA_WINDOW, ccf=ccf):
+                fluct = {"dfa_x": pair["x"], "dfa_y": pair["y"], "dcca": pair["xy"], "hxa": pair["hxa"]}
+                for key, f in fluct.items():
+                    curves[key].append(f.values)
+                    rows[EXPONENT_KEYS[key]].append(_quiet_fit(f))
+                if ccf:
+                    ccfs.append(pair["ccf"])
         out[name] = {k: np.asarray(v) for k, v in rows.items()}
         out[name]["fluct"] = {k: np.vstack(v) for k, v in curves.items()}
         out[name]["scales"] = {k: f.scales for k, f in fluct.items()}
         out[name]["T"] = SERIES_LENGTH
-        out[name]["truncation"] = s.truncation
+        (out[name]["truncation"],) = truncations
         if ccfs:
             out[name]["ccf"] = np.vstack(ccfs)
     out["seconds"] = time.perf_counter() - t0
